@@ -63,11 +63,11 @@ class ControlContext:
     x0_ref: np.ndarray
 
     def __post_init__(self):
-        x0 = np.asarray(self.x0_ref, dtype=float).reshape(-1)
-        if x0.size != self.controller.n:
-            raise ValueError(f"x0_ref has size {x0.size}, expected {self.controller.n}")
-        if not np.all(np.isfinite(x0)):
-            raise ValueError("x0_ref has non-finite entries")
+        x0 = linalg.as_vector(self.x0_ref, "x0_ref", self.controller.n)
+        with np.errstate(over="ignore"):
+            if not math.isfinite(self.dilation.norm(x0)):
+                # an infinite radius would scale every state to zero: a false capture
+                raise ValueError("the weighted norm of the initial state overflows; rescale the problem")
         if not isinstance(self.kind, ControllerKind):
             raise ValueError(f"kind must be a ControllerKind, got {self.kind!r}")
         object.__setattr__(self, "x0_ref", x0)
@@ -102,37 +102,45 @@ def make_context(controller: SynthesizedController, kind: ControllerKind, x0, x0
     return ControlContext(controller, controller.dilation, kind, x0)
 
 
-def _norm_argument(ctx: ControlContext, x: np.ndarray) -> float:
-    """The scheduling scalar ``s`` (already clamped for the clamped kinds)."""
-    s = hom_norm(ctx.dilation, x / ctx.ref_norm)
-    if ctx.kind is not ControllerKind.PRESCRIBED_TIME:
-        s = min(1.0, s)
-    return s
+def _schedule(ctx: ControlContext, x: np.ndarray, s: float | None) -> float | None:
+    """The clamped scheduling scalar of the feedback at ``x``.
 
-
-def eval_control(ctx: ControlContext, x) -> np.ndarray:
-    """Evaluate the feedback at state ``x``; returns the input vector."""
-    x = linalg.as_vector(x, "x")
-    if x.size != ctx.controller.n:
-        raise ValueError(f"x has size {x.size}, expected {ctx.controller.n}")
-    K0 = ctx.controller.K0
+    ``1.0`` selects the linear law ``K0 + K d(-ln T)``, ``0.0`` the ``K0``
+    branch, and None marks the zero state.  ``s`` is the unclamped
+    ``||x / r||_d`` when the caller already has it.
+    """
     if ctx.kind is ControllerKind.LINEAR:
-        return K0 @ x + ctx.KT @ x
+        return 1.0
     if ctx.r0 == 0.0:
         # zero reference: prescribed_time degenerates to the K0 branch, the
         # clamped kinds to the linear law
-        if ctx.kind is ControllerKind.PRESCRIBED_TIME:
-            return K0 @ x
-        return K0 @ x + ctx.KT @ x
-    if not np.any(x):
+        return 0.0 if ctx.kind is ControllerKind.PRESCRIBED_TIME else 1.0
+    if not x.any():
+        return None
+    if s is None:
+        s = hom_norm(ctx.dilation, x / ctx.ref_norm)
+    if ctx.kind is not ControllerKind.PRESCRIBED_TIME:
+        s = min(1.0, s)
+    # s <= 0: subnormal state far below resolvable scale
+    return max(s, 0.0)
+
+
+def eval_control(ctx: ControlContext, x, s: float | None = None) -> np.ndarray:
+    """Evaluate the feedback at state ``x``; returns the input vector.
+
+    ``s``, when given, must be the unclamped ``||x / ctx.ref_norm||_d``; it
+    spares the norm solve.
+    """
+    x = linalg.as_vector(x, "x", ctx.controller.n)
+    s = _schedule(ctx, x, s)
+    K0 = ctx.controller.K0
+    if s is None:
         return np.zeros(ctx.controller.m)
-    s = _norm_argument(ctx, x)
     if s == 1.0:
         # clamp active (or exactly on the reference sphere): linear law,
         # evaluated without the identity dilation so the equality is exact
         return K0 @ x + ctx.KT @ x
-    if s <= 0.0:
-        # subnormal state far below resolvable scale
+    if s == 0.0:
         return K0 @ x
     return K0 @ x + ctx.KT @ dilate(ctx.dilation, -math.log(s), x)
 
@@ -144,21 +152,13 @@ def gain_matrix(ctx: ControlContext, x) -> np.ndarray:
     reproduces the control.  Undefined at ``x = 0`` and for a zero
     reference (except for the linear kind, whose gain is constant).
     """
-    x = linalg.as_vector(x, "x")
-    if x.size != ctx.controller.n:
-        raise ValueError(f"x has size {x.size}, expected {ctx.controller.n}")
+    x = linalg.as_vector(x, "x", ctx.controller.n)
+    s = _schedule(ctx, x, None)
     K0 = ctx.controller.K0
-    if ctx.kind is ControllerKind.LINEAR:
-        return K0 + ctx.KT
-    if ctx.r0 == 0.0:
-        if ctx.kind is ControllerKind.PRESCRIBED_TIME:
-            return K0.copy()
-        return K0 + ctx.KT
-    if not np.any(x):
+    if s is None:
         raise ValueError("gain_matrix: undefined at x = 0")
-    s = _norm_argument(ctx, x)
     if s == 1.0:
         return K0 + ctx.KT
-    if s <= 0.0:
+    if s == 0.0:
         return K0.copy()
     return K0 + ctx.KT @ dilation_matrix(ctx.dilation, -math.log(s))

@@ -36,6 +36,9 @@ _TINY_NORM = 1e-150
 #: iteration caps of the safeguarded root-find
 _MAX_BISECT = 80
 _MAX_NEWTON = 8
+#: step cap (in ln s) and step budget of the warm-started Newton iteration
+_NEWTON_TRUST = 1.0
+_MAX_WARM_NEWTON = 6
 #: eigenbasis condition limit for the fast d(s)x evaluation path
 _EIG_COND_LIMIT = 1e3
 
@@ -102,15 +105,8 @@ def dilate(D: Dilation, s: float, x) -> np.ndarray:
     """Apply the group element: ``d(s) x``."""
     if not math.isfinite(s):
         raise ValueError(f"dilation parameter must be finite, got {s}")
-    x = linalg.as_vector(x, "x")
-    if x.size != D.dim:
-        raise ValueError(f"x has size {x.size}, expected {D.dim}")
-    eig = D._eig
-    if eig is None:
-        return linalg.expm(s * D.generator) @ x
-    w, V, Vinv = eig
     with np.errstate(over="ignore"):
-        return np.real(V @ (np.exp(s * w) * (Vinv @ x)))
+        return _orbit(D, linalg.as_vector(x, "x", D.dim))(-s)
 
 
 def check_strict_monotonicity(D: Dilation) -> bool:
@@ -127,7 +123,7 @@ def check_strict_monotonicity(D: Dilation) -> bool:
     return ok_m
 
 
-def hom_norm(D: Dilation, x) -> float:
+def hom_norm(D: Dilation, x, guess: float | None = None) -> float:
     """Canonical homogeneous norm ``||x||_d`` induced by the dilation.
 
     Defined by ``||x||_d = e^{s_x}`` where ``s_x`` solves
@@ -136,65 +132,102 @@ def hom_norm(D: Dilation, x) -> float:
     bisection with safeguarded Newton refinements, to residual
     ``| |d(-s)x| - 1 | <= 1e-12``.
 
+    ``guess`` is an optional estimate of the norm.  When given, Newton steps
+    in ``ln s`` start from it; they give way to the bracketing whenever a
+    step leaves the trust region, the slope is not positive, or the root is
+    not reached within a few steps, so a poor guess costs time, never
+    accuracy.
+
     Raises ``RuntimeError`` when no root can be located, which for finite
     input means the supplied pair is not strictly monotone.
     """
-    x = linalg.as_vector(x, "x")
-    if x.size != D.dim:
-        raise ValueError(f"x has size {x.size}, expected {D.dim}")
+    x = linalg.as_vector(x, "x", D.dim)
+    if guess is not None and not (math.isfinite(guess) and guess > 0):
+        raise ValueError(f"guess must be a positive finite number, got {guess!r}")
     base = D.norm(x)
     if base < _TINY_NORM:
         return 0.0
+    orbit = _orbit(D, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if guess is not None:
+            s = _newton(D, orbit, math.log(guess))
+            if s is not None:
+                return math.exp(s)
+        # ln|x|: the exact root for G = I, the natural cold start in general
+        return math.exp(_bracket_and_bisect(D, orbit, math.log(base)))
+
+
+def _orbit(D: Dilation, x: np.ndarray):
+    """The map ``s -> d(-s) x`` for one ``x``; ``V^{-1} x`` is formed once."""
+    eig = D._eig
+    if eig is None:
+        G = D.generator
+        return lambda s: linalg.expm(-s * G) @ x
+    w, V, Vinv = eig
+    c = Vinv @ x
+    return lambda s: np.real(V @ (np.exp(-s * w) * c))
+
+
+def _slope(D: Dilation, z: np.ndarray, zn: float) -> float:
+    """``-d|z|/ds = (z' P G z)/|z|`` for ``z = d(-s) x``; NaN if undefined."""
+    if not 0.0 < zn < math.inf:
+        return math.nan
+    return float(z @ D.weight @ (D.generator @ z)) / zn
+
+
+def _newton(D: Dilation, orbit, s: float) -> float | None:
+    """Newton iteration from ``s``; None when a safeguard gives up."""
+    for _ in range(_MAX_WARM_NEWTON):
+        z = orbit(s)
+        zn = D.norm(z)
+        gval = zn - 1.0
+        if abs(gval) <= HOM_NORM_RESIDUAL_TOL:
+            return s
+        slope = _slope(D, z, zn)
+        if not (math.isfinite(slope) and slope > 0.0):
+            return None
+        step = gval / slope
+        if abs(step) > _NEWTON_TRUST:
+            return None
+        s += step
+    return None
+
+
+def _bracket_and_bisect(D: Dilation, orbit, s0: float) -> float:
+    """Root of ``|d(-s) x| = 1`` by outward bracketing from ``s0``."""
 
     def residual(s: float) -> float:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return D.norm(dilate(D, -s, x)) - 1.0
+        return D.norm(orbit(s)) - 1.0
 
-    # exact root for G = I; the natural starting point in general
-    s0 = math.log(base)
     g0 = residual(s0)
     if abs(g0) <= HOM_NORM_RESIDUAL_TOL:
-        return math.exp(s0)
+        return s0
 
     # bracket the root by doubling outward: residual > 0 at lo, < 0 at hi
-    step = 1.0
-    if g0 > 0.0:
-        lo, hi = s0, s0 + step
-        while residual(hi) > 0.0:
-            lo = hi
-            step *= 2.0
-            hi = s0 + step
-            if step > 1e6:
-                raise RuntimeError("hom_norm: no unit-sphere crossing found (dilation not strictly monotone?)")
-    else:
-        lo, hi = s0 - step, s0
-        while residual(lo) < 0.0:
-            hi = lo
-            step *= 2.0
-            lo = s0 - step
-            if step > 1e6:
-                raise RuntimeError("hom_norm: no unit-sphere crossing found (dilation not strictly monotone?)")
+    sign, near, step = (1.0 if g0 > 0.0 else -1.0), s0, 1.0
+    while sign * residual(s0 + sign * step) > 0.0:
+        near = s0 + sign * step
+        step *= 2.0
+        if step > 1e6:
+            raise RuntimeError("hom_norm: no unit-sphere crossing found (dilation not strictly monotone?)")
+    lo, hi = sorted((near, s0 + sign * step))
 
-    # bisection with Newton refinements once the bracket is tight; the
-    # analytic slope is d|z|/ds = -(z' P G z)/|z| for z = d(-s) x
-    G, P = D.generator, D.weight
+    # bisection with Newton refinements once the bracket is tight
     newton_left = _MAX_NEWTON
     s = 0.5 * (lo + hi)
     for _ in range(_MAX_BISECT + _MAX_NEWTON):
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = dilate(D, -s, x)
-            zn = D.norm(z)
+        z = orbit(s)
+        zn = D.norm(z)
         gval = zn - 1.0
         if abs(gval) <= HOM_NORM_RESIDUAL_TOL:
-            return math.exp(s)
+            return s
         if gval > 0.0:
             lo = s
         else:
             hi = s
         s_next = None
-        if hi - lo < 0.5 and newton_left > 0 and zn > 0.0 and np.all(np.isfinite(z)):
-            with np.errstate(over="ignore", invalid="ignore"):
-                slope = float(z @ P @ (G @ z)) / zn
+        if hi - lo < 0.5 and newton_left > 0:
+            slope = _slope(D, z, zn)
             if math.isfinite(slope) and slope > 0.0:
                 cand = s + gval / slope
                 if lo < cand < hi:

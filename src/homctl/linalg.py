@@ -54,15 +54,17 @@ def as_square(a, name: str = "matrix") -> np.ndarray:
     return M
 
 
-def as_vector(a, name: str = "vector") -> np.ndarray:
-    """Coerce ``a`` to a 1-D float array with finite entries."""
+def as_vector(a, name: str = "vector", size: int | None = None) -> np.ndarray:
+    """Coerce ``a`` to a 1-D float array with finite entries (and ``size`` of them)."""
     v = np.asarray(a, dtype=float)
     if v.ndim != 1:
         v = v.reshape(-1)
     if v.size == 0:
         raise ValueError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} has non-finite entries")
+    if size is not None and v.size != size:
+        raise ValueError(f"{name} has size {v.size}, expected {size}")
     return v
 
 
@@ -142,9 +144,7 @@ def solve_linear(A, b) -> np.ndarray:
     computed solution leaves a residual above ``1e-10 * ||b||``.
     """
     A = as_square(A, "A")
-    b = as_vector(b, "b")
-    if b.size != A.shape[0]:
-        raise ValueError(f"b has size {b.size}, expected {A.shape[0]}")
+    b = as_vector(b, "b", A.shape[0])
     try:
         x = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
@@ -165,9 +165,7 @@ def least_norm_solve(A, b) -> np.ndarray:
     system is inconsistent beyond ``1e-8 * ||b||``.
     """
     A = as_matrix(A, "A")
-    b = as_vector(b, "b")
-    if b.size != A.shape[0]:
-        raise ValueError(f"b has size {b.size}, expected {A.shape[0]}")
+    b = as_vector(b, "b", A.shape[0])
     x, *_ = np.linalg.lstsq(A, b, rcond=None)
     if np.linalg.norm(A @ x - b) > _LSTSQ_RESIDUAL_RTOL * np.linalg.norm(b):
         raise np.linalg.LinAlgError("least_norm_solve: system is inconsistent")

@@ -80,9 +80,7 @@ class ControlHistory:
 
     def push(self, u) -> None:
         """Record the control applied from the current sample on."""
-        u = linalg.as_vector(u, "u")
-        if u.size != self.m:
-            raise ValueError(f"u has size {u.size}, expected {self.m}")
+        u = linalg.as_vector(u, "u", self.m)
         if self._buf.maxlen:
             self._buf.append(u.copy())
 
@@ -151,9 +149,7 @@ def _check_compatible(tables: PredictorTables, hist: ControlHistory) -> None:
 
 def predict(tables: PredictorTables, x, hist: ControlHistory) -> np.ndarray:
     """Predictor state ``y = e^{A tau} x + sum_j Phi_j u(t - j h)``."""
-    x = linalg.as_vector(x, "x")
-    if x.size != tables.n:
-        raise ValueError(f"x has size {x.size}, expected {tables.n}")
+    x = linalg.as_vector(x, "x", tables.n)
     _check_compatible(tables, hist)
     y = tables.E @ x
     if tables.N:
@@ -163,9 +159,7 @@ def predict(tables: PredictorTables, x, hist: ControlHistory) -> np.ndarray:
 
 def invert(tables: PredictorTables, y, hist: ControlHistory) -> np.ndarray:
     """Recover the physical state from a predictor state: inverse of predict."""
-    y = linalg.as_vector(y, "y")
-    if y.size != tables.n:
-        raise ValueError(f"y has size {y.size}, expected {tables.n}")
+    y = linalg.as_vector(y, "y", tables.n)
     _check_compatible(tables, hist)
     acc = y.copy()
     if tables.N:

@@ -52,7 +52,8 @@ def parse_vector(text: str, name: str = "vector") -> np.ndarray:
 
 
 def _read(path) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # ';' separates matrix rows, so only '#' starts an inline comment
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     cp.optionxform = str  # keep key case: A and B are matrix names
     read = cp.read(path)
     if not read:

@@ -157,15 +157,9 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.controller.n != self.plant.n or self.controller.m != self.plant.m:
             raise ValueError("plant and controller dimensions differ")
-        x0 = linalg.as_vector(self.x0, "x0")
-        if x0.size != self.plant.n:
-            raise ValueError(f"x0 has size {x0.size}, expected {self.plant.n}")
-        object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "x0", linalg.as_vector(self.x0, "x0", self.plant.n))
         if self.x0_noise is not None:
-            q0 = linalg.as_vector(self.x0_noise, "x0_noise")
-            if q0.size != self.plant.n:
-                raise ValueError(f"x0_noise has size {q0.size}, expected {self.plant.n}")
-            object.__setattr__(self, "x0_noise", q0)
+            object.__setattr__(self, "x0_noise", linalg.as_vector(self.x0_noise, "x0_noise", self.plant.n))
         if not (math.isfinite(self.h) and self.h > 0):
             raise ValueError(f"sample period h must be positive, got {self.h}")
         if not (math.isfinite(self.t_end) and self.t_end > 0):
@@ -250,10 +244,7 @@ def simulate(config: ScenarioConfig) -> SimulationTrace:
     """
     if config.integrator == "dense_rk":
         return simulate_dense(config)
-    if config.plant.delay > 0:
-        trace = _simulate_zoh_delay(config)
-    else:
-        trace = _simulate_zoh(config)
+    trace = _simulate_zoh(config)
     eps = config.effective_settle_epsilon
     st = measure_settling(trace, eps)
     trace.settle_epsilon = eps
@@ -311,10 +302,6 @@ def _snap_enabled(config: ScenarioConfig, ref_norm: float) -> bool:
     return sup < envelope
 
 
-def _noise_draw(rng, amplitude: float, n: int) -> np.ndarray:
-    return rng.uniform(-amplitude, amplitude, n)
-
-
 def _disturbance_step(Fs: np.ndarray, Gs: np.ndarray, q2, t0: float, hs: float) -> np.ndarray:
     # exact-ZOH quadrature of int_0^h e^{A(h-s)} q2(t0+s) ds on substeps,
     # sampling q2 at substep midpoints
@@ -324,62 +311,19 @@ def _disturbance_step(Fs: np.ndarray, Gs: np.ndarray, q2, t0: float, hs: float) 
     return D
 
 
+def _warm_guess(s_prev: float, s_prev2: float) -> float | None:
+    """Linear extrapolation of the last two norms, else the last, else None."""
+    if not s_prev > 0.0:
+        return None
+    guess = 2.0 * s_prev - s_prev2
+    return guess if s_prev2 > 0.0 and guess > 0.0 else s_prev
+
+
 def _simulate_zoh(config: ScenarioConfig) -> SimulationTrace:
-    plant, ctrl = config.plant, config.controller
-    A, B = plant.A, plant.B
-    n, m = plant.n, plant.m
-    h = config.h
-    times = _sample_times(h, config.t_end)
-    K = len(times)
-
-    F = linalg.expm(A * h)
-    gamma = linalg.zoh_integral(A, B, h)
-    q2 = config.disturbance.function(B, h)
-    if q2 is not None:
-        hs = h / _DISTURBANCE_SUBSTEPS
-        Fs = linalg.expm(A * hs)
-        Gs = linalg.zoh_integral(A, np.eye(n), hs)
-    rng = np.random.default_rng(config.noise.seed) if config.noise.active else None
-
-    ctx = make_context(ctrl, config.kind, config.x0, config.x0_noise)
-    dil = ctx.dilation
-    r = ctx.ref_norm
-    snap_enabled = _snap_enabled(config, r)
-    snap_delta = config.effective_snap_delta
-
-    xs = np.empty((K, n))
-    us = np.empty((K, m))
-    ss = np.empty(K)
-    norms = np.empty(K)
-    events: list = []
-
-    x = config.x0.copy()
-    snap_at: int | None = None
-    for k in range(K):
-        if snap_at is not None and k >= snap_at:
-            x = np.zeros(n)
-        meas = x if rng is None else x + _noise_draw(rng, config.noise.amplitude, n)
-        u = eval_control(ctx, meas)
-        if r > 0 and (snap_at is None or k < snap_at):
-            s = hom_norm(dil, x / r)
-        else:
-            s = 0.0
-        xs[k], us[k], ss[k] = x, u, s
-        norms[k] = dil.norm(x)
-        if snap_enabled and snap_at is None and s <= snap_delta:
-            snap_at = k + 1
-            events.append((times[k] + h, "snap_to_zero"))
-            log.debug("snap scheduled after t=%.6f (s=%.3e <= %.3e)", times[k], s, snap_delta)
-        if k + 1 < K:
-            x_next = F @ x + gamma @ u
-            if q2 is not None:
-                x_next = x_next + _disturbance_step(Fs, Gs, q2, times[k], hs)
-            x = x_next
-
-    return SimulationTrace(t=times, x=xs, u=us, s=ss, x_norm=norms, events=events)
-
-
-def _simulate_zoh_delay(config: ScenarioConfig) -> SimulationTrace:
+    # One loop for both settings: a zero delay is the N = 0 predictor, y = x.
+    # With a delay the controller acts on the predictor state y, the plant
+    # receives the input of N samples earlier, and the capture reaches the
+    # physical state one pipeline flush (tau) after the predictor state.
     plant, ctrl = config.plant, config.controller
     A, B = plant.A, plant.B
     n, m = plant.n, plant.m
@@ -399,10 +343,12 @@ def _simulate_zoh_delay(config: ScenarioConfig) -> SimulationTrace:
         Gs = linalg.zoh_integral(A, np.eye(n), hs)
     rng = np.random.default_rng(config.noise.seed) if config.noise.active else None
 
-    hist = ControlHistory(h=h, tau=tau, m=m, phi=config.phi)
+    hist = None
     x0_ctx = config.x0 if config.x0_noise is None else config.x0 + config.x0_noise
-    y0_ref = predict(tables, x0_ctx, hist)
-    ctx = ControlContext(ctrl, ctrl.dilation, config.kind, y0_ref)
+    if tau > 0:
+        hist = ControlHistory(h=h, tau=tau, m=m, phi=config.phi)
+        x0_ctx = predict(tables, x0_ctx, hist)
+    ctx = ControlContext(ctrl, ctrl.dilation, config.kind, x0_ctx)
     dil = ctx.dilation
     r = ctx.ref_norm
     snap_enabled = _snap_enabled(config, r)
@@ -410,7 +356,7 @@ def _simulate_zoh_delay(config: ScenarioConfig) -> SimulationTrace:
 
     xs = np.empty((K, n))
     us = np.empty((K, m))
-    ys = np.empty((K, n))
+    ys = np.empty((K, n)) if hist is not None else None
     ss = np.empty(K)
     norms = np.empty(K)
     events: list = []
@@ -418,36 +364,44 @@ def _simulate_zoh_delay(config: ScenarioConfig) -> SimulationTrace:
     x = config.x0.copy()
     y_snap_at: int | None = None
     x_snap_at: int | None = None
+    s_prev = s_prev2 = 0.0
     for k in range(K):
         if x_snap_at is not None and k >= x_snap_at:
             x = np.zeros(n)
-        if y_snap_at is not None and k >= y_snap_at:
+        snapped = y_snap_at is not None and k >= y_snap_at
+        if snapped:
             y = np.zeros(n)
         else:
-            y = predict(tables, x, hist)
-        meas = y if rng is None else y + _noise_draw(rng, config.noise.amplitude, n)
-        u = eval_control(ctx, meas)
-        if r > 0 and (y_snap_at is None or k < y_snap_at):
-            s = hom_norm(dil, y / r)
+            y = x if N == 0 else predict(tables, x, hist)
+        # s is solved once per sample, warm-started from the last samples;
+        # the feedback reuses it (with r = 0 or y = 0 it needs no s at all)
+        s = 0.0
+        if r > 0 and not snapped:
+            s = hom_norm(dil, y / r, _warm_guess(s_prev, s_prev2))
+        s_prev, s_prev2 = s, s_prev
+        if rng is None:
+            u = eval_control(ctx, y, s)
         else:
-            s = 0.0
-        xs[k], us[k], ys[k], ss[k] = x, u, y, s
+            meas = y + rng.uniform(-config.noise.amplitude, config.noise.amplitude, n)
+            s_meas = hom_norm(dil, meas / r, s if s > 0 else None) if r > 0 else None
+            u = eval_control(ctx, meas, s_meas)
+        xs[k], us[k], ss[k] = x, u, s
+        if ys is not None:
+            ys[k] = y
         norms[k] = dil.norm(x)
         if snap_enabled and y_snap_at is None and s <= snap_delta:
-            # the predictor state settles now; the physical state follows one
-            # pipeline flush (tau) later
             y_snap_at = k + 1
             x_snap_at = k + 1 + N
-            events.append((times[k] + h, "predictor_snap_to_zero"))
-            events.append((times[k] + h + tau, "state_snap_to_zero"))
-            log.debug("predictor snap after t=%.6f (s=%.3e)", times[k], s)
+            events.append((times[k] + h, "snap_to_zero" if hist is None else "predictor_snap_to_zero"))
+            if hist is not None:
+                events.append((times[k] + h + tau, "state_snap_to_zero"))
+            log.debug("snap scheduled after t=%.6f (s=%.3e <= %.3e)", times[k], s, snap_delta)
         if k + 1 < K:
-            u_delayed = hist.recent(N) if N >= 1 else u
-            x_next = F @ x + gamma @ u_delayed
+            x = F @ x + gamma @ (hist.recent(N) if N >= 1 else u)
             if q2 is not None:
-                x_next = x_next + _disturbance_step(Fs, Gs, q2, times[k], hs)
-            x = x_next
-            hist.push(u)
+                x = x + _disturbance_step(Fs, Gs, q2, times[k], hs)
+            if hist is not None:
+                hist.push(u)
 
     return SimulationTrace(t=times, x=xs, u=us, s=ss, x_norm=norms, y=ys, events=events)
 
@@ -503,8 +457,8 @@ def simulate_dense(config: ScenarioConfig) -> SimulationTrace:
     t_last = sol.t[-1]
     grid = np.linspace(0.0, t_last, max(int(round(t_last / config.h)) * 4, 200))
     xs = sol.sol(grid).T
-    us = np.array([eval_control(ctx, x) for x in xs])
     ss = np.array([hom_norm(dil, x / r) for x in xs])
+    us = np.array([eval_control(ctx, x, s) for x, s in zip(xs, ss)])
     norms = np.array([dil.norm(x) for x in xs])
     events = [(float(te[0]), "dense_stop") for te in sol.t_events if len(te)]
     return SimulationTrace(t=grid, x=xs, u=us, s=ss, x_norm=norms,
@@ -526,14 +480,7 @@ def disturbance_bound(controller: SynthesizedController, x0_norm: float, rho: fl
         raise ValueError(f"rho must exceed 1, got {rho}")
     if not (math.isfinite(x0_norm) and x0_norm >= 0):
         raise ValueError(f"x0_norm must be finite and >= 0, got {x0_norm}")
-    w, V = np.linalg.eigh(0.5 * (controller.X + controller.X.T))
-    if w[0] <= 0:
-        raise ValueError("controller X is not positive definite")
-    Xh = (V * np.sqrt(w)) @ V.T
-    Xmh = (V / np.sqrt(w)) @ V.T
-    Gd = controller.Gd
-    M = Xmh @ Gd @ Xh + Xh @ Gd.T @ Xmh
-    lam = linalg.min_eig_sym(M)
+    lam = _rejection_rate(controller)
     radius = max(1.0, x0_norm) if kind is ControllerKind.FIXED_TIME else x0_norm
     return radius * lam / (2.0 * rho * controller.T)
 

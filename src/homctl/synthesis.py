@@ -82,6 +82,11 @@ class SynthesisError(RuntimeError):
 # plant and configuration
 
 
+def _is_real(v) -> bool:
+    """True for an int or float; a bool is not accepted as a number."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class LinearPlant:
     """Controllable LTI plant ``x' = A x + B u(t - delay)``."""
@@ -98,7 +103,7 @@ class LinearPlant:
         B = linalg.as_matrix(B, "B")
         if B.shape[0] != A.shape[0]:
             raise ValueError(f"A and B have incompatible shapes {A.shape} / {B.shape}")
-        if not (isinstance(self.delay, (int, float)) and math.isfinite(self.delay) and self.delay >= 0):
+        if not (_is_real(self.delay) and math.isfinite(self.delay) and self.delay >= 0):
             raise ValueError(f"delay must be a finite number >= 0, got {self.delay}")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
@@ -130,9 +135,9 @@ class SynthesisConfig:
     max_iter: int = 2000
 
     def __post_init__(self):
-        if not (isinstance(self.T, (int, float)) and math.isfinite(self.T) and self.T > 0):
+        if not (_is_real(self.T) and math.isfinite(self.T) and self.T > 0):
             raise ValueError(f"settling time T must be positive, got {self.T}")
-        if not (isinstance(self.mu, (int, float)) and math.isfinite(self.mu) and self.mu < 0):
+        if not (_is_real(self.mu) and math.isfinite(self.mu) and self.mu < 0):
             raise ValueError(f"homogeneity degree mu must be negative, got {self.mu}")
         if not self.feasibility_tol > 0:
             raise ValueError("feasibility_tol must be positive")

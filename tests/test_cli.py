@@ -138,6 +138,14 @@ def test_version_flag(capsys):
 # experiment
 
 
+def test_simulate_overflowing_initial_state_is_input_error(tmp_path, capsys):
+    path = tmp_path / "huge.ini"
+    path.write_text(SCENARIO.replace("x0 = 0.2 0", "x0 = 1e300 0"))
+    assert main(["simulate", "--scenario", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "overflows" in captured.err and "settled" not in captured.out
+
+
 def test_experiment_single_preset(tmp_path, capsys):
     out = tmp_path / "runs"
     assert main(["experiment", "--preset", "fig1", "--out", str(out)]) == EXIT_OK

@@ -130,6 +130,15 @@ def test_gain_matrix_reproduces_control_200_cases(ctrl, rng):
         np.testing.assert_allclose(u_via_gain, u_direct, rtol=1e-9, atol=1e-12)
 
 
+def test_supplied_norm_reproduces_control_exactly(ctrl, rng):
+    for kind in KINDS:
+        ctx = make_context(ctrl, kind, [0.7, -0.2])
+        for _ in range(20):
+            x = rng.normal(size=2) * 10.0 ** rng.integers(-4, 2)
+            s = hom_norm(ctrl.dilation, x / ctx.ref_norm)
+            np.testing.assert_array_equal(eval_control(ctx, x, s), eval_control(ctx, x))
+
+
 def test_gain_matrix_rejects_zero_state(ctx):
     with pytest.raises(ValueError):
         gain_matrix(ctx, [0.0, 0.0])

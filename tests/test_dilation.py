@@ -1,10 +1,12 @@
 """Dilation group, strict monotonicity, homogeneous norm and its gradient."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+import homctl.dilation
 from homctl import (
     Dilation,
     check_strict_monotonicity,
@@ -12,6 +14,8 @@ from homctl import (
     dilation_matrix,
     hom_norm,
     hom_norm_gradient,
+    load_controller,
+    oscillator_controller,
 )
 
 # a family of strictly monotone dilations used by the property suites:
@@ -210,3 +214,53 @@ def test_hom_norm_gradient_rejects_zero():
     D = Dilation(np.diag([2.0, 1.0]), np.eye(2))
     with pytest.raises(ValueError):
         hom_norm_gradient(D, [0.0, 0.0])
+
+
+# ---------------------------------------------------------------------------
+# warm-started solve
+
+
+_RECORDS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "records")
+
+
+def _warm_start_dilations():
+    dils = [("oscillator", oscillator_controller().dilation)]
+    for name in ("chain3", "rand3x2", "rand5x2"):
+        dils.append((name, load_controller(os.path.join(_RECORDS, f"{name}.json")).dilation))
+    # a Jordan-block generator has no eigenbasis: the matrix-exponential path
+    dils.append(("jordan", Dilation(np.array([[1.0, 0.8], [0.0, 1.0]]), np.eye(2))))
+    return dils
+
+
+@pytest.mark.parametrize("name,D", _warm_start_dilations())
+def test_hom_norm_warm_start_agrees_with_cold(name, D, rng):
+    for mag in 10.0 ** np.arange(-4, 5):
+        for _ in range(3):
+            v = rng.standard_normal(D.dim)
+            x = mag * v / np.linalg.norm(v)
+            cold = hom_norm(D, x)
+            for guess in (1e-8, 1e8, cold, cold * (1 + 1e-6), cold * (1 - 1e-3), cold * 1.5):
+                warm = hom_norm(D, x, guess=guess)
+                assert abs(D.norm(dilate(D, -math.log(warm), x)) - 1.0) <= 1e-12
+                assert warm == pytest.approx(cold, rel=1e-10)
+
+
+def test_hom_norm_good_guess_skips_bracketing(monkeypatch):
+    D = oscillator_controller().dilation
+    x = np.array([0.3, -0.1])
+    cold = hom_norm(D, x)
+
+    def no_bracketing(*args):
+        raise AssertionError("bracketing used")
+
+    monkeypatch.setattr(homctl.dilation, "_bracket_and_bisect", no_bracketing)
+    assert hom_norm(D, x, guess=cold * (1 + 1e-4)) == pytest.approx(cold, rel=1e-12)
+    with pytest.raises(AssertionError, match="bracketing used"):
+        hom_norm(D, x, guess=1e-8)
+
+
+@pytest.mark.parametrize("guess", [0.0, -1.0, math.nan, math.inf])
+def test_hom_norm_rejects_invalid_guess(guess):
+    D = oscillator_controller().dilation
+    with pytest.raises(ValueError, match="guess"):
+        hom_norm(D, [0.3, -0.1], guess=guess)

@@ -76,6 +76,13 @@ def test_load_plant_with_delay_and_comments(tmp_path):
     assert plant.delay == 0.5
 
 
+def test_load_plant_semicolon_with_spaces_separates_rows(tmp_path):
+    text = "[plant]\nA = 0 1 ; -1 0\nB = 0 ; 1\n"
+    plant = load_plant(_write(tmp_path, text, "plant.ini"))
+    np.testing.assert_array_equal(plant.A, [[0.0, 1.0], [-1.0, 0.0]])
+    np.testing.assert_array_equal(plant.B, [[0.0], [1.0]])
+
+
 def test_load_plant_missing_key(tmp_path):
     path = _write(tmp_path, "[plant]\nA = 0 1; -1 0\n", "plant.ini")
     with pytest.raises(ValueError, match="missing key 'B'"):

@@ -1,6 +1,7 @@
 """Closed-loop simulation: settling windows, scale invariance, delay runs,
 dense-mode decay, disturbance/noise handling, terminal capture, CSV output."""
 
+import importlib
 import io
 import math
 
@@ -12,7 +13,9 @@ from homctl import (
     DisturbanceSpec,
     NoiseSpec,
     ScenarioConfig,
+    dilate,
     disturbance_bound,
+    hom_norm,
     measure_settling,
     oscillator_controller,
     oscillator_plant,
@@ -374,3 +377,69 @@ def test_trace_summary_contents():
     assert summary["samples"] == len(trace.t)
     assert summary["final_norm"] == 0.0
     assert ["%.6g" % t for t, _ in trace.events] == ["%.6g" % t for t, _ in summary["events"]]
+
+
+# ---------------------------------------------------------------------------
+# one warm-started norm solve per sample
+
+
+def _count_norm_solves(monkeypatch):
+    calls = []
+
+    def counting(D, x, guess=None):
+        calls.append(guess)
+        return hom_norm(D, x, guess)
+
+    # every binding through which a sampled run reaches the solver (the
+    # package re-exports the function simulate under the module's name)
+    for module in ("homctl.simulate", "homctl.control_laws"):
+        monkeypatch.setattr(importlib.import_module(module), "hom_norm", counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind", list(ControllerKind))
+def test_one_norm_solve_per_sample_and_none_after_snap(monkeypatch, kind):
+    calls = _count_norm_solves(monkeypatch)
+    trace = simulate(_nominal([0.7, 0.0], kind=kind))
+    snaps = [t for t, label in trace.events if label == "snap_to_zero"]
+    if kind is ControllerKind.LINEAR:
+        assert not snaps
+        assert len(calls) == len(trace.t)
+    else:
+        k_snap = int(round(snaps[0] / H))
+        assert len(calls) == k_snap
+        assert np.all(trace.s[:k_snap] > 0) and np.all(trace.s[k_snap:] == 0)
+    # only the first sample starts cold
+    assert calls[0] is None and all(g is not None for g in calls[1:])
+
+
+def test_delay_run_makes_one_norm_solve_per_sample(monkeypatch):
+    calls = _count_norm_solves(monkeypatch)
+    config = ScenarioConfig(plant=oscillator_plant(delay=0.5), controller=oscillator_controller(),
+                            x0=np.array([0.7, 0.0]), h=H, t_end=2.5)
+    trace = simulate(config)
+    assert len(calls) == np.count_nonzero(trace.s)
+    assert trace.y is not None
+
+
+def test_delay_free_trace_has_no_predictor_state():
+    trace = simulate(_nominal([0.2, 0.0]))
+    assert trace.y is None
+    assert [label for _, label in trace.events] == ["snap_to_zero"]
+
+
+def test_warm_started_trace_keeps_the_root_tolerance():
+    config = _nominal([0.7, 0.0])
+    trace = simulate(config)
+    D, r = config.controller.dilation, config.controller.weighted_norm(config.x0)
+    for x, s in zip(trace.x, trace.s):
+        if s > 0:
+            assert abs(D.norm(dilate(D, -math.log(s), x / r)) - 1.0) <= 1e-12
+
+
+def test_overflowing_initial_state_is_rejected():
+    # |x0|_P overflows: every x/r would be zero and the run would "settle"
+    with pytest.raises(ValueError, match="overflows"):
+        simulate(_nominal([1e300, 0.0]))
+    with pytest.raises(ValueError, match="overflows"):
+        simulate_dense(_nominal([1e300, 0.0], integrator="dense_rk"))

@@ -49,6 +49,11 @@ def test_linear_plant_rejects_negative_delay(plant):
         LinearPlant(plant.A, plant.B, delay=-0.1)
 
 
+def test_linear_plant_rejects_bool_delay(plant):
+    with pytest.raises(ValueError, match="delay"):
+        LinearPlant(plant.A, plant.B, delay=True)
+
+
 def test_linear_plant_accepts_1d_input_matrix():
     p = LinearPlant([[0.0, 1.0], [-1.0, 0.0]], [0.0, 1.0])
     assert p.B.shape == (2, 1) and p.n == 2 and p.m == 1
@@ -61,6 +66,11 @@ def test_synthesis_config_validation():
         SynthesisConfig(T=1.0, mu=0.0)
     with pytest.raises(ValueError):
         SynthesisConfig(T=1.0, mu=0.5)
+
+
+def test_synthesis_config_rejects_bool_settling_time():
+    with pytest.raises(ValueError, match="settling time"):
+        SynthesisConfig(T=True)
 
 
 # ---------------------------------------------------------------------------
