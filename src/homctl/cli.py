@@ -81,8 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, required=True, dest="T", help="prescribed settling time")
     p.add_argument("--mu", type=float, default=-1.0, help="homogeneity degree (negative)")
     p.add_argument("--out", required=True, help="output controller JSON path")
-    p.add_argument("--feasibility-tol", type=float, default=1e-4, help="required feasibility margin")
-    p.add_argument("--max-iter", type=int, default=2000, help="feasibility search iteration budget")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("verify", help="re-run all algebraic checks on a controller JSON")
@@ -111,8 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_synth(args) -> int:
     plant = load_plant(args.plant)
-    config = SynthesisConfig(T=args.T, mu=args.mu, feasibility_tol=args.feasibility_tol,
-                             max_iter=args.max_iter)
+    config = SynthesisConfig(T=args.T, mu=args.mu)
     controller = synthesize(plant, config)
     report = verify_controller(controller, plant)
     save_controller(controller, args.out)

@@ -30,7 +30,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.integrate
 
 from . import linalg
 from .control_laws import ControlContext, ControllerKind, eval_control, make_context
@@ -414,6 +413,8 @@ def simulate_dense(config: ScenarioConfig) -> SimulationTrace:
     Used by the decay-rate acceptance checks: along unperturbed runs
     ``s(t) = 1 - t/T`` up to integration error.
     """
+    import scipy.integrate  # its only user: `import homctl` does not load it
+
     plant, ctrl = config.plant, config.controller
     if plant.delay > 0:
         raise ValueError("simulate_dense supports delay-free plants only")

@@ -11,8 +11,9 @@ a linear dilation at the constant rate ``1/T``:
     structure that commutes with the dilation: ``A0 Gd = (Gd + mu I) A0``
     and ``Gd B = B``.
 2.  Solve the feasibility problem ``A0 X + X A0' + B Y + Y' B' + Gd X +
-    X Gd' = 0`` with ``X > 0`` and ``Gd X + X Gd' > 0`` by subgradient
-    ascent over the nullspace of the equality constraint.
+    X Gd' = 0`` with ``X > 0`` and ``Gd X + X Gd' > 0`` in closed form:
+    ``Y = -B'`` and ``X`` from the Lyapunov equation
+    ``(A0 + Gd) X + X (A0 + Gd)' = 2 B B'``.
 3.  Assemble ``K = Y X^{-1}`` and the weighted norm
     ``|x| = sqrt(x' d(-ln T)' X^{-1} d(-ln T) x)`` that calibrates the
     settling time to exactly ``T``.
@@ -31,6 +32,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from . import linalg
 from .dilation import Dilation, check_strict_monotonicity
@@ -122,7 +124,7 @@ class LinearPlant:
 
 @dataclass(frozen=True)
 class SynthesisConfig:
-    """Settling time and solver knobs of the synthesis.
+    """Settling time and homogeneity degree of the synthesis.
 
     ``mu`` is the homogeneity degree of the closed loop; any negative value
     with ``|mu| <= 1`` works for controllable pairs and ``-1`` is the
@@ -131,18 +133,12 @@ class SynthesisConfig:
 
     T: float
     mu: float = -1.0
-    feasibility_tol: float = 1e-4
-    max_iter: int = 2000
 
     def __post_init__(self):
         if not (_is_real(self.T) and math.isfinite(self.T) and self.T > 0):
             raise ValueError(f"settling time T must be positive, got {self.T}")
         if not (_is_real(self.mu) and math.isfinite(self.mu) and self.mu < 0):
             raise ValueError(f"homogeneity degree mu must be negative, got {self.mu}")
-        if not self.feasibility_tol > 0:
-            raise ValueError("feasibility_tol must be positive")
-        if not self.max_iter >= 1:
-            raise ValueError("max_iter must be >= 1")
         object.__setattr__(self, "T", float(self.T))
         object.__setattr__(self, "mu", float(self.mu))
 
@@ -271,6 +267,20 @@ def controllability_index(A, B, rtol: float = _CTRB_RTOL) -> int | None:
 # step 1: generator equation
 
 
+def _generator_operator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Matrix of ``(G0, Y0) -> (A G0 - G0 A + B Y0, G0 B)`` on row-major vectors.
+
+    Uses ``vec(L X R) = (L kron R') vec(X)`` for row-major ``vec``; every
+    entry is a single product or a difference of two.
+    """
+    n, m = B.shape
+    I = np.eye(n)
+    return np.block([
+        [np.kron(A, I) - np.kron(I, A.T), np.kron(B, I)],
+        [np.kron(I, B.T), np.zeros((n * m, m * n))],
+    ])
+
+
 def solve_generator_equation(plant: LinearPlant, config: SynthesisConfig) -> tuple[np.ndarray, np.ndarray]:
     """Solve ``A G0 - G0 A + B Y0 = A`` with ``G0 B = 0`` for ``(G0, Y0)``.
 
@@ -282,21 +292,10 @@ def solve_generator_equation(plant: LinearPlant, config: SynthesisConfig) -> tup
     A, B = plant.A, plant.B
     n, m = plant.n, plant.m
 
-    def apply(G0: np.ndarray, Y0: np.ndarray) -> np.ndarray:
-        r1 = A @ G0 - G0 @ A + B @ Y0
-        r2 = G0 @ B
-        return np.concatenate([r1.ravel(), r2.ravel()])
-
     def unpack(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return u[: n * n].reshape(n, n), u[n * n :].reshape(m, n)
 
-    # build the linear operator column by column from unit basis matrices
-    dim = n * n + m * n
-    M = np.empty((n * n + n * m, dim))
-    for k in range(dim):
-        e = np.zeros(dim)
-        e[k] = 1.0
-        M[:, k] = apply(*unpack(e))
+    M = _generator_operator(A, B)
     rhs = np.concatenate([A.ravel(), np.zeros(n * m)])
 
     u = linalg.least_norm_solve(M, rhs)
@@ -347,134 +346,40 @@ def solve_generator_equation(plant: LinearPlant, config: SynthesisConfig) -> tup
 # step 2: feasibility problem
 
 
-def solve_lmi_feasibility(A0, B, Gd, config: SynthesisConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Find ``X > 0``, ``Y`` with the closed-loop dilation inequality.
+def solve_lmi_feasibility(A0, B, Gd) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form ``X > 0``, ``Y`` of the closed-loop dilation equality.
 
-    Solves the constraint system
+    With ``Y = -B'`` the equality
 
-        ``A0 X + X A0' + B Y + Y' B' + Gd X + X Gd' = 0``,
-        ``Gd X + X Gd' > 0``,  ``X > 0``
+        ``A0 X + X A0' + B Y + Y' B' + Gd X + X Gd' = 0``
 
-    by parametrizing the (linear) solution set of the equality and running a
-    multi-start projected subgradient ascent of
-    ``t(z) = min(lmin(X), lmin(Gd X + X Gd'))`` over it.  Stops as soon as
-    ``t`` clears ``feasibility_tol`` (relative to ``||X||``), then rescales
-    so ``lmin(X) = 1``.  Raises :class:`InfeasibleError` when no positive
-    ``t`` is found within the iteration budget.
+    becomes the Lyapunov equation ``W X + X W' = 2 B B'`` with
+    ``W = A0 + Gd``.  ``A0 Gd = (Gd + mu I) A0`` makes ``W`` block triangular
+    on the eigenspaces of ``Gd``, so ``W`` is anti-Hurwitz and the solution
+    ``X = 2 int_0^inf e^{-Wt} B B' e^{-W't} dt`` is positive definite for a
+    controllable pair.  ``X`` and ``Y`` are rescaled so ``lmin(X) = 1``.
+    ``Gd X + X Gd' > 0`` is left to :func:`verify_controller`.  Raises
+    :class:`InfeasibleError` when the computed ``X`` is not positive
+    definite, as happens in double precision for badly conditioned plants.
     """
     A0 = linalg.as_square(A0, "A0")
     n = A0.shape[0]
     B = _as_tall(B, n, "B")
-    m = B.shape[1]
     Gd = linalg.as_square(Gd, "Gd")
-    W = A0 + Gd
-
-    # symmetric X parametrized by its upper triangle
-    sym_basis = []
-    for i in range(n):
-        for j in range(i, n):
-            E = np.zeros((n, n))
-            E[i, j] = 1.0
-            E[j, i] = 1.0
-            sym_basis.append(E)
-    q = len(sym_basis)
-    dim = q + m * n
-    iu = np.triu_indices(n)
-
-    def unpack(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        X = np.zeros((n, n))
-        for c, E in zip(z[:q], sym_basis):
-            X += c * E
-        return X, z[q:].reshape(m, n)
-
-    M = np.empty((len(iu[0]), dim))
-    for k in range(dim):
-        e = np.zeros(dim)
-        e[k] = 1.0
-        Xk, Yk = unpack(e)
-        Lk = W @ Xk + Xk @ W.T + B @ Yk + Yk.T @ B.T
-        M[:, k] = Lk[iu]
-
-    # the equality constraint is homogeneous: its solution set is null(M)
-    _, sv, Vt = np.linalg.svd(M, full_matrices=True)
-    rank = int(np.sum(sv > 1e-12 * max(sv[0], 1.0))) if sv.size else 0
-    null_dirs = Vt[rank:]
-    if len(null_dirs) == 0:
-        raise InfeasibleError("feasibility equality admits only the trivial solution")
-
-    x_parts = [unpack(d)[0] for d in null_dirs]
-    s_parts = [Gd @ Xp + Xp @ Gd.T for Xp in x_parts]
-
-    def assemble(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        X = sum(c * Xp for c, Xp in zip(z, x_parts))
-        S = sum(c * Sp for c, Sp in zip(z, s_parts))
-        return X, S
-
-    def eval_t(z: np.ndarray):
-        X, S = assemble(z)
-        wx, vx = np.linalg.eigh(0.5 * (X + X.T))
-        ws, vs = np.linalg.eigh(0.5 * (S + S.T))
-        return X, float(wx[0]), vx[:, 0], float(ws[0]), vs[:, 0]
-
-    def subgradient(z: np.ndarray, which_x: bool, v: np.ndarray) -> np.ndarray:
-        parts = x_parts if which_x else s_parts
-        return np.array([float(v @ Pk @ v) for Pk in parts])
-
-    k = len(null_dirs)
-    rng = np.random.default_rng(0)
-    starts = [np.eye(k)[i] for i in range(k)] + [-np.eye(k)[i] for i in range(k)]
-    starts += [rng.standard_normal(k) for _ in range(max(4, k))]
-
-    best_z, best_t = None, -math.inf
-    iters_left = config.max_iter
-    for z0 in starts:
-        z = z0 / np.linalg.norm(z0)
-        X, lx, vx, ls, vs = eval_t(z)
-        t = min(lx, ls)
-        alpha = 0.5
-        while iters_left > 0:
-            iters_left -= 1
-            scale = max(np.linalg.norm(X, 2), 1e-30)
-            if t > config.feasibility_tol * scale:
-                break
-            g = subgradient(z, lx <= ls, vx if lx <= ls else vs)
-            gn = np.linalg.norm(g)
-            if gn == 0.0:
-                break
-            improved = False
-            a = alpha
-            for _ in range(12):
-                z2 = z + a * (g / gn)
-                z2 /= np.linalg.norm(z2)
-                X2, lx2, vx2, ls2, vs2 = eval_t(z2)
-                t2 = min(lx2, ls2)
-                if t2 > t + 1e-15:
-                    z, X, lx, vx, ls, vs, t = z2, X2, lx2, vx2, ls2, vs2, t2
-                    alpha = min(2.0 * a, 1.0)
-                    improved = True
-                    break
-                a *= 0.5
-            if not improved:
-                break
-        scale = max(np.linalg.norm(X, 2), 1e-30)
-        if t / scale > best_t:
-            best_z, best_t = z, t / scale
-        if best_t > config.feasibility_tol:
-            break
-        if iters_left <= 0:
-            break
-
-    if best_z is None or best_t <= 0.0:
-        raise InfeasibleError(f"no positive-definite solution found (best margin {best_t:.3e})")
-    X, _ = assemble(best_z)
+    try:
+        X = scipy.linalg.solve_continuous_lyapunov(A0 + Gd, 2.0 * (B @ B.T))
+    except np.linalg.LinAlgError as exc:
+        raise InfeasibleError(f"no positive-definite solution found (Lyapunov solve failed: {exc})") from exc
     X = 0.5 * (X + X.T)
-    Y = sum(c * unpack(d)[1] for c, d in zip(best_z, null_dirs))
-    lam_min = linalg.min_eig_sym(X)
-    if lam_min <= 0.0:
+    lam_min = linalg.min_eig_sym(X) if np.isfinite(X).all() else math.nan
+    if not lam_min > 0.0:
         raise InfeasibleError(f"no positive-definite solution found (lmin(X) = {lam_min:.3e})")
     X /= lam_min
-    Y /= lam_min
-    log.info("feasibility margin %.3e after ascent, nullspace dimension %d", best_t, k)
+    Y = -B.T / lam_min
+    if log.isEnabledFor(logging.INFO):
+        S = Gd @ X + X @ Gd.T
+        log.info("feasibility: lmin(X)/|X| %.3e, lmin(GdX+XGd')/|.| %.3e, cond(X) %.3e",
+                 1.0 / np.linalg.norm(X, 2), linalg.min_eig_sym(S) / np.linalg.norm(S, 2), np.linalg.cond(X))
     return X, Y
 
 
@@ -490,7 +395,7 @@ def synthesize(plant: LinearPlant, config: SynthesisConfig) -> SynthesizedContro
     Gd = np.eye(n) + config.mu * G0
     K0 = Y0 @ np.linalg.inv(G0 - np.eye(n))
     A0 = A + B @ K0
-    X, Y = solve_lmi_feasibility(A0, B, Gd, config)
+    X, Y = solve_lmi_feasibility(A0, B, Gd)
     K = np.linalg.solve(X.T, Y.T).T
     controller = SynthesizedController(
         A=A, B=B, T=config.T, mu=config.mu,

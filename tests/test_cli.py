@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from homctl.cli import (
     EXIT_INFEASIBLE,
@@ -110,6 +111,15 @@ def test_exit_code_uncontrollable_plant(tmp_path, capsys):
     bad.write_text("[plant]\nA = 1 0; 0 1\nB = 1; 0\n")
     assert main(["synth", "--plant", str(bad), "--T", "1", "--out", str(tmp_path / "c.json")]) == EXIT_INFEASIBLE
     assert "not controllable" in capsys.readouterr().err
+
+
+def test_exit_code_failed_lyapunov_solve_is_infeasible(tmp_path, plant_file, monkeypatch, capsys):
+    def failing(a, q):
+        raise np.linalg.LinAlgError("Schur form did not converge")
+
+    monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", failing)
+    assert main(["synth", "--plant", str(plant_file), "--T", "1", "--out", str(tmp_path / "c.json")]) == EXIT_INFEASIBLE
+    assert "no positive-definite solution" in capsys.readouterr().err
 
 
 def test_exit_code_verification_failure(tmp_path, plant_file, capsys):

@@ -4,6 +4,10 @@ dense-mode decay, disturbance/noise handling, terminal capture, CSV output."""
 import importlib
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,6 +171,17 @@ def test_dense_mode_rejects_zero_reference_with_nonzero_state():
                             integrator="dense_rk", x0_noise=np.array([-0.2, 0.0]))
     with pytest.raises(ValueError):
         simulate_dense(config)
+
+
+def test_import_leaves_the_dense_integrator_unloaded():
+    # scipy.integrate serves simulate_dense only, so importing the package skips it
+    import homctl
+
+    src = str(Path(homctl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, homctl; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

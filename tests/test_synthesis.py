@@ -1,4 +1,4 @@
-"""Controller synthesis: generator equation, feasibility search, verification,
+"""Controller synthesis: generator equation, feasibility step, verification,
 serialization.  The harmonic-oscillator record with T=1 has a closed-form
 solution used as the exact oracle throughout."""
 
@@ -6,9 +6,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from homctl import (
     ControllabilityError,
+    InfeasibleError,
     LinearPlant,
     SynthesisConfig,
     SynthesisError,
@@ -23,7 +25,12 @@ from homctl import (
     synthesize,
     verify_controller,
 )
-from homctl.synthesis import controller_from_dict, controller_to_dict
+from homctl.synthesis import _generator_operator, controller_from_dict, controller_to_dict
+
+
+def chain(n):
+    return LinearPlant(np.eye(n, k=1), np.eye(n)[:, -1:])
+
 
 # ---------------------------------------------------------------------------
 # plants and controllability
@@ -113,14 +120,30 @@ def test_generator_equation_random_plants_satisfy_residuals(rng):
         assert min(np.linalg.eigvals(Gd).real) > 0
 
 
+def test_generator_operator_matches_unit_vector_construction(rng):
+    for _ in range(10):
+        n = int(rng.integers(1, 7))
+        m = int(rng.integers(1, 4))
+        A = rng.normal(size=(n, n))
+        B = rng.normal(size=(n, m))
+        dim = n * n + m * n
+        M = np.empty((dim, dim))
+        for k in range(dim):
+            u = np.zeros(dim)
+            u[k] = 1.0
+            G0, Y0 = u[: n * n].reshape(n, n), u[n * n :].reshape(m, n)
+            M[:, k] = np.concatenate([(A @ G0 - G0 @ A + B @ Y0).ravel(), (G0 @ B).ravel()])
+        assert np.array_equal(_generator_operator(A, B), M)
+
+
 # ---------------------------------------------------------------------------
-# feasibility search
+# feasibility step
 
 
 def test_lmi_feasibility_oscillator_normalized(plant):
     A0 = np.array([[0.0, 1.0], [0.0, 0.0]])
     Gd = np.diag([2.0, 1.0])
-    X, Y = solve_lmi_feasibility(A0, plant.B, Gd, SynthesisConfig(T=1.0))
+    X, Y = solve_lmi_feasibility(A0, plant.B, Gd)
     # normalization pins the smallest eigenvalue of X at one
     lam = np.linalg.eigvalsh((X + X.T) / 2)
     assert lam[0] == pytest.approx(1.0, rel=1e-9)
@@ -129,6 +152,50 @@ def test_lmi_feasibility_oscillator_normalized(plant):
     assert np.linalg.norm(M) <= 1e-8 * np.linalg.norm(X)
     S = Gd @ X + X @ Gd.T
     assert np.linalg.eigvalsh((S + S.T) / 2)[0] > 0
+
+
+def test_lmi_feasibility_rejects_non_anti_hurwitz_generator(plant):
+    # Gd = -I makes A0 + Gd Hurwitz, so the Lyapunov solution is negative definite
+    A0 = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(InfeasibleError, match="no positive-definite solution found"):
+        solve_lmi_feasibility(A0, plant.B, -np.eye(2))
+
+
+def test_lmi_feasibility_lyapunov_failure_is_infeasible(plant, monkeypatch):
+    def failing(a, q):
+        raise np.linalg.LinAlgError("Schur form did not converge")
+
+    monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", failing)
+    with pytest.raises(InfeasibleError, match="no positive-definite solution found"):
+        solve_lmi_feasibility(np.array([[0.0, 1.0], [0.0, 0.0]]), plant.B, np.diag([2.0, 1.0]))
+
+
+def test_lmi_feasibility_non_finite_solution_is_infeasible(plant, monkeypatch):
+    monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", lambda a, q: np.full_like(q, np.nan))
+    with pytest.raises(InfeasibleError, match=r"lmin\(X\) = nan"):
+        solve_lmi_feasibility(np.array([[0.0, 1.0], [0.0, 0.0]]), plant.B, np.diag([2.0, 1.0]))
+
+
+@pytest.mark.parametrize("seed", [7, 18, 70, 71])
+def test_synthesize_ill_conditioned_random_plants(seed):
+    # n = 6, 7 single-input plants with cond(X) 3e11 to 5e12, where an
+    # iterative search over the feasible set found no positive-definite X
+    rng = np.random.default_rng([99, seed])
+    n = int(rng.integers(2, 8))
+    m = int(rng.integers(1, 3))
+    plant = LinearPlant(rng.standard_normal((n, n)), rng.standard_normal((n, m)))
+    ctrl = synthesize(plant, SynthesisConfig(T=2.0))
+    assert verify_controller(ctrl, plant).all_passed
+
+
+def test_chain_10_is_infeasible_in_double_precision():
+    with pytest.raises(InfeasibleError, match="no positive-definite solution"):
+        synthesize(chain(10), SynthesisConfig(T=1.0))
+
+
+def test_chain_8_fails_norm_monotonicity_verification():
+    with pytest.raises(SynthesisError, match=r"\[FAIL\] norm_strict_monotonicity"):
+        synthesize(chain(8), SynthesisConfig(T=1.0))
 
 
 # ---------------------------------------------------------------------------
