@@ -13,7 +13,9 @@ a linear dilation at the constant rate ``1/T``:
 2.  Solve the feasibility problem ``A0 X + X A0' + B Y + Y' B' + Gd X +
     X Gd' = 0`` with ``X > 0`` and ``Gd X + X Gd' > 0`` in closed form:
     ``Y = -B'`` and ``X`` from the Lyapunov equation
-    ``(A0 + Gd) X + X (A0 + Gd)' = 2 B B'``.
+    ``(A0 + Gd) X + X (A0 + Gd)' = 2 B B'``.  If that controller fails
+    verification, a Riccati equation adds a feedback ``B B' Pi`` to
+    ``A0 + Gd`` that conditions ``X`` better in the plant's coordinates.
 3.  Assemble ``K = Y X^{-1}`` and the weighted norm
     ``|x| = sqrt(x' d(-ln T)' X^{-1} d(-ln T) x)`` that calibrates the
     settling time to exactly ``T``.
@@ -66,6 +68,10 @@ _IDENTITY_TOL = 1e-8
 _ANTI_HURWITZ_MARGIN = 1e-9
 #: relative rank tolerance of the controllability test
 _CTRB_RTOL = 1e-9
+#: state weight of the Riccati equation that reshapes X when Y = -B' fails;
+#: of 1, 3, 10, 30 and 100, used alone, it passed the most random plants
+#: with n <= 7 at settling times 0.1 to 10
+_RICCATI_STATE_WEIGHT = 10.0
 
 
 class ControllabilityError(ValueError):
@@ -346,39 +352,58 @@ def solve_generator_equation(plant: LinearPlant, config: SynthesisConfig) -> tup
 # step 2: feasibility problem
 
 
-def solve_lmi_feasibility(A0, B, Gd) -> tuple[np.ndarray, np.ndarray]:
+def solve_lmi_feasibility(A0, B, Gd, weight: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form ``X > 0``, ``Y`` of the closed-loop dilation equality.
 
-    With ``Y = -B'`` the equality
+    Solves
 
-        ``A0 X + X A0' + B Y + Y' B' + Gd X + X Gd' = 0``
+        ``A0 X + X A0' + B Y + Y' B' + Gd X + X Gd' = 0``,
+        ``X > 0``,  ``Gd X + X Gd' > 0``.
 
-    becomes the Lyapunov equation ``W X + X W' = 2 B B'`` with
-    ``W = A0 + Gd``.  ``A0 Gd = (Gd + mu I) A0`` makes ``W`` block triangular
-    on the eigenspaces of ``Gd``, so ``W`` is anti-Hurwitz and the solution
-    ``X = 2 int_0^inf e^{-Wt} B B' e^{-W't} dt`` is positive definite for a
-    controllable pair.  ``X`` and ``Y`` are rescaled so ``lmin(X) = 1``.
-    ``Gd X + X Gd' > 0`` is left to :func:`verify_controller`.  Raises
-    :class:`InfeasibleError` when the computed ``X`` is not positive
-    definite, as happens in double precision for badly conditioned plants.
+    With ``W = A0 + Gd``, ``X`` solves the Lyapunov equation
+    ``F X + X F' = 2 B B'`` with ``F = W + B B' Pi``, and
+    ``Y = B' (Pi X - I)`` meets the equality exactly.  ``weight = 0`` gives
+    ``Pi = 0``, that is ``Y = -B'``: ``A0 Gd = (Gd + mu I) A0`` makes ``W``
+    anti-Hurwitz, so ``X = 2 int_0^inf e^{-Wt} B B' e^{-W't} dt`` is positive
+    definite for a controllable pair.  That ``X`` does not depend on the
+    coordinates, and on some single-input plants it is too badly conditioned
+    for the checks of :func:`verify_controller`, which work in the plant's
+    coordinates.  A positive ``weight`` ``q`` takes ``Pi``, the stabilizing
+    solution of ``W' Pi + Pi W + Pi B B' Pi = q I``; ``F`` stays anti-Hurwitz
+    and the identity weight shapes ``X`` in the plant's coordinates, at the
+    price of larger gains.
+
+    ``X`` and ``Y`` are rescaled so ``lmin(X) = 1``.  Raises
+    :class:`InfeasibleError` when a solve fails or when ``X`` or
+    ``Gd X + X Gd'`` fails the Cholesky test of :func:`verify_controller`,
+    as happens in double precision for badly conditioned plants and for a
+    ``Gd`` that is not anti-Hurwitz.
     """
     A0 = linalg.as_square(A0, "A0")
     n = A0.shape[0]
     B = _as_tall(B, n, "B")
     Gd = linalg.as_square(Gd, "Gd")
+    W = A0 + Gd
+    BBt = B @ B.T
     try:
-        X = scipy.linalg.solve_continuous_lyapunov(A0 + Gd, 2.0 * (B @ B.T))
+        if weight > 0.0:
+            Pi = scipy.linalg.solve_continuous_are(-W, B, weight * np.eye(n), np.eye(B.shape[1]))
+        else:
+            Pi = np.zeros((n, n))
+        X = scipy.linalg.solve_continuous_lyapunov(W + BBt @ Pi, 2.0 * BBt)
     except np.linalg.LinAlgError as exc:
-        raise InfeasibleError(f"no positive-definite solution found (Lyapunov solve failed: {exc})") from exc
+        raise InfeasibleError(f"no positive-definite solution found (solve failed: {exc})") from exc
     X = 0.5 * (X + X.T)
     lam_min = linalg.min_eig_sym(X) if np.isfinite(X).all() else math.nan
-    if not lam_min > 0.0:
+    if not (lam_min > 0.0 and linalg.chol_pd_check(X / lam_min)[0]):
         raise InfeasibleError(f"no positive-definite solution found (lmin(X) = {lam_min:.3e})")
     X /= lam_min
-    Y = -B.T / lam_min
+    Y = B.T @ (Pi @ X - np.eye(n) / lam_min)
+    S = Gd @ X + X @ Gd.T
+    if not linalg.chol_pd_check(S)[0]:
+        raise InfeasibleError(f"no positive-definite solution found (lmin(GdX+XGd') = {linalg.min_eig_sym(S):.3e})")
     if log.isEnabledFor(logging.INFO):
-        S = Gd @ X + X @ Gd.T
-        log.info("feasibility: lmin(X)/|X| %.3e, lmin(GdX+XGd')/|.| %.3e, cond(X) %.3e",
+        log.info("feasibility (weight %g): lmin(X)/|X| %.3e, lmin(GdX+XGd')/|.| %.3e, cond(X) %.3e", weight,
                  1.0 / np.linalg.norm(X, 2), linalg.min_eig_sym(S) / np.linalg.norm(S, 2), np.linalg.cond(X))
     return X, Y
 
@@ -388,23 +413,39 @@ def solve_lmi_feasibility(A0, B, Gd) -> tuple[np.ndarray, np.ndarray]:
 
 
 def synthesize(plant: LinearPlant, config: SynthesisConfig) -> SynthesizedController:
-    """Run the full synthesis and return a verified controller record."""
+    """Run the full synthesis and return a verified controller record.
+
+    The feasibility step takes ``Y = -B'`` first: of the closed forms tried
+    it gives the smallest gains, which sampled loops follow best.  Only when
+    that controller fails, it is solved again with the Riccati weight
+    ``_RICCATI_STATE_WEIGHT``.  If both fail, the error of the first is
+    raised.
+    """
     A, B = plant.A, plant.B
     n = plant.n
     G0, Y0 = solve_generator_equation(plant, config)
     Gd = np.eye(n) + config.mu * G0
     K0 = Y0 @ np.linalg.inv(G0 - np.eye(n))
     A0 = A + B @ K0
-    X, Y = solve_lmi_feasibility(A0, B, Gd)
-    K = np.linalg.solve(X.T, Y.T).T
-    controller = SynthesizedController(
-        A=A, B=B, T=config.T, mu=config.mu,
-        G0=G0, Y0=Y0, Gd=Gd, A0=A0, X=X, Y=Y, K0=K0, K=K,
-    )
-    report = verify_controller(controller, plant)
-    if not report.all_passed:
-        raise SynthesisError("synthesized controller failed verification:\n" + str(report))
-    return controller
+    first_error = None
+    for weight in (0.0, _RICCATI_STATE_WEIGHT):
+        if weight:
+            log.info("Y = -B' failed; solving the feasibility step again with Riccati weight %g", weight)
+        try:
+            X, Y = solve_lmi_feasibility(A0, B, Gd, weight)
+        except InfeasibleError as exc:
+            first_error = first_error or exc
+            continue
+        K = np.linalg.solve(X.T, Y.T).T
+        controller = SynthesizedController(
+            A=A, B=B, T=config.T, mu=config.mu,
+            G0=G0, Y0=Y0, Gd=Gd, A0=A0, X=X, Y=Y, K0=K0, K=K,
+        )
+        report = verify_controller(controller, plant)
+        if report.all_passed:
+            return controller
+        first_error = first_error or SynthesisError("synthesized controller failed verification:\n" + str(report))
+    raise first_error
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from homctl import (
     synthesize,
     verify_controller,
 )
-from homctl.synthesis import _generator_operator, controller_from_dict, controller_to_dict
+from homctl.synthesis import _RICCATI_STATE_WEIGHT, _generator_operator, controller_from_dict, controller_to_dict
 
 
 def chain(n):
@@ -154,6 +154,35 @@ def test_lmi_feasibility_oscillator_normalized(plant):
     assert np.linalg.eigvalsh((S + S.T) / 2)[0] > 0
 
 
+def test_lmi_feasibility_riccati_weight_solves_equality(plant):
+    A0 = np.array([[0.0, 1.0], [0.0, 0.0]])
+    Gd = np.diag([2.0, 1.0])
+    X, Y = solve_lmi_feasibility(A0, plant.B, Gd, _RICCATI_STATE_WEIGHT)
+    assert np.linalg.eigvalsh((X + X.T) / 2)[0] == pytest.approx(1.0, rel=1e-9)
+    M = (A0 + Gd) @ X + X @ (A0 + Gd).T + plant.B @ Y + Y.T @ plant.B.T
+    assert np.linalg.norm(M) <= 1e-8 * np.linalg.norm(X)
+    S = Gd @ X + X @ Gd.T
+    assert np.linalg.eigvalsh((S + S.T) / 2)[0] > 0
+    # the weight adds a feedback: Y is no longer a multiple of -B'
+    assert abs(Y[0, 0]) > 1e-3
+
+
+def test_lmi_feasibility_riccati_weight_rejects_non_anti_hurwitz_generator(plant):
+    # the Riccati feedback makes X positive definite, but Gd X + X Gd' = -2X
+    A0 = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(InfeasibleError, match=r"no positive-definite solution found \(lmin\(GdX"):
+        solve_lmi_feasibility(A0, plant.B, -np.eye(2), _RICCATI_STATE_WEIGHT)
+
+
+def test_lmi_feasibility_riccati_failure_is_infeasible(plant, monkeypatch):
+    def failing(a, b, q, r):
+        raise np.linalg.LinAlgError("Failed to find a finite solution")
+
+    monkeypatch.setattr(scipy.linalg, "solve_continuous_are", failing)
+    with pytest.raises(InfeasibleError, match="no positive-definite solution found"):
+        solve_lmi_feasibility(np.array([[0.0, 1.0], [0.0, 0.0]]), plant.B, np.diag([2.0, 1.0]), _RICCATI_STATE_WEIGHT)
+
+
 def test_lmi_feasibility_rejects_non_anti_hurwitz_generator(plant):
     # Gd = -I makes A0 + Gd Hurwitz, so the Lyapunov solution is negative definite
     A0 = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -176,16 +205,38 @@ def test_lmi_feasibility_non_finite_solution_is_infeasible(plant, monkeypatch):
         solve_lmi_feasibility(np.array([[0.0, 1.0], [0.0, 0.0]]), plant.B, np.diag([2.0, 1.0]))
 
 
-@pytest.mark.parametrize("seed", [7, 18, 70, 71])
-def test_synthesize_ill_conditioned_random_plants(seed):
-    # n = 6, 7 single-input plants with cond(X) 3e11 to 5e12, where an
-    # iterative search over the feasible set found no positive-definite X
+def _random_plant(seed):
     rng = np.random.default_rng([99, seed])
     n = int(rng.integers(2, 8))
     m = int(rng.integers(1, 3))
-    plant = LinearPlant(rng.standard_normal((n, n)), rng.standard_normal((n, m)))
+    return LinearPlant(rng.standard_normal((n, n)), rng.standard_normal((n, m)))
+
+
+def _pivot_headroom(M):
+    """Smallest Cholesky pivot of M over the 1e-12 * ||M|| floor of the checks."""
+    L = np.linalg.cholesky((M + M.T) / 2)
+    return float(np.min(np.diag(L) ** 2) / (1e-12 * np.linalg.norm(M, 2)))
+
+
+@pytest.mark.parametrize("seed", [7, 18, 70, 71])
+def test_synthesize_ill_conditioned_random_plants(seed):
+    # single-input plants with n = 6, 7 and cond(X) from 3e11 to 5e12: near
+    # the limit of double precision, where the choice of X decides whether
+    # the Cholesky checks pass.  The smallest pivot of X, Gd X + X Gd' and
+    # P Gd + Gd' P sits 7, 20, 34 and 1.4 times above the floor with Y = -B'
+    # (seeds 7, 18, 70, 71) and 23 to 84 times with the Riccati weight.
+    plant = _random_plant(seed)
     ctrl = synthesize(plant, SynthesisConfig(T=2.0))
     assert verify_controller(ctrl, plant).all_passed
+
+
+def test_synthesize_reshapes_x_when_plain_closed_form_fails():
+    # n = 7, m = 1 at T = 1: with Y = -B' the smallest pivot of P Gd + Gd' P
+    # is 0.7 times the floor; the Riccati weight lifts it to 8.4 times
+    plant = _random_plant(58)
+    ctrl = synthesize(plant, SynthesisConfig(T=1.0))
+    assert verify_controller(ctrl, plant).all_passed
+    assert _pivot_headroom(ctrl.P @ ctrl.Gd + ctrl.Gd.T @ ctrl.P) > 4.0
 
 
 def test_chain_10_is_infeasible_in_double_precision():
@@ -210,6 +261,14 @@ def test_synthesize_oscillator_matches_closed_form_gains(plant):
     np.testing.assert_allclose(ctrl.K0, [[1.0, 0.0]], atol=1e-10)
     np.testing.assert_allclose(ctrl.A0, [[0.0, 1.0], [0.0, 0.0]], atol=1e-10)
     assert verify_controller(ctrl, plant).all_passed
+
+
+def test_synthesize_takes_plain_closed_form_when_it_verifies(plant):
+    # Y = -B': (A0 + Gd) X + X (A0 + Gd)' = 2 B B' gives
+    # X = [[1/6, -1/3], [-1/3, 1]] and K = -B' X^{-1} = [-6, -3]
+    ctrl = synthesize(plant, SynthesisConfig(T=1.0))
+    np.testing.assert_allclose(ctrl.X / ctrl.X[0, 0], [[1.0, -2.0], [-2.0, 6.0]], rtol=1e-9)
+    np.testing.assert_allclose(ctrl.K, [[-6.0, -3.0]], rtol=1e-9)
 
 
 def test_synthesize_random_plants_all_verify(rng):
