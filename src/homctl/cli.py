@@ -79,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="synthesize a stabilizer for a plant file")
     p.add_argument("--plant", required=True, help="plant description file (INI)")
     p.add_argument("--T", type=float, required=True, dest="T", help="prescribed settling time")
-    p.add_argument("--mu", type=float, default=-1.0, help="homogeneity degree (negative)")
     p.add_argument("--out", required=True, help="output controller JSON path")
     p.set_defaults(func=cmd_synth)
 
@@ -109,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_synth(args) -> int:
     plant = load_plant(args.plant)
-    config = SynthesisConfig(T=args.T, mu=args.mu)
+    config = SynthesisConfig(T=args.T)
     controller = synthesize(plant, config)
     report = verify_controller(controller, plant)
     save_controller(controller, args.out)

@@ -90,15 +90,11 @@ class Dilation:
 
 
 def dilation_matrix(D: Dilation, s: float) -> np.ndarray:
-    """The group element ``d(s) = e^{s G}`` as a matrix."""
+    """The group element ``d(s) = e^{s G}`` as a matrix: its action on ``I``."""
     if not math.isfinite(s):
         raise ValueError(f"dilation parameter must be finite, got {s}")
-    eig = D._eig
-    if eig is None:
-        return linalg.expm(s * D.generator)
-    w, V, Vinv = eig
     with np.errstate(over="ignore"):
-        return np.real((V * np.exp(s * w)) @ Vinv)
+        return _orbit(D, np.eye(D.dim))(-s)
 
 
 def dilate(D: Dilation, s: float, x) -> np.ndarray:
@@ -158,14 +154,19 @@ def hom_norm(D: Dilation, x, guess: float | None = None) -> float:
 
 
 def _orbit(D: Dilation, x: np.ndarray):
-    """The map ``s -> d(-s) x`` for one ``x``; ``V^{-1} x`` is formed once."""
+    """The map ``s -> d(-s) x`` for a vector or an ``(n, k)`` block ``x``.
+
+    ``V^{-1} x`` is formed once.
+    """
     eig = D._eig
     if eig is None:
         G = D.generator
         return lambda s: linalg.expm(-s * G) @ x
     w, V, Vinv = eig
-    c = Vinv @ x
-    return lambda s: np.real(V @ (np.exp(-s * w) * c))
+    # transposed, a block's eigen-coordinates broadcast against exp(-s w)
+    # row by row; a vector's are unchanged
+    cT = (Vinv @ x).T
+    return lambda s: np.real(V @ (np.exp(-s * w) * cT).T)
 
 
 def _slope(D: Dilation, z: np.ndarray, zn: float) -> float:

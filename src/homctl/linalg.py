@@ -8,8 +8,6 @@ input and ``numpy.linalg.LinAlgError`` for rank/consistency failures.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import scipy.linalg
 
@@ -124,16 +122,13 @@ def chol_pd_check(M) -> tuple[bool, np.ndarray | None]:
     finite input.
     """
     S = _sym_part(as_square(M))
-    n = S.shape[0]
-    floor = _CHOL_PIVOT_RTOL * np.linalg.norm(S, 2)
-    L = np.zeros_like(S)
-    for j in range(n):
-        pivot = S[j, j] - L[j, :j] @ L[j, :j]
-        if not pivot > floor:
-            return False, None
-        L[j, j] = math.sqrt(pivot)
-        for i in range(j + 1, n):
-            L[i, j] = (S[i, j] - L[i, :j] @ L[j, :j]) / L[j, j]
+    try:
+        L = scipy.linalg.cholesky(S, lower=True)
+    except np.linalg.LinAlgError:
+        return False, None
+    # L[j, j]^2 is the j-th pivot of the factorization
+    if not np.all(np.diag(L) ** 2 > _CHOL_PIVOT_RTOL * np.linalg.norm(S, 2)):
+        return False, None
     return True, L
 
 

@@ -437,14 +437,22 @@ def simulate_dense(config: ScenarioConfig) -> SimulationTrace:
     if r == 0.0:
         raise ValueError("simulate_dense needs a nonzero reference for a nonzero state")
 
+    # every evaluation solves s once, warm-started from the last solve
+    last_s = [None]
+
+    def solve_s(x):
+        s = hom_norm(dil, x / r, last_s[0])
+        last_s[0] = s if s > 0.0 else None
+        return s
+
     def rhs(t, x):
-        dx = A @ x + B @ eval_control(ctx, x)
+        dx = A @ x + B @ eval_control(ctx, x, solve_s(x))
         if q2 is not None:
             dx = dx + q2(t)
         return dx
 
     def stop(t, x):
-        return hom_norm(dil, x / r) - _DENSE_STOP_S
+        return solve_s(x) - _DENSE_STOP_S
 
     stop.terminal = True
     stop.direction = -1
@@ -458,7 +466,7 @@ def simulate_dense(config: ScenarioConfig) -> SimulationTrace:
     t_last = sol.t[-1]
     grid = np.linspace(0.0, t_last, max(int(round(t_last / config.h)) * 4, 200))
     xs = sol.sol(grid).T
-    ss = np.array([hom_norm(dil, x / r) for x in xs])
+    ss = np.array([solve_s(x) for x in xs])
     us = np.array([eval_control(ctx, x, s) for x, s in zip(xs, ss)])
     norms = np.array([dil.norm(x) for x in xs])
     events = [(float(te[0]), "dense_stop") for te in sol.t_events if len(te)]

@@ -6,8 +6,11 @@ a linear dilation at the constant rate ``1/T``:
 
 1.  Solve the linear generator equation ``A G0 - G0 A + B Y0 = A`` with
     ``G0 B = 0`` (least-norm solution).  The dilation generator is
-    ``Gd = I + mu * G0`` (anti-Hurwitz for the admissible degrees ``mu``),
-    and ``K0 = Y0 (G0 - I)^{-1}`` places ``A0 = A + B K0`` on a nilpotent
+    ``Gd = I + mu G0`` with the fixed degree ``mu = MU = -1``.  Every exact
+    solution gives ``Gd`` the spectrum ``{1 - k mu : k = 0..nu-1}``
+    (``nu`` the controllability index), whose smallest eigenvalue is 1, so
+    ``Gd`` is anti-Hurwitz without any search over the solution set.
+    ``K0 = Y0 (G0 - I)^{-1}`` places ``A0 = A + B K0`` on a nilpotent
     structure that commutes with the dilation: ``A0 Gd = (Gd + mu I) A0``
     and ``Gd B = B``.
 2.  Solve the feasibility problem ``A0 X + X A0' + B Y + Y' B' + Gd X +
@@ -30,7 +33,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -40,6 +43,7 @@ from . import linalg
 from .dilation import Dilation, check_strict_monotonicity
 
 __all__ = [
+    "MU",
     "ControllabilityError",
     "InfeasibleError",
     "SynthesisError",
@@ -62,6 +66,10 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
+#: homogeneity degree of the closed loop: with -1 the homogeneous norm falls
+#: at the constant rate 1/T, which is what calibrates the settling time to T;
+#: other degrees verify too but settle at other times
+MU = -1.0
 #: residual tolerance of the algebraic identities (relative to matrix scale)
 _IDENTITY_TOL = 1e-8
 #: eigenvalue real-part margin for anti-Hurwitz decisions
@@ -130,23 +138,18 @@ class LinearPlant:
 
 @dataclass(frozen=True)
 class SynthesisConfig:
-    """Settling time and homogeneity degree of the synthesis.
+    """Settling time ``T`` of the synthesis.
 
-    ``mu`` is the homogeneity degree of the closed loop; any negative value
-    with ``|mu| <= 1`` works for controllable pairs and ``-1`` is the
-    canonical choice, so the field is read-only with that default.
+    The homogeneity degree is not a parameter: it is fixed at :data:`MU`,
+    the only degree that makes the settling time exactly ``T``.
     """
 
     T: float
-    mu: float = -1.0
 
     def __post_init__(self):
         if not (_is_real(self.T) and math.isfinite(self.T) and self.T > 0):
             raise ValueError(f"settling time T must be positive, got {self.T}")
-        if not (_is_real(self.mu) and math.isfinite(self.mu) and self.mu < 0):
-            raise ValueError(f"homogeneity degree mu must be negative, got {self.mu}")
         object.__setattr__(self, "T", float(self.T))
-        object.__setattr__(self, "mu", float(self.mu))
 
 
 @dataclass(frozen=True)
@@ -155,7 +158,9 @@ class SynthesizedController:
 
     Carries the plant matrices it was synthesized for, the settling time and
     homogeneity degree, and every matrix of the construction so the record is
-    self-contained for verification, simulation and serialization.
+    self-contained for verification, simulation and serialization.  A degree
+    other than :data:`MU` is rejected: such a record can pass every algebraic
+    check of :func:`verify_controller` and still not settle at ``T``.
     """
 
     A: np.ndarray
@@ -187,8 +192,8 @@ class SynthesizedController:
             object.__setattr__(self, name, M)
         if not (math.isfinite(self.T) and self.T > 0):
             raise ValueError(f"T must be positive, got {self.T}")
-        if not (math.isfinite(self.mu) and self.mu < 0):
-            raise ValueError(f"mu must be negative, got {self.mu}")
+        if self.mu != MU:
+            raise ValueError(f"homogeneity degree mu must be {MU}, got {self.mu}")
         object.__setattr__(self, "T", float(self.T))
         object.__setattr__(self, "mu", float(self.mu))
 
@@ -287,54 +292,19 @@ def _generator_operator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     ])
 
 
-def solve_generator_equation(plant: LinearPlant, config: SynthesisConfig) -> tuple[np.ndarray, np.ndarray]:
+def solve_generator_equation(plant: LinearPlant) -> tuple[np.ndarray, np.ndarray]:
     """Solve ``A G0 - G0 A + B Y0 = A`` with ``G0 B = 0`` for ``(G0, Y0)``.
 
-    Returns the least-norm solution.  If the induced generator
-    ``Gd = I + mu * G0`` is not anti-Hurwitz, the affine solution set is
-    searched along its nullspace directions (line search on the smallest
-    eigenvalue real part) before giving up.
+    Returns the least-norm solution.  Every exact solution makes
+    ``Gd = I + MU G0`` anti-Hurwitz with smallest eigenvalue 1 (see the
+    module docstring), so the solution set is not searched.
     """
     A, B = plant.A, plant.B
     n, m = plant.n, plant.m
-
-    def unpack(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return u[: n * n].reshape(n, n), u[n * n :].reshape(m, n)
-
     M = _generator_operator(A, B)
     rhs = np.concatenate([A.ravel(), np.zeros(n * m)])
-
     u = linalg.least_norm_solve(M, rhs)
-    G0, Y0 = unpack(u)
-
-    def hurwitz_margin(G0c: np.ndarray) -> float:
-        return float(np.min(np.real(linalg.eigenvalues(np.eye(n) + config.mu * G0c))))
-
-    margin = hurwitz_margin(G0)
-    if margin <= _ANTI_HURWITZ_MARGIN:
-        # walk the solution set: u + null(M) keeps both equations satisfied
-        _, sv, Vt = np.linalg.svd(M)
-        rank = int(np.sum(sv > 1e-12 * sv[0]))
-        null_dirs = Vt[rank:]
-        log.info("least-norm generator branch not anti-Hurwitz (margin %.3e), searching %d nullspace directions", margin, len(null_dirs))
-        best_u, best_margin = u, margin
-        for _ in range(20):
-            improved = False
-            for d in null_dirs:
-                for t in (1.0, -1.0, 2.0, -2.0, 4.0, -4.0, 8.0, -8.0, 0.5, -0.5):
-                    cand = best_u + t * d
-                    cm = hurwitz_margin(unpack(cand)[0])
-                    if cm > best_margin:
-                        best_u, best_margin = cand, cm
-                        improved = True
-            if best_margin > _ANTI_HURWITZ_MARGIN or not improved:
-                break
-        u, margin = best_u, best_margin
-        G0, Y0 = unpack(u)
-        if margin <= _ANTI_HURWITZ_MARGIN:
-            raise SynthesisError(
-                f"no solution branch of the generator equation makes I + mu*G0 anti-Hurwitz (best margin {margin:.3e})"
-            )
+    G0, Y0 = u[: n * n].reshape(n, n), u[n * n :].reshape(m, n)
 
     # sanity: the defining equations and the shift invertibility
     scale = 1.0 + np.linalg.norm(A)
@@ -423,8 +393,8 @@ def synthesize(plant: LinearPlant, config: SynthesisConfig) -> SynthesizedContro
     """
     A, B = plant.A, plant.B
     n = plant.n
-    G0, Y0 = solve_generator_equation(plant, config)
-    Gd = np.eye(n) + config.mu * G0
+    G0, Y0 = solve_generator_equation(plant)
+    Gd = np.eye(n) + MU * G0
     K0 = Y0 @ np.linalg.inv(G0 - np.eye(n))
     A0 = A + B @ K0
     first_error = None
@@ -438,7 +408,7 @@ def synthesize(plant: LinearPlant, config: SynthesisConfig) -> SynthesizedContro
             continue
         K = np.linalg.solve(X.T, Y.T).T
         controller = SynthesizedController(
-            A=A, B=B, T=config.T, mu=config.mu,
+            A=A, B=B, T=config.T, mu=MU,
             G0=G0, Y0=Y0, Gd=Gd, A0=A0, X=X, Y=Y, K0=K0, K=K,
         )
         report = verify_controller(controller, plant)

@@ -111,7 +111,7 @@ def test_criterion_1_reference_record_verification(announce):
 def test_criterion_2_synthesis_from_scratch(announce):
     t0 = time.perf_counter()
     plant = oscillator_plant()
-    ctrl = synthesize(plant, SynthesisConfig(T=1.0, mu=-1.0))
+    ctrl = synthesize(plant, SynthesisConfig(T=1.0))
     report = verify_controller(ctrl, plant)
     residuals = {c.name: c.value for c in report.checks if c.kind == "residual"}
     max_residual = max(residuals.values())

@@ -139,6 +139,23 @@ def test_exit_code_bad_flags(capsys):
     capsys.readouterr()
 
 
+def test_synth_has_no_degree_flag(tmp_path, plant_file, capsys):
+    out = tmp_path / "ctrl.json"
+    assert main(["synth", "--plant", str(plant_file), "--T", "1", "--mu", "-0.5", "--out", str(out)]) == EXIT_INPUT
+    assert not out.exists()
+    capsys.readouterr()
+
+
+def test_verify_rejects_record_with_other_degree(tmp_path, plant_file, capsys):
+    ctrl_path = tmp_path / "ctrl.json"
+    assert main(["synth", "--plant", str(plant_file), "--T", "1", "--out", str(ctrl_path)]) == EXIT_OK
+    data = json.loads(ctrl_path.read_text())
+    data["mu"] = -0.5
+    ctrl_path.write_text(json.dumps(data))
+    assert main(["verify", "--controller", str(ctrl_path)]) == EXIT_INPUT
+    assert "mu" in capsys.readouterr().err
+
+
 def test_version_flag(capsys):
     assert main(["--version"]) == EXIT_OK
     assert capsys.readouterr().out.startswith("homctl ")

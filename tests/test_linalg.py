@@ -172,6 +172,51 @@ def test_chol_pd_check_agrees_with_eigenvalues_200_cases(rng):
     assert agreed >= 190  # the near-singular band is rare for random matrices
 
 
+def _chol_loop(S):
+    """Reference: the textbook Cholesky loop with the relative pivot floor.
+
+    Returns ``(ok, smallest pivot / floor)``.
+    """
+    n = S.shape[0]
+    floor = 1e-12 * np.linalg.norm(S, 2)
+    L = np.zeros_like(S)
+    ratio = np.inf
+    for j in range(n):
+        pivot = S[j, j] - L[j, :j] @ L[j, :j]
+        ratio = min(ratio, pivot / floor)
+        if not pivot > floor:
+            return False, ratio
+        L[j, j] = math.sqrt(pivot)
+        for i in range(j + 1, n):
+            L[i, j] = (S[i, j] - L[i, :j] @ L[j, :j]) / L[j, j]
+    return True, ratio
+
+
+def test_chol_pd_check_matches_reference_loop_near_the_floor(rng):
+    # smallest eigenvalues from 1e-15 to 1 relative to |S| = 1, some negative:
+    # both sides of the pivot floor are well represented
+    compared = 0
+    for _ in range(200):
+        n = int(rng.integers(2, 7))
+        Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        lam = np.concatenate([[1.0], rng.uniform(0.1, 1.0, n - 2),
+                              [rng.choice((-1.0, 1.0), p=(0.2, 0.8)) * 10.0 ** rng.uniform(-15, 0)]])
+        S = (Q * lam) @ Q.T
+        S = (S + S.T) / 2
+        ok_ref, ratio = _chol_loop(S)
+        if 0.5 <= ratio <= 2.0:
+            continue  # within rounding of the floor either answer is right
+        ok, L = linalg.chol_pd_check(S)
+        assert ok == ok_ref
+        if ok:
+            # near-singular factors differ entrywise between summation orders;
+            # both must meet the backward-error bound |S - LL'| <= (n+1) eps |L||L'|
+            bound = (n + 1) * np.finfo(float).eps * (np.abs(L) @ np.abs(L).T)
+            assert np.all(np.abs(L @ L.T - S) <= bound)
+        compared += 1
+    assert compared >= 180
+
+
 # ---------------------------------------------------------------------------
 # linear solvers
 

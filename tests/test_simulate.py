@@ -15,8 +15,10 @@ import pytest
 from homctl import (
     ControllerKind,
     DisturbanceSpec,
+    LinearPlant,
     NoiseSpec,
     ScenarioConfig,
+    SynthesisConfig,
     dilate,
     disturbance_bound,
     hom_norm,
@@ -25,6 +27,7 @@ from homctl import (
     oscillator_plant,
     simulate,
     simulate_dense,
+    synthesize,
     trace_summary,
     trace_to_csv,
 )
@@ -158,6 +161,28 @@ def test_dense_mode_homogeneous_norm_decays_linearly():
     assert err <= 1e-3
     # integration stops at the terminal band, before T
     assert trace.t[-1] < 1.0
+
+
+def _random_plant_3x2():
+    rng = np.random.default_rng([3, 2])
+    return LinearPlant(rng.standard_normal((3, 3)), rng.standard_normal((3, 2)))
+
+
+@pytest.mark.parametrize("T", [0.5, 2.0])
+@pytest.mark.parametrize("name", ["chain3", "rand3x2"])
+def test_dense_mode_decays_linearly_beyond_two_states(name, T):
+    # the continuous law is exact for every synthesized plant, not only the
+    # oscillator: s(t) = 1 - t/T until the stop band
+    if name == "chain3":
+        plant, x0 = LinearPlant(np.eye(3, k=1), np.eye(3)[:, -1:]), [1.0, 0.0, 0.0]
+    else:
+        plant, x0 = _random_plant_3x2(), [1.0, -0.5, 0.3]
+    ctrl = synthesize(plant, SynthesisConfig(T=T))
+    trace = simulate(ScenarioConfig(plant=plant, controller=ctrl, x0=np.array(x0), h=H,
+                                    t_end=1.5 * T, integrator="dense_rk"))
+    assert trace.s[0] == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(trace.s - (1.0 - trace.t / T))) <= 1e-3
+    assert trace.t[-1] < T
 
 
 def test_dense_mode_zero_state():

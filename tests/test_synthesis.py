@@ -69,9 +69,10 @@ def test_linear_plant_accepts_1d_input_matrix():
 def test_synthesis_config_validation():
     with pytest.raises(ValueError):
         SynthesisConfig(T=0.0)
-    with pytest.raises(ValueError):
+    # the degree is fixed at MU = -1: the config has no field for it
+    with pytest.raises(TypeError):
         SynthesisConfig(T=1.0, mu=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         SynthesisConfig(T=1.0, mu=0.5)
 
 
@@ -85,20 +86,19 @@ def test_synthesis_config_rejects_bool_settling_time():
 
 
 def test_generator_equation_oscillator_least_norm_branch(plant):
-    G0, Y0 = solve_generator_equation(plant, SynthesisConfig(T=1.0))
+    G0, Y0 = solve_generator_equation(plant)
     np.testing.assert_allclose(G0, np.diag([-1.0, 0.0]), atol=1e-12)
     np.testing.assert_allclose(Y0, [[-2.0, 0.0]], atol=1e-12)
 
 
 def test_generator_equation_residuals_double_integrator():
     plant = LinearPlant([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]])
-    config = SynthesisConfig(T=1.0)
-    G0, Y0 = solve_generator_equation(plant, config)
+    G0, Y0 = solve_generator_equation(plant)
     A, B = plant.A, plant.B
     np.testing.assert_allclose(A @ G0 - G0 @ A + B @ Y0, A, atol=1e-10)
     np.testing.assert_allclose(G0 @ B, 0.0, atol=1e-10)
     # the induced dilation generator must be anti-Hurwitz
-    Gd = np.eye(2) + config.mu * G0
+    Gd = np.eye(2) - G0  # mu = -1
     assert min(np.linalg.eigvals(Gd).real) > 0
 
 
@@ -111,13 +111,36 @@ def test_generator_equation_random_plants_satisfy_residuals(rng):
         if controllability_index(A, B) is None:
             continue
         plant = LinearPlant(A, B)
-        config = SynthesisConfig(T=1.0)
-        G0, Y0 = solve_generator_equation(plant, config)
+        G0, Y0 = solve_generator_equation(plant)
         scale = max(1.0, np.linalg.norm(A))
         assert np.linalg.norm(A @ G0 - G0 @ A + B @ Y0 - A) <= 1e-8 * scale
         assert np.linalg.norm(G0 @ B) <= 1e-8 * max(1.0, np.linalg.norm(B))
-        Gd = np.eye(n) + config.mu * G0
+        Gd = np.eye(n) - G0  # mu = -1
         assert min(np.linalg.eigvals(Gd).real) > 0
+
+
+def test_generator_least_norm_spectrum_starts_at_one_on_random_plants():
+    # every exact solution gives Gd = I - G0 the spectrum {1, 2, ..., nu}, so
+    # the least-norm solution is anti-Hurwitz with margin 1 and no plant needs
+    # a search over the solution set
+    rng = np.random.default_rng(517)
+    checked = 0
+    while checked < 120:
+        n = int(rng.integers(2, 9))
+        m = int(rng.integers(1, 3))
+        A, B = rng.standard_normal((n, n)), rng.standard_normal((n, m))
+        if controllability_index(A, B) is None:
+            continue
+        G0, _ = solve_generator_equation(LinearPlant(A, B))
+        assert min(np.linalg.eigvals(np.eye(n) - G0).real) >= 1.0 - 1e-9, (n, m)
+        checked += 1
+
+
+def test_generator_spectrum_on_chains_is_one_to_n():
+    for n in range(2, 11):
+        G0, _ = solve_generator_equation(chain(n))
+        eig = np.sort(np.linalg.eigvals(np.eye(n) - G0).real)
+        np.testing.assert_allclose(eig, np.arange(1, n + 1), atol=1e-9)
 
 
 def test_generator_operator_matches_unit_vector_construction(rng):
@@ -369,6 +392,18 @@ def test_controller_json_round_trip_is_exact(tmp_path, plant):
     for name in ("A", "B", "G0", "Y0", "Gd", "A0", "X", "Y", "K0", "K"):
         np.testing.assert_array_equal(getattr(clone, name), getattr(ctrl, name))
     assert clone.T == ctrl.T and clone.mu == ctrl.mu
+
+
+def test_controller_rejects_degree_other_than_minus_one(ctrl):
+    # a record with another degree passes the algebraic checks but does not
+    # settle at T, so it is refused at the door
+    data = controller_to_dict(ctrl)
+    for mu in (-0.5, -2.0, 0.0, math.nan):
+        data["mu"] = mu
+        with pytest.raises(ValueError, match="mu"):
+            controller_from_dict(data)
+    data["mu"] = -1
+    assert controller_from_dict(data).mu == -1.0
 
 
 def test_controller_from_dict_rejects_missing_field(ctrl):
