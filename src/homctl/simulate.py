@@ -1,11 +1,13 @@
-"""Closed-loop sampled-data simulation with exact ZOH propagation.
+"""Closed-loop simulation by exact flows only.
 
 The plant ``x' = A x + B u(t - tau) + q2(t)`` is stepped exactly between
 samples (matrix exponential plus ZOH input integral); the control is
 recomputed once per sample — from the measured state, or from the predictor
-state when the input delay is active — and held.  An optional dense mode
-re-evaluates the feedback continuously with an adaptive Runge-Kutta pair,
-for decay-rate property checks.
+state when the input delay is active — and held.  A disturbance is the
+output ``q2 = C v`` of a small exosystem ``v' = S v``, so its per-sample
+term is one block of a single augmented matrix exponential.  The dense mode
+is the closed-form solution of the continuous closed loop, for decay-rate
+property checks; nothing is integrated numerically.
 
 Because the homogeneous feedback contracts the scheduling scalar ``s`` at
 the exact rate ``-1/T`` in continuous time, an unperturbed sampled run snaps
@@ -18,8 +20,8 @@ is strictly inside the rejection envelope ``|q2|_P < r * lam / (2T)``
 (the supremum of the rejectable-magnitude bound over its free parameter):
 there the continuous closed loop still reaches exactly zero and zero stays
 invariant, the feedback absorbing the disturbance.  Outside the envelope,
-for unmatched or tabulated disturbances, and under measurement noise the
-snap is disabled and the trace keeps its raw floor.
+for unmatched disturbances, and under measurement noise the snap is
+disabled and the trace keeps its raw floor.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ import numpy as np
 
 from . import linalg
 from .control_laws import ControlContext, ControllerKind, eval_control, make_context
-from .dilation import hom_norm
+from .dilation import dilate, hom_norm
 from .predictor import ControlHistory, build_tables, predict
-from .synthesis import LinearPlant, SynthesizedController
+from .synthesis import LinearPlant, SynthesizedController, verify_controller
 
 __all__ = [
     "DisturbanceSpec",
@@ -52,35 +54,31 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-#: substeps of the per-sample disturbance quadrature
-_DISTURBANCE_SUBSTEPS = 16
 #: default settling thresholds (weighted norm)
 _SETTLE_EPS_NOMINAL = 1e-9
 _SETTLE_EPS_PERTURBED = 1e-6
-#: dense-mode integration tolerances and stop level
-_DENSE_RTOL = 1e-10
-_DENSE_ATOL = 1e-13
+#: the dense mode stops where s reaches this level
 _DENSE_STOP_S = 0.02
+#: rounding slack on s0 <= 1 before a clamped kind leaves the closed form
+_DENSE_CLAMP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class DisturbanceSpec:
-    """Additive state disturbance ``q2(t)``.
+    """Additive state disturbance ``q2(t)``, the output of an exosystem.
 
     Kinds: ``none``; ``matched_sin`` (``q2 = B * a sin(omega t)``, the
     sinusoid entering through every input channel); ``constant`` (a fixed
-    vector); ``table`` (per-sample held values, row ``k`` applied on
-    ``[t_k, t_{k+1})``).
+    vector).  :meth:`exosystem` writes each kind as ``q2(t) = C e^{St} v0``.
     """
 
     kind: str = "none"
     amplitude: float = 0.0
     omega: float = 0.0
     vector: np.ndarray | None = None
-    table: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("none", "matched_sin", "constant", "table"):
+        if self.kind not in ("none", "matched_sin", "constant"):
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
         if self.kind == "matched_sin":
             if not (math.isfinite(self.amplitude) and math.isfinite(self.omega)):
@@ -89,32 +87,24 @@ class DisturbanceSpec:
             if self.vector is None:
                 raise ValueError("constant disturbance needs a vector")
             object.__setattr__(self, "vector", linalg.as_vector(self.vector, "vector"))
-        if self.kind == "table":
-            if self.table is None:
-                raise ValueError("table disturbance needs a table")
-            tab = np.asarray(self.table, dtype=float)
-            if tab.ndim != 2 or not np.all(np.isfinite(tab)):
-                raise ValueError("disturbance table must be a finite 2-D array")
-            object.__setattr__(self, "table", tab)
 
     @property
     def active(self) -> bool:
         return self.kind != "none"
 
-    def function(self, B: np.ndarray, h: float):
-        """Time function ``q2(t) -> (n,)`` or None when inactive."""
-        if self.kind == "none":
-            return None
+    def exosystem(self, B: np.ndarray):
+        """``(C, S, v0)`` with ``q2(t) = C e^{St} v0``, or None when inactive.
+
+        ``matched_sin`` runs ``v = (sin wt, cos wt)`` and reads its first
+        entry; ``constant`` holds ``v = 1``.
+        """
         if self.kind == "matched_sin":
-            direction = B @ np.ones(B.shape[1])
-            a, w = self.amplitude, self.omega
-            return lambda t: direction * (a * math.sin(w * t))
+            w = self.omega
+            C = self.amplitude * np.outer(B @ np.ones(B.shape[1]), [1.0, 0.0])
+            return C, np.array([[0.0, w], [-w, 0.0]]), np.array([0.0, 1.0])
         if self.kind == "constant":
-            v = self.vector
-            return lambda t: v
-        tab = self.table
-        last = len(tab) - 1
-        return lambda t: tab[min(max(int(math.floor(t / h + 0.5)), 0), last)]
+            return self.vector[:, None], np.zeros((1, 1)), np.ones(1)
+        return None
 
 
 @dataclass(frozen=True)
@@ -159,6 +149,8 @@ class ScenarioConfig:
         object.__setattr__(self, "x0", linalg.as_vector(self.x0, "x0", self.plant.n))
         if self.x0_noise is not None:
             object.__setattr__(self, "x0_noise", linalg.as_vector(self.x0_noise, "x0_noise", self.plant.n))
+        if self.disturbance.kind == "constant":
+            linalg.as_vector(self.disturbance.vector, "disturbance vector", self.plant.n)
         if not (math.isfinite(self.h) and self.h > 0):
             raise ValueError(f"sample period h must be positive, got {self.h}")
         if not (math.isfinite(self.t_end) and self.t_end > 0):
@@ -271,9 +263,8 @@ def _rejection_rate(controller: SynthesizedController) -> float:
 def _matched_sup_norm(dist: DisturbanceSpec, B: np.ndarray, controller: SynthesizedController) -> float | None:
     """Supremum of ``|q2(t)|_P`` for matched disturbances, else None.
 
-    Only the analytic kinds are classified: a sinusoid through ``B`` is
-    matched by construction, a constant vector is matched when it lies in
-    the range of ``B``; tabulated disturbances are not classified.
+    A sinusoid through ``B`` is matched by construction, a constant vector
+    is matched when it lies in the range of ``B``.
     """
     if dist.kind == "matched_sin":
         v = B @ np.ones(B.shape[1])
@@ -301,15 +292,6 @@ def _snap_enabled(config: ScenarioConfig, ref_norm: float) -> bool:
     return sup < envelope
 
 
-def _disturbance_step(Fs: np.ndarray, Gs: np.ndarray, q2, t0: float, hs: float) -> np.ndarray:
-    # exact-ZOH quadrature of int_0^h e^{A(h-s)} q2(t0+s) ds on substeps,
-    # sampling q2 at substep midpoints
-    D = np.zeros(Fs.shape[0])
-    for i in range(_DISTURBANCE_SUBSTEPS):
-        D = Fs @ D + Gs @ q2(t0 + (i + 0.5) * hs)
-    return D
-
-
 def _warm_guess(s_prev: float, s_prev2: float) -> float | None:
     """Linear extrapolation of the last two norms, else the last, else None."""
     if not s_prev > 0.0:
@@ -335,11 +317,14 @@ def _simulate_zoh(config: ScenarioConfig) -> SimulationTrace:
     N = tables.N
     F = linalg.expm(A * h)
     gamma = linalg.zoh_integral(A, B, h)
-    q2 = config.disturbance.function(B, h)
-    if q2 is not None:
-        hs = h / _DISTURBANCE_SUBSTEPS
-        Fs = linalg.expm(A * hs)
-        Gs = linalg.zoh_integral(A, np.eye(n), hs)
+    exo = config.disturbance.exosystem(B)
+    if exo is not None:
+        # with q2 = C v and v' = S v, e^{h [[A, C], [0, S]]} holds the exact
+        # per-sample term int_0^h e^{A(h-s)} C e^{Ss} ds v_k = Ed v_k and
+        # the exosystem step v_{k+1} = Ev v_k
+        C, S, v = exo
+        E = linalg.expm(h * np.block([[A, C], [np.zeros((len(v), n)), S]]))
+        Ed, Ev = E[:n, n:], E[n:, n:]
     rng = np.random.default_rng(config.noise.seed) if config.noise.active else None
 
     hist = None
@@ -397,8 +382,9 @@ def _simulate_zoh(config: ScenarioConfig) -> SimulationTrace:
             log.debug("snap scheduled after t=%.6f (s=%.3e <= %.3e)", times[k], s, snap_delta)
         if k + 1 < K:
             x = F @ x + gamma @ (hist.recent(N) if N >= 1 else u)
-            if q2 is not None:
-                x = x + _disturbance_step(Fs, Gs, q2, times[k], hs)
+            if exo is not None:
+                x = x + Ed @ v
+                v = Ev @ v
             if hist is not None:
                 hist.push(u)
 
@@ -406,30 +392,41 @@ def _simulate_zoh(config: ScenarioConfig) -> SimulationTrace:
 
 
 def simulate_dense(config: ScenarioConfig) -> SimulationTrace:
-    """Continuous-feedback reference run with an adaptive RK45 pair.
+    """Exact continuous-feedback run, sampled on a dense grid.
 
-    Delay-free and noise-free only; integrates until the scheduling scalar
-    ``s`` falls to 0.02 (or ``t_end``), recording ``s`` on a dense grid.
-    Used by the decay-rate acceptance checks: along unperturbed runs
-    ``s(t) = 1 - t/T`` up to integration error.
+    For degree -1 the closed loop ``x' = A x + B u(x)`` solves in closed
+    form: ``x(t) = r d(ln s) e^{H sigma} z0`` with ``s = s0 - t/T``,
+    ``sigma = -T ln(1 - t/(T s0))``, ``H = A0 + B K d(-ln T) + Gd/T`` and
+    ``z0 = d(-ln s0) x0/r``.  (``d(p) A0 = e^p A0 d(p)`` and ``d(p) B = e^p
+    B`` give ``dz/dsigma = H z`` for ``z = d(-ln s) x/r``, and ``H`` is skew
+    in ``P``.)  The run stops where ``s`` reaches 0.02 (event ``dense_stop``)
+    or at ``t_end``; the linear kind is ``e^{(A0 + B K d(-ln T)) t} x0`` up
+    to ``t_end``.  The recorded ``s`` is solved afresh from each state.
+
+    Raises ``ValueError`` where the formula does not hold: a delay, noise or
+    a disturbance, a record that fails :func:`verify_controller`, a zero
+    reference for a nonzero state, or a clamped kind started outside its
+    reference sphere (``s0 > 1``, which only ``x0_noise`` can cause).
     """
-    import scipy.integrate  # its only user: `import homctl` does not load it
-
     plant, ctrl = config.plant, config.controller
     if plant.delay > 0:
         raise ValueError("simulate_dense supports delay-free plants only")
     if config.noise.active:
         raise ValueError("simulate_dense does not support measurement noise")
-    A, B = plant.A, plant.B
+    if config.disturbance.active:
+        raise ValueError("simulate_dense has no closed form under a disturbance")
+    failed = [c.name for c in verify_controller(ctrl, plant).failed]
+    if failed:
+        raise ValueError(f"simulate_dense needs a controller that passes verification (failed: {', '.join(failed)})")
     n, m = plant.n, plant.m
-    q2 = config.disturbance.function(B, config.h)
+    x0 = config.x0
 
-    ctx = make_context(ctrl, config.kind, config.x0, config.x0_noise)
+    ctx = make_context(ctrl, config.kind, x0, config.x0_noise)
     dil = ctx.dilation
     r = ctx.ref_norm
     eps = config.effective_settle_epsilon
 
-    if not np.any(config.x0):
+    if not np.any(x0):
         times = _sample_times(config.h, config.t_end)
         return SimulationTrace(t=times, x=np.zeros((len(times), n)), u=np.zeros((len(times), m)),
                                s=np.zeros(len(times)), x_norm=np.zeros(len(times)),
@@ -437,39 +434,39 @@ def simulate_dense(config: ScenarioConfig) -> SimulationTrace:
     if r == 0.0:
         raise ValueError("simulate_dense needs a nonzero reference for a nonzero state")
 
-    # every evaluation solves s once, warm-started from the last solve
-    last_s = [None]
+    T = ctrl.T
+    L = ctrl.A0 + ctrl.B @ ctx.KT
+    events = []
+    if config.kind is ControllerKind.LINEAR:
+        t_last = config.t_end
 
-    def solve_s(x):
-        s = hom_norm(dil, x / r, last_s[0])
-        last_s[0] = s if s > 0.0 else None
-        return s
+        def flow(t):
+            return linalg.expm(t * L) @ x0
+    else:
+        s0 = hom_norm(dil, x0 / r)
+        if s0 > 1.0 + _DENSE_CLAMP_TOL and config.kind is not ControllerKind.PRESCRIBED_TIME:
+            raise ValueError(f"simulate_dense: {config.kind.value} starts clamped (s0 = {s0:.6g} > 1)")
+        t_stop = T * max(s0 - _DENSE_STOP_S, 0.0)
+        t_last = min(t_stop, config.t_end)
+        if t_stop <= config.t_end:
+            events.append((t_stop, "dense_stop"))
+        H = L + ctrl.Gd / T
+        z0 = dilate(dil, -math.log(s0), x0 / r) if t_stop > 0.0 else None
 
-    def rhs(t, x):
-        dx = A @ x + B @ eval_control(ctx, x, solve_s(x))
-        if q2 is not None:
-            dx = dx + q2(t)
-        return dx
+        def flow(t):
+            sigma = -T * math.log1p(-t / (T * s0))
+            return r * dilate(dil, math.log(s0 - t / T), linalg.expm(sigma * H) @ z0)
+    grid = np.linspace(0.0, t_last, max(int(round(t_last / config.h)) * 4, 200)) if t_last > 0.0 else np.zeros(1)
+    xs = np.array([x0, *map(flow, grid[1:])])
 
-    def stop(t, x):
-        return solve_s(x) - _DENSE_STOP_S
-
-    stop.terminal = True
-    stop.direction = -1
-
-    sol = scipy.integrate.solve_ivp(
-        rhs, (0.0, config.t_end), config.x0, method="RK45",
-        rtol=_DENSE_RTOL, atol=_DENSE_ATOL, dense_output=True, events=[stop],
-    )
-    if not sol.success:
-        raise RuntimeError(f"dense integration failed: {sol.message}")
-    t_last = sol.t[-1]
-    grid = np.linspace(0.0, t_last, max(int(round(t_last / config.h)) * 4, 200))
-    xs = sol.sol(grid).T
-    ss = np.array([solve_s(x) for x in xs])
-    us = np.array([eval_control(ctx, x, s) for x, s in zip(xs, ss)])
+    ss = np.empty(len(grid))
+    us = np.empty((len(grid), m))
+    guess = None
+    for i, x in enumerate(xs):
+        ss[i] = hom_norm(dil, x / r, guess)
+        guess = ss[i] if ss[i] > 0.0 else None
+        us[i] = eval_control(ctx, x, ss[i])
     norms = np.array([dil.norm(x) for x in xs])
-    events = [(float(te[0]), "dense_stop") for te in sol.t_events if len(te)]
     return SimulationTrace(t=grid, x=xs, u=us, s=ss, x_norm=norms,
                            settled=False, settling_time=None, settle_epsilon=eps,
                            events=events)

@@ -173,6 +173,22 @@ def test_simulate_overflowing_initial_state_is_input_error(tmp_path, capsys):
     assert "overflows" in captured.err and "settled" not in captured.out
 
 
+@pytest.mark.parametrize("integrator", ["zoh_exact", "dense_rk"])
+def test_simulate_constant_disturbance_of_wrong_length_is_input_error(tmp_path, capsys, integrator):
+    path = tmp_path / "short.ini"
+    path.write_text(SCENARIO + f"integrator = {integrator}\n[perturbations]\ndisturbance = constant 0.05\n")
+    assert main(["simulate", "--scenario", str(path)]) == EXIT_INPUT
+    assert "disturbance vector has size 1, expected 2" in capsys.readouterr().err
+
+
+def test_simulate_dense_with_disturbance_is_input_error(tmp_path, capsys):
+    # the closed-form dense run has no disturbed counterpart
+    path = tmp_path / "dense.ini"
+    path.write_text(SCENARIO + "integrator = dense_rk\n[perturbations]\ndisturbance = constant 0 0.05\n")
+    assert main(["simulate", "--scenario", str(path)]) == EXIT_INPUT
+    assert "disturbance" in capsys.readouterr().err
+
+
 def test_experiment_single_preset(tmp_path, capsys):
     out = tmp_path / "runs"
     assert main(["experiment", "--preset", "fig1", "--out", str(out)]) == EXIT_OK

@@ -1,7 +1,9 @@
-"""The README's Python quick start runs as written."""
+"""The README's Python quick start runs as written, and its scenario block loads."""
 
 import re
 from pathlib import Path
+
+from homctl import load_scenario
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -15,3 +17,33 @@ def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "trace.csv").stat().st_size > 0
     assert (tmp_path / "controller.json").exists()
     assert "all checks passed" in capsys.readouterr().out
+
+
+def _scenario_block() -> str:
+    section = README.read_text(encoding="utf-8").split("**Scenario file** (INI):", 1)[1]
+    return re.search(r"```ini\n(.*?)```", section, re.S).group(1)
+
+
+def _load_variant(tmp_path, block, pattern, line):
+    """Load the block with the line matching ``pattern`` replaced by ``line``."""
+    path = tmp_path / "scenario.ini"
+    path.write_text(re.sub(pattern, line, block, count=1, flags=re.M), encoding="utf-8")
+    return load_scenario(path)
+
+
+def test_readme_scenario_block_loads_every_documented_integrator(tmp_path):
+    block = _scenario_block()
+    values = re.search(r"^# integrator = (.+?)\s+\(optional\)$", block, re.M).group(1).split(" | ")
+    assert "dense_rk" in values
+    for value in values:
+        config = _load_variant(tmp_path, block, r"^# integrator = .*$", f"integrator = {value}")
+        assert config.integrator == value
+
+
+def test_readme_scenario_block_loads_every_documented_disturbance(tmp_path):
+    block = _scenario_block()
+    spellings = re.search(r"^disturbance = .*?#\s*(.+)$", block, re.M).group(1).split(" | ")
+    assert [s.split()[0] for s in spellings] == ["none", "matched_sin", "constant"]
+    for spelling in spellings:
+        config = _load_variant(tmp_path, block, r"^disturbance = .*$", f"disturbance = {spelling}")
+        assert config.disturbance.kind == spelling.split()[0]

@@ -1,6 +1,7 @@
 """Closed-loop simulation: settling windows, scale invariance, delay runs,
 dense-mode decay, disturbance/noise handling, terminal capture, CSV output."""
 
+import dataclasses
 import importlib
 import io
 import math
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.linalg
 
 from homctl import (
     ControllerKind,
@@ -21,7 +24,9 @@ from homctl import (
     SynthesisConfig,
     dilate,
     disturbance_bound,
+    eval_control,
     hom_norm,
+    make_context,
     measure_settling,
     oscillator_controller,
     oscillator_plant,
@@ -198,8 +203,105 @@ def test_dense_mode_rejects_zero_reference_with_nonzero_state():
         simulate_dense(config)
 
 
+@pytest.mark.parametrize("T", [0.5, 2.0])
+@pytest.mark.parametrize("name", ["oscillator", "chain3", "rand3x2"])
+@pytest.mark.parametrize("kind", list(ControllerKind))
+def test_dense_closed_form_solves_the_closed_loop(name, T, kind):
+    _check_dense_against_ode(name, T, kind, None)
+
+
+@pytest.mark.parametrize("scale", [0.2, -0.15])
+def test_dense_closed_form_with_corrupted_reference(scale):
+    # x0_noise moves s0 off 1 (to about 0.82 and 1.15); the unclamped law
+    # still follows s0 - t/T from there
+    trace = _check_dense_against_ode("chain3", 1.0, ControllerKind.PRESCRIBED_TIME, scale)
+    assert (trace.s[0] < 1.0) == (scale > 0)
+
+
+_DENSE_PLANTS = {
+    "oscillator": (oscillator_plant, [0.2, 0.0]),
+    "chain3": (lambda: LinearPlant(np.eye(3, k=1), np.eye(3)[:, -1:]), [1.0, 0.0, 0.0]),
+    "rand3x2": (_random_plant_3x2, [1.0, -0.5, 0.3]),
+}
+
+
+def _check_dense_against_ode(name, T, kind, noise_scale):
+    """The dense run against the ODE it claims to solve; returns the run.
+
+    Checks the residual ``x' - (A x + B u(x))`` by central differences of
+    runs that end at ``t - dt`` and ``t + dt``, and every sample against
+    ``solve_ivp`` at ``rtol = 1e-10``.  ``h`` only sets the output grid
+    here: ``T/50`` gives the 200-sample minimum.
+    """
+    make_plant, x0 = _DENSE_PLANTS[name]
+    plant, x0 = make_plant(), np.array(x0)
+    ctrl = synthesize(plant, SynthesisConfig(T=T))
+    x0_noise = None if noise_scale is None else noise_scale * x0
+    config = ScenarioConfig(plant=plant, controller=ctrl, x0=x0, h=T / 50, t_end=1.5 * T, kind=kind,
+                            integrator="dense_rk", x0_noise=x0_noise)
+    trace = simulate_dense(config)
+    ctx = make_context(ctrl, kind, x0, x0_noise)
+
+    def rhs(_, x):
+        return plant.A @ x + plant.B @ eval_control(ctx, x)
+
+    t_last = trace.t[-1]
+    dt = 1e-5 * T
+    for t in (0.3 * t_last, 0.9 * t_last):
+        ends = [simulate_dense(dataclasses.replace(config, t_end=te)) for te in (t - dt, t, t + dt)]
+        assert [e.t[-1] for e in ends] == [t - dt, t, t + dt]
+        xdot = (ends[2].x[-1] - ends[0].x[-1]) / (2 * dt)
+        f = rhs(t, ends[1].x[-1])
+        assert np.linalg.norm(xdot - f) <= 1e-6 * np.linalg.norm(f)
+
+    ref = scipy.integrate.solve_ivp(rhs, (0.0, t_last), x0, method="DOP853", t_eval=trace.t,
+                                    rtol=1e-10, atol=1e-14)
+    assert ref.success
+    err = np.linalg.norm(trace.x - ref.y.T, axis=1) / np.linalg.norm(ref.y.T, axis=1)
+    assert np.max(err) <= 1e-6
+    return trace
+
+
+def test_dense_mode_starting_inside_stop_band_returns_at_once():
+    # fixed_time floors the radius at 1, so from |x0| << 1 the run starts
+    # below the stop level s = 0.02: one sample and the stop event at t = 0
+    trace = simulate(_nominal([1e-4, 0.0], kind=ControllerKind.FIXED_TIME, integrator="dense_rk"))
+    assert trace.s[0] < 0.02
+    np.testing.assert_array_equal(trace.t, [0.0])
+    np.testing.assert_array_equal(trace.x, [[1e-4, 0.0]])
+    assert trace.events == [(0.0, "dense_stop")]
+
+
+def test_dense_mode_rejects_a_disturbance():
+    config = _nominal([0.2, 0.0], integrator="dense_rk",
+                      disturbance=DisturbanceSpec(kind="constant", vector=[0.0, 0.01]))
+    with pytest.raises(ValueError, match="disturbance"):
+        simulate(config)
+
+
+def test_dense_mode_rejects_a_record_that_fails_verification():
+    ctrl = oscillator_controller()
+    bad = dataclasses.replace(ctrl, K=1.01 * ctrl.K)
+    config = ScenarioConfig(plant=oscillator_plant(), controller=bad, x0=np.array([0.2, 0.0]), h=H,
+                            t_end=2.0, integrator="dense_rk")
+    with pytest.raises(ValueError, match="gain_K_definition"):
+        simulate(config)
+
+
+@pytest.mark.parametrize("kind", [ControllerKind.PRESCRIBED_TIME_ROBUST, ControllerKind.FIXED_TIME])
+def test_dense_mode_rejects_a_clamped_start(kind):
+    # a reference shrunk by x0_noise puts x0 outside the reference sphere,
+    # where the clamped kinds run their linear phase first
+    x0 = np.array([5.0, 0.0])
+    config = _nominal(x0, kind=kind, integrator="dense_rk", x0_noise=-0.2 * x0)
+    with pytest.raises(ValueError, match="clamped"):
+        simulate(config)
+    # the unclamped law starts there as well
+    assert simulate(dataclasses.replace(config, kind=ControllerKind.PRESCRIBED_TIME)).s[0] > 1.0
+
+
 def test_import_leaves_the_dense_integrator_unloaded():
-    # scipy.integrate serves simulate_dense only, so importing the package skips it
+    # the package integrates nothing numerically, so scipy.integrate stays unloaded
     import homctl
 
     src = str(Path(homctl.__file__).resolve().parents[1])
@@ -220,8 +322,47 @@ def test_disturbance_spec_validation():
         DisturbanceSpec(kind="constant")
     with pytest.raises(ValueError):
         DisturbanceSpec(kind="table")
-    with pytest.raises(ValueError):
+    # there is no table field either
+    with pytest.raises(TypeError):
         DisturbanceSpec(kind="table", table=np.array([1.0, 2.0]))
+
+
+def test_constant_disturbance_length_must_match_the_plant():
+    with pytest.raises(ValueError, match="disturbance vector has size 1, expected 2"):
+        _nominal([0.2, 0.0], disturbance=DisturbanceSpec(kind="constant", vector=[0.05]))
+
+
+@pytest.mark.parametrize("dist", [
+    DisturbanceSpec(kind="matched_sin", amplitude=2.0, omega=5.0),
+    DisturbanceSpec(kind="constant", vector=[0.3, -0.2, 0.5]),
+], ids=["matched_sin", "constant"])
+def test_disturbance_steps_are_exact(dist):
+    # every sampled step adds int_0^h e^{A(h-s)} q2(t_k + s) ds exactly;
+    # the reference is 12-node Gauss-Legendre quadrature, exact here to
+    # rounding; the bound rejects a 16-substep midpoint rule (off by about
+    # 8e-6 h max|q2| on this plant)
+    plant = _random_plant_3x2()
+    ctrl = synthesize(plant, SynthesisConfig(T=1.0))
+    trace = simulate(ScenarioConfig(plant=plant, controller=ctrl, x0=np.array([1.0, -0.5, 0.3]), h=H,
+                                    t_end=2.0, disturbance=dist))
+    assert not trace.events  # outside the capture envelope: no snap, plant steps only
+    A, B = plant.A, plant.B
+    if dist.kind == "matched_sin":
+        q2 = lambda t: dist.amplitude * math.sin(dist.omega * t) * B.sum(axis=1)  # noqa: E731
+    else:
+        q2 = lambda t: dist.vector  # noqa: E731
+    blk = np.zeros((5, 5))
+    blk[:3, :3], blk[:3, 3:] = A, B
+    E = scipy.linalg.expm(H * blk)
+    F, gamma = E[:3, :3], E[:3, 3:]
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    s = 0.5 * H * (nodes + 1.0)
+    kernels = [0.5 * H * w * scipy.linalg.expm(A * (H - si)) for si, w in zip(s, weights)]
+    for k in range(len(trace.t) - 1):
+        qs = [q2(trace.t[k] + si) for si in s]
+        quad = sum(Kn @ q for Kn, q in zip(kernels, qs))
+        step = trace.x[k + 1] - F @ trace.x[k] - gamma @ trace.u[k]
+        assert np.max(np.abs(step - quad)) <= 1e-12 * H * max(np.abs(q).max() for q in qs)
 
 
 def test_noise_spec_requires_seed():
@@ -282,22 +423,6 @@ def test_matched_sinusoid_keeps_trajectory_bounded():
     trace = simulate(config)
     assert float(np.max(trace.x_norm)) <= 2.0 * trace.x_norm[0]
     assert trace.settling_time is None
-
-
-def test_table_disturbance_matches_constant_until_capture():
-    # a table holding the same row every sample produces the same trajectory
-    # as the constant kind; they only part ways at the capture instant, which
-    # the table kind conservatively never schedules (its supremum cannot be
-    # certified as a matched disturbance)
-    vec = [0.0, 0.03]
-    steps = int(round(2.0 / H)) + 1
-    c1 = _nominal([0.2, 0.0], disturbance=DisturbanceSpec(kind="constant", vector=vec))
-    c2 = _nominal([0.2, 0.0], disturbance=DisturbanceSpec(kind="table", table=np.tile(vec, (steps, 1))))
-    t1, t2 = simulate(c1), simulate(c2)
-    assert t1.events and not t2.events
-    k_snap = int(round(t1.events[0][0] / H))
-    np.testing.assert_allclose(t1.x[:k_snap], t2.x[:k_snap], atol=1e-12)
-    assert t1.settled and not t2.settled
 
 
 # ---------------------------------------------------------------------------
