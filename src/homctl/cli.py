@@ -15,7 +15,6 @@ Set ``HOMCTL_LOG=debug|info|warning`` to control log verbosity.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import logging
 import os
@@ -165,6 +164,8 @@ def cmd_experiment(args) -> int:
     if args.workers == 1 or len(names) == 1:
         results = [run_one(name) for name in names]
     else:
+        import concurrent.futures  # only a parallel run pays for the import
+
         with concurrent.futures.ThreadPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(run_one, names))
 

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .dilation import Dilation, check_strict_monotonicity
@@ -349,6 +348,9 @@ def solve_lmi_feasibility(A0, B, Gd, weight: float = 0.0) -> tuple[np.ndarray, n
     as happens in double precision for badly conditioned plants and for a
     ``Gd`` that is not anti-Hurwitz.
     """
+    # the only scipy user in the package: simulate/verify/experiment never load it
+    import scipy.linalg
+
     A0 = linalg.as_square(A0, "A0")
     n = A0.shape[0]
     B = _as_tall(B, n, "B")

@@ -1,6 +1,11 @@
 """Command-line interface: subcommand round trips, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,12 +227,62 @@ def test_experiment_workers_validation(capsys):
     capsys.readouterr()
 
 
-def test_experiment_parallel_matches_serial(tmp_path):
-    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-    assert main(["experiment", "--suite", "scaling", "--out", str(serial)]) == EXIT_OK
-    assert main(["experiment", "--suite", "scaling", "--workers", "3", "--out", str(parallel)]) == EXIT_OK
-    for name in json.loads((serial / "report.json").read_text())["presets"]:
-        assert (serial / f"{name}.csv").read_bytes() == (parallel / f"{name}.csv").read_bytes()
+def test_experiment_parallel_matches_serial(tmp_path, capsys):
+    # every file and the printed report, byte for byte; the paper suite has noisy presets
+    for suite, workers in (("scaling", 3), ("paper", 2)):
+        outs = []
+        for w in (1, workers):
+            out = tmp_path / f"{suite}-w{w}"
+            assert main(["experiment", "--suite", suite, "--seed", "3", "--workers", str(w),
+                         "--out", str(out)]) == EXIT_OK
+            outs.append((capsys.readouterr().out, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+        assert "report.json" in outs[0][1] and len(outs[0][1]) > 2
+        assert outs[0] == outs[1]
+
+
+# ---------------------------------------------------------------------------
+# scipy is loaded by synthesis only
+
+_SCIPY_FREE_RUNS = textwrap.dedent("""
+    import contextlib, io, json, sys
+    from pathlib import Path
+
+    import homctl.cli
+    from homctl import oscillator_controller, save_controller
+
+    d = Path(sys.argv[1])
+    (d / "plant.ini").write_text({plant!r})
+    (d / "scenario.ini").write_text({scenario!r})
+    save_controller(oscillator_controller(), str(d / "ctrl.json"))
+    runs = [
+        ["simulate", "--scenario", str(d / "scenario.ini"), "--out", str(d / "trace.csv")],
+        ["verify", "--controller", str(d / "ctrl.json"), "--plant", str(d / "plant.ini")],
+        ["experiment", "--preset", "fig7", "--out", str(d / "runs")],
+    ]
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [homctl.cli.main(argv) for argv in runs]
+        before = sorted(m for m in sys.modules if m.startswith("scipy"))
+        synth = homctl.cli.main(["synth", "--plant", str(d / "plant.ini"), "--T", "1.0",
+                                 "--out", str(d / "synth.json")])
+    after = any(m.startswith("scipy") for m in sys.modules)
+    print(json.dumps({{"codes": codes, "before": before, "synth": synth, "after": after}}))
+""")
+
+
+def test_only_synthesis_loads_scipy(tmp_path):
+    import homctl
+
+    src = str(Path(homctl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("HOMCTL_LOG", None)
+    code = _SCIPY_FREE_RUNS.format(plant=PLANT, scenario=SCENARIO)
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True,
+                          check=True, env=env)
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [EXIT_OK] * 3
+    assert result["before"] == []
+    assert result["synth"] == EXIT_OK and (tmp_path / "synth.json").exists()
+    assert result["after"] is True
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import quad_vec
 
 from homctl import linalg
@@ -59,6 +60,11 @@ def test_expm_rotation_closed_form():
 def test_expm_diagonal_closed_form():
     E = linalg.expm(np.diag([1.0, -2.0, 0.5]))
     np.testing.assert_allclose(E, np.diag(np.exp([1.0, -2.0, 0.5])), rtol=1e-14)
+    # a wide spread of entries takes the scaled branch; off-diagonal entries stay exactly 0
+    d = np.array([-30.0, -2.0, 0.0, 1e-3, 0.5, 1.0, 7.0, 40.0])
+    E = linalg.expm(np.diag(d))
+    np.testing.assert_allclose(np.diag(E), np.exp(d), rtol=1e-12)
+    np.testing.assert_array_equal(E - np.diag(np.diag(E)), 0.0)
 
 
 def test_expm_inverse_property_200_cases(rng):
@@ -67,6 +73,105 @@ def test_expm_inverse_property_200_cases(rng):
         M = rng.normal(size=(n, n))
         prod = linalg.expm(M) @ linalg.expm(-M)
         np.testing.assert_allclose(prod, np.eye(n), atol=1e-10)
+
+
+def _norm1(M):
+    return float(np.abs(M).sum(axis=0).max())
+
+
+def _rel_diff(E, R):
+    return _norm1(E - R) / _norm1(R)
+
+
+@pytest.fixture
+def pade_calls(monkeypatch):
+    """Record ``(degree, |A|_1)`` of every Pade approximant expm evaluates."""
+    calls = []
+    pade = linalg._pade
+
+    def spy(A, m):
+        calls.append((m, _norm1(A)))
+        return pade(A, m)
+
+    monkeypatch.setattr(linalg, "_pade", spy)
+    return calls
+
+
+# worst relative 1-norm difference from scipy allowed per band of |A|_1
+_SCIPY_BANDS = ((1.0, 1e-14), (10.0, 1e-11), (100.0, 1e-10), (math.inf, 1e-9))
+
+
+def test_expm_matches_scipy_on_each_side_of_every_pade_limit(rng, pade_calls):
+    degrees = [m for m, _ in linalg._PADE_THETA]
+    theta13 = linalg._PADE_THETA[-1][1]
+    for k, (m, theta) in enumerate(linalg._PADE_THETA):
+        for side in (1.0 - 1e-6, 1.0 + 1e-6):
+            for _ in range(20):
+                n = int(rng.integers(1, 11))
+                A = rng.normal(size=(n, n))
+                A *= theta * side / _norm1(A)
+                pade_calls.clear()
+                E = linalg.expm(A)
+                # below its limit a degree serves unscaled; above, the next one (or scaling) takes over
+                expected = m if side < 1.0 else degrees[min(k + 1, len(degrees) - 1)]
+                assert pade_calls[0][0] == expected
+                assert pade_calls[0][1] <= theta13
+                bound = next(b for top, b in _SCIPY_BANDS if _norm1(A) <= top)
+                assert _rel_diff(E, scipy.linalg.expm(A)) <= bound
+
+
+def test_expm_matches_scipy_on_random_matrices_of_every_scale(rng):
+    for _ in range(600):
+        n = int(rng.integers(1, 11))
+        A = rng.normal(size=(n, n))
+        A *= 10.0 ** rng.uniform(-3, 3) / _norm1(A)
+        with np.errstate(over="ignore"):
+            R = scipy.linalg.expm(A)
+        if not np.isfinite(R).all():
+            continue
+        bound = next(b for top, b in _SCIPY_BANDS if _norm1(A) <= top)
+        assert _rel_diff(linalg.expm(A), R) <= bound
+
+
+def test_expm_scaled_branch_squares_at_least_ten_times(rng, pade_calls):
+    # a skew-symmetric matrix has an orthogonal exponential, so no entry overflows
+    for _ in range(20):
+        n = int(rng.integers(2, 11))
+        S = rng.normal(size=(n, n))
+        S = S - S.T
+        S *= 6000.0 / _norm1(S)
+        pade_calls.clear()
+        E = linalg.expm(S)
+        (m, scaled), = pade_calls
+        assert m == 13 and scaled <= linalg._PADE_THETA[-1][1]
+        assert 6000.0 / scaled >= 2.0**10
+        assert _rel_diff(E, scipy.linalg.expm(S)) <= 1e-9
+        np.testing.assert_allclose(E @ E.T, np.eye(n), atol=1e-9)
+
+
+def test_expm_zero_matrix_is_identity():
+    for n in (1, 3, 7):
+        np.testing.assert_array_equal(linalg.expm(np.zeros((n, n))), np.eye(n))
+
+
+@pytest.mark.parametrize("a", [-700.0, -50.0, -1.0, 0.0, 1e-20, 0.3, 1.0, 50.0, 700.0])
+def test_expm_one_by_one_is_scalar_exp(a):
+    np.testing.assert_allclose(linalg.expm([[a]]), [[math.exp(a)]], rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_expm_of_a_chain_is_its_finite_series(n):
+    J = np.eye(n, k=1)
+    for t, atol in ((1.0, 1e-15), (3.0, 1e-13)):
+        series = sum(np.linalg.matrix_power(t * J, k) / math.factorial(k) for k in range(n))
+        np.testing.assert_allclose(linalg.expm(t * J), series, rtol=0.0, atol=atol)
+
+
+@pytest.mark.parametrize("bad", [[[np.inf, 0.0], [0.0, 1.0]], [[np.nan]], np.zeros((2, 3)), np.zeros(3),
+                                 [[1e308, 0.0], [1e308, 0.0]]])
+def test_expm_rejects_non_finite_non_square_and_overflowing_norm(bad):
+    with np.errstate(over="ignore"), pytest.raises(ValueError):
+        linalg.expm(bad)
 
 
 # ---------------------------------------------------------------------------
