@@ -19,9 +19,8 @@ import json
 import logging
 import os
 import sys
-import tempfile
 
-from . import __version__
+from . import __version__, atomic
 from .presets import PRESETS, SUITES, run_preset
 from .scenario import load_plant, load_scenario
 from .simulate import simulate, trace_summary, trace_to_csv
@@ -56,18 +55,7 @@ def _setup_logging() -> None:
 
 
 def _write_json(path, obj) -> None:
-    """Serialize atomically so a crash never leaves a half-written file."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(obj, fh, indent=2)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic.write_text(path, json.dumps(obj, indent=2) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -33,12 +33,8 @@ __all__ = [
 HOM_NORM_RESIDUAL_TOL = 1e-12
 #: inputs with |x| below this are treated as exactly zero
 _TINY_NORM = 1e-150
-#: iteration caps of the safeguarded root-find
-_MAX_BISECT = 80
-_MAX_NEWTON = 8
-#: step cap (in ln s) and step budget of the warm-started Newton iteration
-_NEWTON_TRUST = 1.0
-_MAX_WARM_NEWTON = 6
+#: orbit evaluations allowed per root-find
+_MAX_ITER = 100
 #: eigenbasis condition limit for the fast d(s)x evaluation path
 _EIG_COND_LIMIT = 1e3
 
@@ -124,15 +120,16 @@ def hom_norm(D: Dilation, x, guess: float | None = None) -> float:
 
     Defined by ``||x||_d = e^{s_x}`` where ``s_x`` solves
     ``|d(-s_x) x| = 1`` in the weighted base norm, and ``||0||_d = 0``.
-    The root is located by outward bracketing from ``s = ln|x|`` followed by
-    bisection with safeguarded Newton refinements, to residual
-    ``| |d(-s)x| - 1 | <= 1e-12``.
+    The root is found by Newton steps on ``ln|d(-s)x|``, whose slope
+    ``-z'PGz/|z|^2`` stays between fixed negative bounds for a strictly
+    monotone pair.  Every residual narrows a sign bracket on ``s``; a step
+    that leaves the bracket is replaced by bisection, and while one side is
+    still open and the slope unusable the search doubles outward.  It stops
+    at residual ``| |d(-s)x| - 1 | <= 1e-12``.
 
-    ``guess`` is an optional estimate of the norm.  When given, Newton steps
-    in ``ln s`` start from it; they give way to the bracketing whenever a
-    step leaves the trust region, the slope is not positive, or the root is
-    not reached within a few steps, so a poor guess costs time, never
-    accuracy.
+    ``guess`` is an optional estimate of the norm.  The search starts from
+    ``ln guess`` when given and from ``ln|x|`` otherwise, so a poor guess
+    costs evaluations, never accuracy.
 
     Raises ``RuntimeError`` when no root can be located, which for finite
     input means the supplied pair is not strictly monotone.
@@ -143,14 +140,10 @@ def hom_norm(D: Dilation, x, guess: float | None = None) -> float:
     base = D.norm(x)
     if base < _TINY_NORM:
         return 0.0
-    orbit = _orbit(D, x)
+    # ln|x|: the exact root for G = I, the natural cold start in general
+    s0 = math.log(base) if guess is None else math.log(guess)
     with np.errstate(over="ignore", invalid="ignore"):
-        if guess is not None:
-            s = _newton(D, orbit, math.log(guess))
-            if s is not None:
-                return math.exp(s)
-        # ln|x|: the exact root for G = I, the natural cold start in general
-        return math.exp(_bracket_and_bisect(D, orbit, math.log(base)))
+        return math.exp(_root(D, _orbit(D, x), s0))
 
 
 def _orbit(D: Dilation, x: np.ndarray):
@@ -169,72 +162,36 @@ def _orbit(D: Dilation, x: np.ndarray):
     return lambda s: np.real(V @ (np.exp(-s * w) * cT).T)
 
 
-def _slope(D: Dilation, z: np.ndarray, zn: float) -> float:
-    """``-d|z|/ds = (z' P G z)/|z|`` for ``z = d(-s) x``; NaN if undefined."""
-    if not 0.0 < zn < math.inf:
-        return math.nan
-    return float(z @ D.weight @ (D.generator @ z)) / zn
-
-
-def _newton(D: Dilation, orbit, s: float) -> float | None:
-    """Newton iteration from ``s``; None when a safeguard gives up."""
-    for _ in range(_MAX_WARM_NEWTON):
+def _root(D: Dilation, orbit, s: float) -> float:
+    """Root of ``ln|d(-s) x| = 0`` by Newton steps from ``s``, kept in a sign bracket."""
+    G, P = D.generator, D.weight
+    lo, hi, step = -math.inf, math.inf, 1.0
+    for _ in range(_MAX_ITER):
         z = orbit(s)
         zn = D.norm(z)
-        gval = zn - 1.0
-        if abs(gval) <= HOM_NORM_RESIDUAL_TOL:
+        if abs(zn - 1.0) <= HOM_NORM_RESIDUAL_TOL:
             return s
-        slope = _slope(D, z, zn)
-        if not (math.isfinite(slope) and slope > 0.0):
-            return None
-        step = gval / slope
-        if abs(step) > _NEWTON_TRUST:
-            return None
-        s += step
-    return None
-
-
-def _bracket_and_bisect(D: Dilation, orbit, s0: float) -> float:
-    """Root of ``|d(-s) x| = 1`` by outward bracketing from ``s0``."""
-
-    def residual(s: float) -> float:
-        return D.norm(orbit(s)) - 1.0
-
-    g0 = residual(s0)
-    if abs(g0) <= HOM_NORM_RESIDUAL_TOL:
-        return s0
-
-    # bracket the root by doubling outward: residual > 0 at lo, < 0 at hi
-    sign, near, step = (1.0 if g0 > 0.0 else -1.0), s0, 1.0
-    while sign * residual(s0 + sign * step) > 0.0:
-        near = s0 + sign * step
-        step *= 2.0
-        if step > 1e6:
-            raise RuntimeError("hom_norm: no unit-sphere crossing found (dilation not strictly monotone?)")
-    lo, hi = sorted((near, s0 + sign * step))
-
-    # bisection with Newton refinements once the bracket is tight
-    newton_left = _MAX_NEWTON
-    s = 0.5 * (lo + hi)
-    for _ in range(_MAX_BISECT + _MAX_NEWTON):
-        z = orbit(s)
-        zn = D.norm(z)
-        gval = zn - 1.0
-        if abs(gval) <= HOM_NORM_RESIDUAL_TOL:
-            return s
-        if gval > 0.0:
+        if zn > 1.0:
             lo = s
         else:
             hi = s
-        s_next = None
-        if hi - lo < 0.5 and newton_left > 0:
-            slope = _slope(D, z, zn)
-            if math.isfinite(slope) and slope > 0.0:
-                cand = s + gval / slope
-                if lo < cand < hi:
-                    s_next = cand
-                    newton_left -= 1
-        s = s_next if s_next is not None else 0.5 * (lo + hi)
+        # -d ln|z|/ds = z'PGz/|z|^2, between fixed positive bounds for a
+        # strictly monotone pair
+        rate = math.nan
+        if 0.0 < zn < math.inf:
+            u = z / zn
+            rate = float(u @ P @ (G @ u))
+        newton = s + math.log(zn) / rate if math.isfinite(rate) and rate > 0.0 else math.nan
+        if lo < newton < hi:
+            s = newton
+        elif math.isfinite(lo) and math.isfinite(hi):
+            s = 0.5 * (lo + hi)
+        else:
+            # no usable slope and the root's side is open: double outward
+            if step > 1e6:
+                raise RuntimeError("hom_norm: no unit-sphere crossing found (dilation not strictly monotone?)")
+            s += step if zn > 1.0 else -step
+            step *= 2.0
     raise RuntimeError("hom_norm: root refinement did not converge (dilation not strictly monotone?)")
 
 

@@ -17,7 +17,6 @@ from typing import Callable
 
 import numpy as np
 
-from .control_laws import ControllerKind
 from .simulate import (
     DisturbanceSpec,
     NoiseSpec,
@@ -184,39 +183,18 @@ class ExperimentPreset:
     expectations: tuple[Expectation, ...]
 
 
-def _nominal(x0, t_end: float = 2.0, kind: ControllerKind = ControllerKind.PRESCRIBED_TIME_ROBUST):
-    def build(seed=None):
-        return ScenarioConfig(plant=oscillator_plant(), controller=oscillator_controller(),
-                              x0=np.asarray(x0, dtype=float), h=_H, t_end=t_end, kind=kind)
+def _oscillator(x0, t_end: float = 2.0, tau: float = 0.0,
+                disturbance: DisturbanceSpec = DisturbanceSpec(), noise: float = 0.0):
+    """Scenario factory for the oscillator with input delay ``tau``.
 
-    return build
+    ``noise`` is the measurement-noise amplitude, seeded by the run's seed
+    (default :data:`_NOISE_SEED`).
+    """
 
-
-def _disturbed(x0, amplitude: float, omega: float, t_end: float = 3.0):
-    def build(seed=None):
-        return ScenarioConfig(plant=oscillator_plant(), controller=oscillator_controller(),
-                              x0=np.asarray(x0, dtype=float), h=_H, t_end=t_end,
-                              kind=ControllerKind.PRESCRIBED_TIME_ROBUST,
-                              disturbance=DisturbanceSpec(kind="matched_sin", amplitude=amplitude, omega=omega))
-
-    return build
-
-
-def _noisy(x0, amplitude: float, t_end: float = 3.0):
-    def build(seed=None):
-        return ScenarioConfig(plant=oscillator_plant(), controller=oscillator_controller(),
-                              x0=np.asarray(x0, dtype=float), h=_H, t_end=t_end,
-                              kind=ControllerKind.PRESCRIBED_TIME_ROBUST,
-                              noise=NoiseSpec(amplitude=amplitude, seed=_NOISE_SEED if seed is None else seed))
-
-    return build
-
-
-def _delayed(x0, tau: float, t_end: float = 2.5):
     def build(seed=None):
         return ScenarioConfig(plant=oscillator_plant(delay=tau), controller=oscillator_controller(),
-                              x0=np.asarray(x0, dtype=float), h=_H, t_end=t_end,
-                              kind=ControllerKind.PRESCRIBED_TIME_ROBUST)
+                              x0=np.asarray(x0, dtype=float), h=_H, t_end=t_end, disturbance=disturbance,
+                              noise=NoiseSpec(amplitude=noise, seed=_NOISE_SEED if seed is None else seed))
 
     return build
 
@@ -224,46 +202,48 @@ def _delayed(x0, tau: float, t_end: float = 2.5):
 #: settling windows: T (plus delay where applicable) to within two samples
 _WINDOW = (1.0 - 2 * _H, 1.0 + 2 * _H)
 _WINDOW_DELAYED = (1.5 - 2 * _H, 1.5 + 2 * _H)
+#: the matched disturbance sin(5t) of fig3 and fig4
+_SIN5 = DisturbanceSpec(kind="matched_sin", amplitude=1.0, omega=5.0)
 
 _FIGURES = (
     ExperimentPreset(
         "fig1", "nominal run, small initial state x0 = (0.2, 0)",
-        _nominal([0.2, 0.0]),
+        _oscillator([0.2, 0.0]),
         (settles_within(*_WINDOW), stays_bounded(1.001), ends_at_zero()),
     ),
     ExperimentPreset(
         "fig2", "nominal run, large initial state x0 = (0.7, 0)",
-        _nominal([0.7, 0.0]),
+        _oscillator([0.7, 0.0]),
         (settles_within(*_WINDOW), stays_bounded(1.001), ends_at_zero()),
     ),
     ExperimentPreset(
         "fig3", "matched sinusoidal disturbance sin(5t), small initial state",
-        _disturbed([0.2, 0.0], amplitude=1.0, omega=5.0),
+        _oscillator([0.2, 0.0], t_end=3.0, disturbance=_SIN5),
         (stays_bounded(2.0), enters_band(0.1), never_settles()),
     ),
     ExperimentPreset(
         "fig4", "matched sinusoidal disturbance sin(5t), large initial state",
-        _disturbed([0.7, 0.0], amplitude=1.0, omega=5.0),
+        _oscillator([0.7, 0.0], t_end=3.0, disturbance=_SIN5),
         (stays_bounded(2.0), never_settles()),
     ),
     ExperimentPreset(
         "fig5", "uniform measurement noise 0.01, small initial state",
-        _noisy([0.2, 0.0], amplitude=0.01),
+        _oscillator([0.2, 0.0], t_end=3.0, noise=0.01),
         (stays_bounded(2.0), residual_rms_below(0.1)),
     ),
     ExperimentPreset(
         "fig6", "uniform measurement noise 0.01, large initial state",
-        _noisy([0.7, 0.0], amplitude=0.01),
+        _oscillator([0.7, 0.0], t_end=3.0, noise=0.01),
         (stays_bounded(2.0), residual_rms_below(0.1)),
     ),
     ExperimentPreset(
         "fig7", "input delay 0.5 with predictor feedback, small initial state",
-        _delayed([0.2, 0.0], tau=0.5),
+        _oscillator([0.2, 0.0], t_end=2.5, tau=0.5),
         (settles_within(*_WINDOW_DELAYED), ends_at_zero()),
     ),
     ExperimentPreset(
         "fig8", "input delay 0.5 with predictor feedback, large initial state",
-        _delayed([0.7, 0.0], tau=0.5),
+        _oscillator([0.7, 0.0], t_end=2.5, tau=0.5),
         (settles_within(*_WINDOW_DELAYED), ends_at_zero()),
     ),
 )
@@ -273,7 +253,7 @@ _SCALES = (1e-2, 1.0, 1e2, 1e5)
 _SCALING = tuple(
     ExperimentPreset(
         f"scale-{lam:g}", f"nominal run scaled by {lam:g}: x0 = {lam:g} * (0.2, 0)",
-        _nominal([0.2 * lam, 0.0]),
+        _oscillator([0.2 * lam, 0.0]),
         (settles_within(*_WINDOW), stays_bounded(1.001)),
     )
     for lam in _SCALES

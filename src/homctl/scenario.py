@@ -81,30 +81,30 @@ def load_plant(path) -> LinearPlant:
     return _plant_from(_read(path), path)
 
 
-def _controller_from(cp, path) -> tuple[SynthesizedController, ControllerKind]:
-    if not cp.has_section("controller"):
-        raise ValueError(f"{path}: missing [controller] section")
+def _kind_from(cp, path) -> ControllerKind:
     kind_text = cp.get("controller", "kind", fallback="prescribed_time_robust")
     try:
-        kind = ControllerKind(kind_text)
+        return ControllerKind(kind_text)
     except ValueError:
         valid = ", ".join(k.value for k in ControllerKind)
         raise ValueError(f"{path}: unknown controller kind {kind_text!r} (expected one of: {valid})") from None
+
+
+def _controller_from(cp, path) -> SynthesizedController:
+    if not cp.has_section("controller"):
+        raise ValueError(f"{path}: missing [controller] section")
     if cp.has_option("controller", "file"):
         ref = cp.get("controller", "file")
         full = ref if os.path.isabs(ref) else os.path.join(os.path.dirname(os.path.abspath(path)), ref)
         try:
-            controller = load_controller(full)
+            return load_controller(full)
         except FileNotFoundError as exc:
             raise ValueError(f"{path}: controller file {full!r} not found") from exc
-    elif cp.has_option("controller", "builtin"):
+    if cp.has_option("controller", "builtin"):
         from . import presets
 
-        name = cp.get("controller", "builtin")
-        controller = presets.builtin_controller(name)
-    else:
-        raise ValueError(f"{path}: [controller] needs either 'file' or 'builtin'")
-    return controller, kind
+        return presets.builtin_controller(cp.get("controller", "builtin"))
+    raise ValueError(f"{path}: [controller] needs either 'file' or 'builtin'")
 
 
 def _disturbance_from(text: str, path) -> DisturbanceSpec:
@@ -131,12 +131,11 @@ def load_scenario(path, controller_override=None, seed_override: int | None = No
     """
     cp = _read(path)
     plant = _plant_from(cp, path)
+    kind = _kind_from(cp, path)
     if controller_override is not None:
         controller = load_controller(controller_override)
-        kind_text = cp.get("controller", "kind", fallback="prescribed_time_robust") if cp.has_section("controller") else "prescribed_time_robust"
-        kind = ControllerKind(kind_text)
     else:
-        controller, kind = _controller_from(cp, path)
+        controller = _controller_from(cp, path)
 
     x0 = parse_vector(_require(cp, "sim", "x0", path), "x0")
     h = float(_require(cp, "sim", "h", path))

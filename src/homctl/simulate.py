@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
+from . import atomic, linalg
 from .control_laws import ControlContext, ControllerKind, eval_control, make_context
 from .dilation import dilate, hom_norm
 from .predictor import ControlHistory, build_tables, predict
@@ -518,10 +517,7 @@ def trace_to_csv(trace: SimulationTrace, path) -> None:
     if hasattr(path, "write"):
         path.write(text)
     else:
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        atomic.write_text(path, text)
 
 
 def trace_summary(trace: SimulationTrace) -> dict:

@@ -32,13 +32,12 @@ from __future__ import annotations
 import json
 import logging
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from . import linalg
+from . import atomic, linalg
 from .dilation import Dilation, check_strict_monotonicity
 
 __all__ = [
@@ -112,12 +111,7 @@ class LinearPlant:
 
     def __post_init__(self):
         A = linalg.as_square(self.A, "A")
-        B = np.asarray(self.B, dtype=float)
-        if B.ndim == 1:
-            B = B.reshape(-1, 1)
-        B = linalg.as_matrix(B, "B")
-        if B.shape[0] != A.shape[0]:
-            raise ValueError(f"A and B have incompatible shapes {A.shape} / {B.shape}")
+        B = _as_tall(self.B, A.shape[0], "B")
         if not (_is_real(self.delay) and math.isfinite(self.delay) and self.delay >= 0):
             raise ValueError(f"delay must be a finite number >= 0, got {self.delay}")
         object.__setattr__(self, "A", A)
@@ -255,21 +249,19 @@ def controllability_matrix(A, B) -> np.ndarray:
         blocks.append(A @ blocks[-1])
     return np.hstack(blocks)
 
+
 def controllability_index(A, B, rtol: float = _CTRB_RTOL) -> int | None:
     """Smallest ``j`` with ``rank [B, AB, ..., A^{j-1} B] = n``, else None.
 
     Rank decisions use singular values relative to the largest one.
     """
-    A = linalg.as_square(A, "A")
-    B = _as_tall(B, A.shape[0], "B")
-    n = A.shape[0]
-    blocks = [B]
+    C = controllability_matrix(A, B)
+    n = C.shape[0]
+    m = C.shape[1] // n
     for j in range(1, n + 1):
-        C = np.hstack(blocks)
-        sv = np.linalg.svd(C, compute_uv=False)
+        sv = np.linalg.svd(C[:, : j * m], compute_uv=False)
         if sv[0] > 0 and int(np.sum(sv > rtol * sv[0])) == n:
             return j
-        blocks.append(A @ blocks[-1])
     return None
 
 
@@ -548,11 +540,7 @@ def controller_from_dict(data: dict) -> SynthesizedController:
 
 def save_controller(controller: SynthesizedController, path) -> None:
     """Write a controller record to ``path`` as JSON (atomic replace)."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(controller_to_dict(controller), fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
+    atomic.write_text(path, json.dumps(controller_to_dict(controller), indent=2) + "\n")
 
 
 def load_controller(path) -> SynthesizedController:

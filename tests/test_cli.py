@@ -67,6 +67,19 @@ def test_synth_verify_simulate_round_trip(tmp_path, plant_file, scenario_file, c
     assert sidecar == summary
 
 
+def test_simulate_failed_write_leaves_no_file(tmp_path, scenario_file, monkeypatch, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert main(["simulate", "--scenario", str(scenario_file), "--out", str(out / "t.csv")]) == EXIT_INPUT
+    assert "replace refused" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_simulate_with_builtin_controller(scenario_file, capsys):
     assert main(["simulate", "--scenario", str(scenario_file)]) == EXIT_OK
     summary = json.loads(capsys.readouterr().out)

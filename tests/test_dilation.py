@@ -245,18 +245,48 @@ def test_hom_norm_warm_start_agrees_with_cold(name, D, rng):
                 assert warm == pytest.approx(cold, rel=1e-10)
 
 
-def test_hom_norm_good_guess_skips_bracketing(monkeypatch):
+@pytest.fixture
+def orbit_evaluations(monkeypatch):
+    """Counts the points ``d(-s) x`` the root-find evaluates."""
+    count = [0]
+    orbit = homctl.dilation._orbit
+
+    def counting_orbit(D, x):
+        f = orbit(D, x)
+
+        def evaluate(s):
+            count[0] += 1
+            return f(s)
+
+        return evaluate
+
+    monkeypatch.setattr(homctl.dilation, "_orbit", counting_orbit)
+    return count
+
+
+def test_hom_norm_guess_evaluation_count(orbit_evaluations):
     D = oscillator_controller().dilation
     x = np.array([0.3, -0.1])
     cold = hom_norm(D, x)
+    for guess in (cold * (1 + 1e-4), cold * (1 - 1e-4)):
+        orbit_evaluations[0] = 0
+        assert hom_norm(D, x, guess=guess) == pytest.approx(cold, rel=1e-12)
+        assert orbit_evaluations[0] <= 3
+    # a guess eight decades off costs evaluations, never accuracy
+    assert hom_norm(D, x, guess=1e-8) == pytest.approx(cold, rel=1e-12)
 
-    def no_bracketing(*args):
-        raise AssertionError("bracketing used")
 
-    monkeypatch.setattr(homctl.dilation, "_bracket_and_bisect", no_bracketing)
-    assert hom_norm(D, x, guess=cold * (1 + 1e-4)) == pytest.approx(cold, rel=1e-12)
-    with pytest.raises(AssertionError, match="bracketing used"):
-        hom_norm(D, x, guess=1e-8)
+@pytest.mark.parametrize("name,D", _warm_start_dilations())
+def test_hom_norm_cold_evaluation_count(name, D, rng, orbit_evaluations):
+    counts = []
+    for mag in 10.0 ** np.arange(-6, 7):
+        for _ in range(10):
+            v = rng.standard_normal(D.dim)
+            orbit_evaluations[0] = 0
+            hom_norm(D, mag * v / np.linalg.norm(v))
+            counts.append(orbit_evaluations[0])
+    assert np.mean(counts) <= 6.0
+    assert max(counts) <= 12
 
 
 @pytest.mark.parametrize("guess", [0.0, -1.0, math.nan, math.inf])

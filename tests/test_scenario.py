@@ -183,6 +183,23 @@ def test_scenario_controller_errors(tmp_path, controller_block, message):
         load_scenario(_write(tmp_path, text))
 
 
+@pytest.mark.parametrize("controller_block", ["", "[controller]\nkind = linear\n"])
+def test_scenario_controller_override_keeps_kind(tmp_path, controller_block):
+    override = tmp_path / "override.json"
+    save_controller(oscillator_controller(), override)
+    config = load_scenario(_write(tmp_path, PLANT + controller_block + SIM), controller_override=override)
+    assert config.controller.K.tolist() == oscillator_controller().K.tolist()
+    assert config.kind is (ControllerKind.LINEAR if controller_block else ControllerKind.PRESCRIBED_TIME_ROBUST)
+
+
+def test_scenario_controller_override_rejects_unknown_kind(tmp_path):
+    override = tmp_path / "override.json"
+    save_controller(oscillator_controller(), override)
+    text = PLANT + "[controller]\nkind = bogus\n" + SIM
+    with pytest.raises(ValueError, match=r"unknown controller kind 'bogus' \(expected one of: "):
+        load_scenario(_write(tmp_path, text), controller_override=override)
+
+
 def test_scenario_unknown_disturbance(tmp_path):
     text = (PLANT + "[controller]\nbuiltin = oscillator\n" + SIM
             + "[perturbations]\ndisturbance = gusts 1 2\n")

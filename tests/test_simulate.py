@@ -534,6 +534,18 @@ def test_csv_is_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_csv_failed_write_leaves_no_file(tmp_path, monkeypatch):
+    trace = simulate(_nominal([0.2, 0.0], t_end=0.2))
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        trace_to_csv(trace, tmp_path / "t.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_trace_summary_contents():
     trace = simulate(_nominal([0.2, 0.0]))
     summary = trace_summary(trace)

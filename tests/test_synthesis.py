@@ -3,6 +3,8 @@ serialization.  The harmonic-oscillator record with T=1 has a closed-form
 solution used as the exact oracle throughout."""
 
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -392,6 +394,23 @@ def test_controller_json_round_trip_is_exact(tmp_path, plant):
     for name in ("A", "B", "G0", "Y0", "Gd", "A0", "X", "Y", "K0", "K"):
         np.testing.assert_array_equal(getattr(clone, name), getattr(ctrl, name))
     assert clone.T == ctrl.T and clone.mu == ctrl.mu
+
+
+def test_save_controller_failed_write_leaves_no_file(tmp_path, ctrl, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        save_controller(ctrl, tmp_path / "c.json")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_save_controller_file_mode_matches_plain_open(tmp_path, ctrl):
+    plain = tmp_path / "plain.json"
+    plain.write_text("")
+    save_controller(ctrl, tmp_path / "c.json")
+    assert stat.S_IMODE((tmp_path / "c.json").stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
 
 
 def test_controller_rejects_degree_other_than_minus_one(ctrl):
