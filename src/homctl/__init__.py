@@ -50,7 +50,6 @@ from .control_laws import (
     make_context,
 )
 from .predictor import (
-    ControlHistory,
     PredictorTables,
     build_tables,
     invert,

@@ -58,7 +58,6 @@ class ControlContext:
     """
 
     controller: SynthesizedController
-    dilation: Dilation
     kind: ControllerKind
     x0_ref: np.ndarray
 
@@ -71,6 +70,10 @@ class ControlContext:
         if not isinstance(self.kind, ControllerKind):
             raise ValueError(f"kind must be a ControllerKind, got {self.kind!r}")
         object.__setattr__(self, "x0_ref", x0)
+
+    @property
+    def dilation(self) -> Dilation:
+        return self.controller.dilation
 
     @cached_property
     def KT(self) -> np.ndarray:
@@ -99,7 +102,7 @@ def make_context(controller: SynthesizedController, kind: ControllerKind, x0, x0
     x0 = linalg.as_vector(x0, "x0")
     if x0_noise is not None:
         x0 = x0 + linalg.as_vector(x0_noise, "x0_noise")
-    return ControlContext(controller, controller.dilation, kind, x0)
+    return ControlContext(controller, kind, x0)
 
 
 def _schedule(ctx: ControlContext, x: np.ndarray, s: float | None) -> float | None:

@@ -64,9 +64,15 @@ class Dilation:
         return self.generator.shape[0]
 
     def norm(self, x) -> float:
-        """Weighted Euclidean norm ``sqrt(x' P x)`` of the base space."""
+        """Weighted Euclidean norm ``sqrt(x' P x)`` of the base space.
+
+        NaN when ``x' P x`` is NaN (an overflowed ``x``), so such a point
+        never reads as the origin.
+        """
         x = np.asarray(x, dtype=float)
         q = float(x @ self.weight @ x)
+        if math.isnan(q):
+            return math.nan
         return math.sqrt(q) if q > 0.0 else 0.0
 
     @cached_property
@@ -171,7 +177,9 @@ def _root(D: Dilation, orbit, s: float) -> float:
         zn = D.norm(z)
         if abs(zn - 1.0) <= HOM_NORM_RESIDUAL_TOL:
             return s
-        if zn > 1.0:
+        # an overflowed orbit point (zn inf or NaN) lies outside the sphere
+        outside = not zn <= 1.0
+        if outside:
             lo = s
         else:
             hi = s
@@ -190,7 +198,7 @@ def _root(D: Dilation, orbit, s: float) -> float:
             # no usable slope and the root's side is open: double outward
             if step > 1e6:
                 raise RuntimeError("hom_norm: no unit-sphere crossing found (dilation not strictly monotone?)")
-            s += step if zn > 1.0 else -step
+            s += step if outside else -step
             step *= 2.0
     raise RuntimeError("hom_norm: root refinement did not converge (dilation not strictly monotone?)")
 

@@ -11,7 +11,8 @@ entries, e.g. ``A = 0 1; -1 0``.  A scenario file has the sections
 * ``[perturbations]``  — optional ``disturbance``, ``noise`` + ``seed``,
   ``x0_noise``, ``phi``
 
-Parse errors raise ``ValueError`` with the offending key in the message.
+Parse errors, and any section or key not listed above, raise ``ValueError``
+with the offending key in the message.
 """
 
 from __future__ import annotations
@@ -26,6 +27,14 @@ from .simulate import DisturbanceSpec, NoiseSpec, ScenarioConfig
 from .synthesis import LinearPlant, SynthesizedController, load_controller
 
 __all__ = ["parse_matrix", "parse_vector", "load_plant", "load_scenario"]
+
+#: the keys each scenario-file section accepts
+_KEYS = {
+    "plant": ("A", "B", "delay"),
+    "controller": ("file", "builtin", "kind"),
+    "sim": ("x0", "h", "t_end", "integrator", "settle_epsilon", "snap_delta"),
+    "perturbations": ("disturbance", "noise", "seed", "x0_noise", "phi"),
+}
 
 
 def parse_matrix(text: str, name: str = "matrix") -> np.ndarray:
@@ -61,6 +70,17 @@ def _read(path) -> configparser.ConfigParser:
     return cp
 
 
+def _check_keys(cp, sections, path) -> None:
+    """Reject a section or key that no loader reads: a typo would drop it silently."""
+    for section in sections:
+        if section not in _KEYS:
+            raise ValueError(f"{path}: unknown section [{section}] (expected one of: {', '.join(_KEYS)})")
+        unknown = [k for k in cp.options(section) if k not in _KEYS[section]] if cp.has_section(section) else []
+        if unknown:
+            raise ValueError(f"{path}: unknown key {', '.join(map(repr, unknown))} in [{section}] "
+                             f"(expected one of: {', '.join(_KEYS[section])})")
+
+
 def _require(cp, section: str, key: str, path) -> str:
     if not cp.has_section(section):
         raise ValueError(f"{path}: missing [{section}] section")
@@ -78,7 +98,9 @@ def _plant_from(cp, path) -> LinearPlant:
 
 def load_plant(path) -> LinearPlant:
     """Read a plant description file (just the ``[plant]`` section)."""
-    return _plant_from(_read(path), path)
+    cp = _read(path)
+    _check_keys(cp, ["plant"], path)
+    return _plant_from(cp, path)
 
 
 def _kind_from(cp, path) -> ControllerKind:
@@ -130,6 +152,7 @@ def load_scenario(path, controller_override=None, seed_override: int | None = No
     seed.
     """
     cp = _read(path)
+    _check_keys(cp, cp.sections(), path)
     plant = _plant_from(cp, path)
     kind = _kind_from(cp, path)
     if controller_override is not None:

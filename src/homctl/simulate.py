@@ -35,7 +35,7 @@ import numpy as np
 from . import atomic, linalg
 from .control_laws import ControlContext, ControllerKind, eval_control, make_context
 from .dilation import dilate, hom_norm
-from .predictor import ControlHistory, build_tables, predict
+from .predictor import _steps_in_delay, build_tables, predict
 from .synthesis import LinearPlant, SynthesizedController, verify_controller
 
 __all__ = [
@@ -152,6 +152,18 @@ class ScenarioConfig:
             linalg.as_vector(self.disturbance.vector, "disturbance vector", self.plant.n)
         if not (math.isfinite(self.h) and self.h > 0):
             raise ValueError(f"sample period h must be positive, got {self.h}")
+        N = _steps_in_delay(self.plant.delay, self.h)
+        if self.phi is not None:
+            if N == 0:
+                raise ValueError("phi is the input pre-history of a delayed plant; this plant has no delay")
+            phi = np.asarray(self.phi, dtype=float)
+            if phi.ndim == 1 and self.plant.m == 1:
+                phi = phi[:, None]
+            if phi.shape != (N, self.plant.m):
+                raise ValueError(f"phi has shape {phi.shape}, expected (tau/h, m) = ({N}, {self.plant.m})")
+            if not np.isfinite(phi).all():
+                raise ValueError("phi has non-finite entries")
+            object.__setattr__(self, "phi", phi)
         if not (math.isfinite(self.t_end) and self.t_end > 0):
             raise ValueError(f"t_end must be positive, got {self.t_end}")
         if self.integrator not in ("zoh_exact", "dense_rk"):
@@ -308,14 +320,11 @@ def _simulate_zoh(config: ScenarioConfig) -> SimulationTrace:
     A, B = plant.A, plant.B
     n, m = plant.n, plant.m
     h = config.h
-    tau = plant.delay
     times = _sample_times(h, config.t_end)
     K = len(times)
 
     tables = build_tables(plant, h)
-    N = tables.N
-    F = linalg.expm(A * h)
-    gamma = linalg.zoh_integral(A, B, h)
+    N, F, gamma = tables.N, tables.F, tables.gamma
     exo = config.disturbance.exosystem(B)
     if exo is not None:
         # with q2 = C v and v' = S v, e^{h [[A, C], [0, S]]} holds the exact
@@ -326,20 +335,23 @@ def _simulate_zoh(config: ScenarioConfig) -> SimulationTrace:
         Ed, Ev = E[:n, n:], E[n:, n:]
     rng = np.random.default_rng(config.noise.seed) if config.noise.active else None
 
-    hist = None
+    # the loop's only record of inputs: rows 0..N-1 hold the pre-history,
+    # row k + N the control computed at sample k; the plant holds U[k] over
+    # sample k and the inputs in flight at sample k are U[k:k+N]
+    U = np.zeros((N + K, m))
+    if config.phi is not None:
+        U[:N] = config.phi
     x0_ctx = config.x0 if config.x0_noise is None else config.x0 + config.x0_noise
-    if tau > 0:
-        hist = ControlHistory(h=h, tau=tau, m=m, phi=config.phi)
-        x0_ctx = predict(tables, x0_ctx, hist)
-    ctx = ControlContext(ctrl, ctrl.dilation, config.kind, x0_ctx)
+    if N:
+        x0_ctx = predict(tables, x0_ctx, U[:N])
+    ctx = ControlContext(ctrl, config.kind, x0_ctx)
     dil = ctx.dilation
     r = ctx.ref_norm
     snap_enabled = _snap_enabled(config, r)
     snap_delta = config.effective_snap_delta
 
     xs = np.empty((K, n))
-    us = np.empty((K, m))
-    ys = np.empty((K, n)) if hist is not None else None
+    ys = np.empty((K, n)) if N else None
     ss = np.empty(K)
     norms = np.empty(K)
     events: list = []
@@ -355,7 +367,7 @@ def _simulate_zoh(config: ScenarioConfig) -> SimulationTrace:
         if snapped:
             y = np.zeros(n)
         else:
-            y = x if N == 0 else predict(tables, x, hist)
+            y = x if N == 0 else predict(tables, x, U[k:k + N])
         # s is solved once per sample, warm-started from the last samples;
         # the feedback reuses it (with r = 0 or y = 0 it needs no s at all)
         s = 0.0
@@ -368,26 +380,24 @@ def _simulate_zoh(config: ScenarioConfig) -> SimulationTrace:
             meas = y + rng.uniform(-config.noise.amplitude, config.noise.amplitude, n)
             s_meas = hom_norm(dil, meas / r, s if s > 0 else None) if r > 0 else None
             u = eval_control(ctx, meas, s_meas)
-        xs[k], us[k], ss[k] = x, u, s
-        if ys is not None:
+        xs[k], U[k + N], ss[k] = x, u, s
+        if N:
             ys[k] = y
         norms[k] = dil.norm(x)
         if snap_enabled and y_snap_at is None and s <= snap_delta:
             y_snap_at = k + 1
             x_snap_at = k + 1 + N
-            events.append((times[k] + h, "snap_to_zero" if hist is None else "predictor_snap_to_zero"))
-            if hist is not None:
-                events.append((times[k] + h + tau, "state_snap_to_zero"))
+            events.append((times[k] + h, "predictor_snap_to_zero" if N else "snap_to_zero"))
+            if N:
+                events.append((times[k] + h + plant.delay, "state_snap_to_zero"))
             log.debug("snap scheduled after t=%.6f (s=%.3e <= %.3e)", times[k], s, snap_delta)
         if k + 1 < K:
-            x = F @ x + gamma @ (hist.recent(N) if N >= 1 else u)
+            x = F @ x + gamma @ U[k]
             if exo is not None:
                 x = x + Ed @ v
                 v = Ev @ v
-            if hist is not None:
-                hist.push(u)
 
-    return SimulationTrace(t=times, x=xs, u=us, s=ss, x_norm=norms, y=ys, events=events)
+    return SimulationTrace(t=times, x=xs, u=U[N:], s=ss, x_norm=norms, y=ys, events=events)
 
 
 def simulate_dense(config: ScenarioConfig) -> SimulationTrace:

@@ -119,6 +119,15 @@ def test_exit_code_bad_matrix(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("typo", ["[perturbaitons]\nnoise = 0.5\nseed = 1\n", "settle_epsilom = 1e-3\n"],
+                         ids=["section", "key"])
+def test_exit_code_unknown_scenario_key(tmp_path, capsys, typo):
+    scenario = tmp_path / "scenario.ini"
+    scenario.write_text(SCENARIO + typo)
+    assert main(["simulate", "--scenario", str(scenario)]) == EXIT_INPUT
+    assert "unknown" in capsys.readouterr().err
+
+
 def test_exit_code_missing_file(tmp_path, capsys):
     assert main(["simulate", "--scenario", str(tmp_path / "none.ini")]) == EXIT_INPUT
     capsys.readouterr()

@@ -1,6 +1,7 @@
 """Feedback evaluation: kinds, clamping, the zero-state and zero-reference
 branches, and consistency between the control vector and the gain matrix."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,6 +22,11 @@ KINDS = list(ControllerKind)
 @pytest.fixture
 def ctx(ctrl):
     return make_context(ctrl, ControllerKind.PRESCRIBED_TIME_ROBUST, [0.2, 0.0])
+
+
+def test_context_reads_the_dilation_from_its_controller(ctx, ctrl):
+    assert [f.name for f in dataclasses.fields(ctx)] == ["controller", "kind", "x0_ref"]
+    assert ctx.dilation is ctrl.dilation
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,18 @@ def test_hom_norm_rejects_non_monotone_pair():
         hom_norm(D, [2.0, 0.0])
 
 
+def test_hom_norm_overflowed_orbit_point_lies_outside(orbit_evaluations):
+    # G = -I: |d(-s)x| = e^s |x| grows without a crossing.  Near s = 710 the
+    # orbit point overflows to (inf, NaN); it must count as outside the
+    # sphere, so the outward search runs on instead of bisecting onto it
+    D = Dilation(-np.eye(2), np.eye(2))
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(D.norm([math.inf, 0.0]))
+    with pytest.raises(RuntimeError, match="no unit-sphere crossing found"):
+        hom_norm(D, [2.0, 0.0])
+    assert orbit_evaluations[0] <= 25
+
+
 # ---------------------------------------------------------------------------
 # gradient
 

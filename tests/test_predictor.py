@@ -1,10 +1,12 @@
-"""Delay compensation: control history bookkeeping, predictor tables against
-closed-form kernels, the discrete predictor dynamics, and exact inversion."""
+"""Delay compensation: the sampled loop's input record and pre-history,
+predictor tables against closed-form kernels, the discrete predictor
+dynamics, and exact inversion."""
 
 import numpy as np
 import pytest
 
-from homctl import ControlHistory, LinearPlant, build_tables, invert, predict
+from homctl import (LinearPlant, ScenarioConfig, build_tables, invert, oscillator_controller,
+                    predict, simulate)
 from homctl.linalg import expm, zoh_integral
 
 
@@ -12,58 +14,75 @@ def _osc(delay):
     return LinearPlant([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]], delay=delay)
 
 
+def _config(delay, phi=None, h=0.01, t_end=0.5):
+    return ScenarioConfig(plant=_osc(delay), controller=oscillator_controller(),
+                          x0=np.array([0.2, -0.1]), h=h, t_end=t_end, phi=phi)
+
+
 # ---------------------------------------------------------------------------
-# control history
+# pre-history and the sampled loop's input record
 
 
-def test_history_zero_prehistory_reads_zero():
-    hist = ControlHistory(h=0.1, tau=0.3, m=1)
-    assert hist.N == 3
-    for j in (1, 2, 3):
-        np.testing.assert_array_equal(hist.recent(j), [0.0])
+def test_zero_prehistory_equals_explicit_zero_phi():
+    base = simulate(_config(0.03))
+    zero = simulate(_config(0.03, phi=np.zeros((3, 1))))
+    for field in ("x", "u", "s", "y"):
+        np.testing.assert_array_equal(getattr(base, field), getattr(zero, field))
 
 
-def test_history_prehistory_order_is_chronological():
-    # phi rows are earliest-first, so recent(1) is the last row
-    phi = np.array([[1.0], [2.0], [3.0]])
-    hist = ControlHistory(h=0.1, tau=0.3, m=1, phi=phi)
-    np.testing.assert_array_equal(hist.recent(1), [3.0])
-    np.testing.assert_array_equal(hist.recent(3), [1.0])
+def test_prehistory_rows_reach_the_plant_earliest_first():
+    # phi rows are earliest-first: phi[k] is held over sample k, so a
+    # reversed order breaks the first N steps
+    phi = np.array([[1.0], [-2.0], [3.0]])
+    trace = simulate(_config(0.03, phi=phi))
+    plant = _osc(0.03)
+    F, Gamma = expm(plant.A * 0.01), zoh_integral(plant.A, plant.B, 0.01)
+    for k in range(3):
+        np.testing.assert_allclose(trace.x[k + 1], F @ trace.x[k] + Gamma @ phi[k], rtol=1e-14, atol=1e-15)
 
 
-def test_history_push_rotates():
-    hist = ControlHistory(h=0.1, tau=0.2, m=1, phi=np.array([[1.0], [2.0]]))
-    hist.push([7.0])
-    np.testing.assert_array_equal(hist.recent(1), [7.0])
-    np.testing.assert_array_equal(hist.recent(2), [2.0])
+def test_plant_receives_each_control_n_samples_late():
+    # after the pre-history drains, the plant holds u[k - N] over sample k,
+    # and the controller saw the predictor of exactly those in-flight inputs
+    N = 3
+    phi = np.array([[0.5], [0.25], [-0.5]])
+    trace = simulate(_config(0.03, phi=phi))
+    plant = _osc(0.03)
+    tables = build_tables(plant, 0.01)
+    F, Gamma = expm(plant.A * 0.01), zoh_integral(plant.A, plant.B, 0.01)
+    U = np.vstack([phi, trace.u])
+    for k in range(N, len(trace.t) - 1):
+        np.testing.assert_allclose(trace.x[k + 1], F @ trace.x[k] + Gamma @ trace.u[k - N], rtol=1e-14, atol=1e-15)
+    for k in range(len(trace.t)):
+        if trace.s[k] > 0.0:
+            np.testing.assert_array_equal(trace.y[k], predict(tables, trace.x[k], U[k:k + N]))
 
 
-def test_history_stacked_matches_recent():
-    phi = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]])
-    hist = ControlHistory(h=0.5, tau=1.5, m=2, phi=phi)
-    stacked = hist.stacked()
-    for j in (1, 2, 3):
-        np.testing.assert_array_equal(stacked[j - 1], hist.recent(j))
+def test_config_normalizes_one_dimensional_phi_for_single_input():
+    config = _config(0.03, phi=[0.1, 0.2, 0.3])
+    np.testing.assert_array_equal(config.phi, [[0.1], [0.2], [0.3]])
 
 
-def test_history_lookback_bounds():
-    hist = ControlHistory(h=0.1, tau=0.2, m=1)
-    with pytest.raises(ValueError):
-        hist.recent(0)
-    with pytest.raises(ValueError):
-        hist.recent(3)
+@pytest.mark.parametrize(
+    "delay, phi, message",
+    [
+        (0.03, np.zeros((2, 1)), "phi has shape"),
+        (0.03, np.zeros((3, 2)), "phi has shape"),
+        (0.01, np.array([[np.nan]]), "non-finite"),
+        (0.01, np.array([[np.inf]]), "non-finite"),
+        (0.0, np.zeros((7, 1)), "no delay"),
+        (0.0, np.zeros((0, 1)), "no delay"),
+    ],
+    ids=["too-few-rows", "too-many-inputs", "nan", "inf", "delay-free", "delay-free-empty"],
+)
+def test_config_validates_phi(delay, phi, message):
+    with pytest.raises(ValueError, match=message):
+        _config(delay, phi=phi)
 
 
-def test_history_validates_phi_shape_and_values():
-    with pytest.raises(ValueError):
-        ControlHistory(h=0.1, tau=0.3, m=1, phi=np.zeros((2, 1)))
-    with pytest.raises(ValueError):
-        ControlHistory(h=0.1, tau=0.1, m=1, phi=np.array([[np.nan]]))
-
-
-def test_history_off_grid_delay_raises():
-    with pytest.raises(ValueError):
-        ControlHistory(h=0.1, tau=0.25, m=1)
+def test_config_off_grid_delay_raises():
+    with pytest.raises(ValueError, match="not an integer multiple"):
+        _config(0.025, h=0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -130,15 +149,14 @@ def test_predictor_discrete_dynamics_and_shift_identity(rng):
     inputs = rng.normal(size=(30, 1))
     xs = _propagate(plant, h, [0.3, -0.2], inputs)
 
-    hist = ControlHistory(h=h, tau=plant.delay, m=1)
+    U = np.vstack([np.zeros((N, 1)), inputs])
     y_prev = None
     for k in range(len(inputs)):
-        y_k = predict(tables, xs[k], hist)
+        y_k = predict(tables, xs[k], U[k:k + N])
         if k + N < len(xs):
             np.testing.assert_allclose(y_k, xs[k + N], atol=1e-9)
         if y_prev is not None:
             np.testing.assert_allclose(y_k, F @ y_prev + Gamma @ inputs[k - 1], atol=1e-9)
-        hist.push(inputs[k])
         y_prev = y_k
 
 
@@ -149,9 +167,8 @@ def test_predict_constant_history_closed_form(rng):
     for _ in range(20):
         x = rng.normal(size=2)
         ubar = rng.normal(size=1)
-        hist = ControlHistory(h=0.02, tau=0.4, m=1, phi=np.tile(ubar, (tables.N, 1)))
         expected = expm(plant.A * 0.4) @ x + zoh_integral(plant.A, plant.B, 0.4) @ ubar
-        np.testing.assert_allclose(predict(tables, x, hist), expected, atol=1e-10)
+        np.testing.assert_allclose(predict(tables, x, np.tile(ubar, (tables.N, 1))), expected, atol=1e-10)
 
 
 def test_predict_invert_round_trip_200_cases(rng):
@@ -161,24 +178,29 @@ def test_predict_invert_round_trip_200_cases(rng):
         i = int(rng.integers(len(plants)))
         plant, tables = plants[i], tables_list[i]
         x = rng.normal(size=plant.n) * 10.0 ** rng.integers(-3, 3)
-        phi = rng.normal(size=(tables.N, plant.m))
-        hist = ControlHistory(h=0.1, tau=plant.delay, m=plant.m, phi=phi)
-        y = predict(tables, x, hist)
-        np.testing.assert_allclose(invert(tables, y, hist), x, rtol=1e-9, atol=1e-10)
+        u_past = rng.normal(size=(tables.N, plant.m))
+        y = predict(tables, x, u_past)
+        np.testing.assert_allclose(invert(tables, y, u_past), x, rtol=1e-9, atol=1e-10)
 
 
 def test_zero_delay_predict_and_invert_are_identity(rng):
     tables = build_tables(_osc(0.0), h=0.01)
-    hist = ControlHistory(h=0.01, tau=0.0, m=1)
     x = rng.normal(size=2)
-    np.testing.assert_array_equal(predict(tables, x, hist), x)
-    np.testing.assert_allclose(invert(tables, x, hist), x, atol=1e-14)
+    no_inputs = np.zeros((0, 1))
+    np.testing.assert_array_equal(predict(tables, x, no_inputs), x)
+    np.testing.assert_allclose(invert(tables, x, no_inputs), x, atol=1e-14)
 
 
-def test_predict_validates_compatibility():
+@pytest.mark.parametrize("shape", [(4, 1), (6, 1), (5, 2), (5,), (0, 1)], ids=str)
+def test_predict_and_invert_reject_wrong_u_past_shape(shape):
     tables = build_tables(_osc(0.5), h=0.1)
-    wrong_hist = ControlHistory(h=0.1, tau=0.4, m=1)
-    with pytest.raises(ValueError):
-        predict(tables, [1.0, 0.0], wrong_hist)
-    with pytest.raises(ValueError):
-        predict(tables, [1.0, 0.0, 0.0], ControlHistory(h=0.1, tau=0.5, m=1))
+    with pytest.raises(ValueError, match="u_past has shape"):
+        predict(tables, [1.0, 0.0], np.zeros(shape))
+    with pytest.raises(ValueError, match="u_past has shape"):
+        invert(tables, [1.0, 0.0], np.zeros(shape))
+
+
+def test_predict_rejects_wrong_state_size():
+    tables = build_tables(_osc(0.5), h=0.1)
+    with pytest.raises(ValueError, match="x has size"):
+        predict(tables, [1.0, 0.0, 0.0], np.zeros((5, 1)))

@@ -207,6 +207,34 @@ def test_scenario_unknown_disturbance(tmp_path):
         load_scenario(_write(tmp_path, text))
 
 
+_CONTROLLER = "[controller]\nbuiltin = oscillator\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (PLANT + _CONTROLLER + SIM + "[perturbaitons]\nnoise = 0.5\nseed = 1\n", r"unknown section \[perturbaitons\]"),
+        (PLANT + _CONTROLLER + SIM + "[perturbations]\nnoise = 0.5\nsed = 1\n", r"unknown key 'sed' in \[perturbations\]"),
+        (PLANT + _CONTROLLER + SIM + "settle_epsilom = 1e-3\n", r"unknown key 'settle_epsilom' in \[sim\]"),
+        (PLANT + "delya = 0.5\n" + _CONTROLLER + SIM, r"unknown key 'delya' in \[plant\]"),
+        (PLANT + _CONTROLLER + "knid = linear\n" + SIM, r"unknown key 'knid' in \[controller\]"),
+    ],
+    ids=["section", "perturbations-key", "sim-key", "plant-key", "controller-key"],
+)
+def test_scenario_rejects_unknown_sections_and_keys(tmp_path, text, message):
+    # a misspelt name would otherwise be dropped: a noisy run loads noise-free
+    with pytest.raises(ValueError, match=message):
+        load_scenario(_write(tmp_path, text))
+
+
+def test_plant_file_checks_only_the_plant_section(tmp_path):
+    # a scenario file doubles as a plant file; [sim] is not the plant loader's business
+    plant = load_plant(_write(tmp_path, PLANT + "delay = 0.5\n" + SIM + "[extra]\nkey = 1\n"))
+    assert plant.delay == 0.5
+    with pytest.raises(ValueError, match=r"unknown key 'dealy' in \[plant\]"):
+        load_plant(_write(tmp_path, PLANT + "dealy = 0.5\n"))
+
+
 def test_scenario_missing_sim_section(tmp_path):
     text = PLANT + "[controller]\nbuiltin = oscillator\n"
     with pytest.raises(ValueError, match=r"missing \[sim\]"):
