@@ -21,6 +21,13 @@ in how ``s`` is formed:
 The dispatch at the degenerate points (zero state, zero reference) follows
 the closed-loop solution concept: ``u(0) = 0``, and a zero reference selects
 the linear (respectively ``K0``) branch.
+
+The norm solve already lands on the unit-sphere point
+``z = d(-ln s)(x / r)``, so the homogeneous term is ``r K d(-ln T) z`` and
+applies no dilation of its own.  :func:`eval_control` is a validating
+wrapper over that pair (``homctl.dilation._solve``, then :func:`_feedback`);
+the sampled and dense loops of :mod:`homctl.simulate` call the same pair
+directly, having checked their inputs once per run.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .dilation import Dilation, dilate, dilation_matrix, hom_norm
+from .dilation import Dilation, _solve, dilation_matrix
 from .synthesis import SynthesizedController
 
 __all__ = ["ControllerKind", "ControlContext", "make_context", "eval_control", "gain_matrix"]
@@ -105,12 +112,13 @@ def make_context(controller: SynthesizedController, kind: ControllerKind, x0, x0
     return ControlContext(controller, kind, x0)
 
 
-def _schedule(ctx: ControlContext, x: np.ndarray, s: float | None) -> float | None:
+def _schedule(ctx: ControlContext, x: np.ndarray, s: float) -> float | None:
     """The clamped scheduling scalar of the feedback at ``x``.
 
     ``1.0`` selects the linear law ``K0 + K d(-ln T)``, ``0.0`` the ``K0``
     branch, and None marks the zero state.  ``s`` is the unclamped
-    ``||x / r||_d`` when the caller already has it.
+    ``||x / r||_d``, read only by a homogeneous kind with a nonzero
+    reference.
     """
     if ctx.kind is ControllerKind.LINEAR:
         return 1.0
@@ -118,34 +126,44 @@ def _schedule(ctx: ControlContext, x: np.ndarray, s: float | None) -> float | No
         # zero reference: prescribed_time degenerates to the K0 branch, the
         # clamped kinds to the linear law
         return 0.0 if ctx.kind is ControllerKind.PRESCRIBED_TIME else 1.0
-    if not x.any():
-        return None
-    if s is None:
-        s = hom_norm(ctx.dilation, x / ctx.ref_norm)
-    if ctx.kind is not ControllerKind.PRESCRIBED_TIME:
-        s = min(1.0, s)
-    # s <= 0: subnormal state far below resolvable scale
-    return max(s, 0.0)
+    if not s > 0.0:
+        # the zero state, or a subnormal one far below resolvable scale
+        return 0.0 if x.any() else None
+    return s if ctx.kind is ControllerKind.PRESCRIBED_TIME else min(1.0, s)
 
 
-def eval_control(ctx: ControlContext, x, s: float | None = None) -> np.ndarray:
-    """Evaluate the feedback at state ``x``; returns the input vector.
+def _feedback(ctx: ControlContext, y: np.ndarray, s: float, z: np.ndarray | None) -> np.ndarray:
+    """The feedback at a finite state ``y``.
 
-    ``s``, when given, must be the unclamped ``||x / ctx.ref_norm||_d``; it
-    spares the norm solve.
+    ``s = ||y / r||_d`` is unclamped and ``z = d(-ln s)(y / r)`` is the
+    root point of its solve, so ``d(-ln s) y = r z`` needs no dilation.
+    Both are read only where :func:`_schedule` reads ``s``.
     """
-    x = linalg.as_vector(x, "x", ctx.controller.n)
-    s = _schedule(ctx, x, s)
+    c = _schedule(ctx, y, s)
     K0 = ctx.controller.K0
-    if s is None:
+    if c is None:
         return np.zeros(ctx.controller.m)
-    if s == 1.0:
+    if c == 1.0:
         # clamp active (or exactly on the reference sphere): linear law,
         # evaluated without the identity dilation so the equality is exact
-        return K0 @ x + ctx.KT @ x
-    if s == 0.0:
-        return K0 @ x
-    return K0 @ x + ctx.KT @ dilate(ctx.dilation, -math.log(s), x)
+        return K0.dot(y) + ctx.KT.dot(y)
+    if c == 0.0:
+        return K0.dot(y)
+    return K0.dot(y) + ctx.ref_norm * ctx.KT.dot(z)
+
+
+def _norm_and_point(ctx: ControlContext, x: np.ndarray) -> tuple[float, np.ndarray | None]:
+    """``(s, z)`` of :func:`_feedback` at a validated ``x``, solved only where read."""
+    if ctx.kind is ControllerKind.LINEAR or ctx.r0 == 0.0:
+        return 0.0, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _solve(ctx.dilation, x / ctx.ref_norm)
+
+
+def eval_control(ctx: ControlContext, x) -> np.ndarray:
+    """Evaluate the feedback at state ``x``; returns the input vector."""
+    x = linalg.as_vector(x, "x", ctx.controller.n)
+    return _feedback(ctx, x, *_norm_and_point(ctx, x))
 
 
 def gain_matrix(ctx: ControlContext, x) -> np.ndarray:
@@ -156,7 +174,7 @@ def gain_matrix(ctx: ControlContext, x) -> np.ndarray:
     reference (except for the linear kind, whose gain is constant).
     """
     x = linalg.as_vector(x, "x", ctx.controller.n)
-    s = _schedule(ctx, x, None)
+    s = _schedule(ctx, x, _norm_and_point(ctx, x)[0])
     K0 = ctx.controller.K0
     if s is None:
         raise ValueError("gain_matrix: undefined at x = 0")

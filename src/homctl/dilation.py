@@ -70,7 +70,7 @@ class Dilation:
         never reads as the origin.
         """
         x = np.asarray(x, dtype=float)
-        q = float(x @ self.weight @ x)
+        q = float(x.dot(self.weight).dot(x))
         if math.isnan(q):
             return math.nan
         return math.sqrt(q) if q > 0.0 else 0.0
@@ -89,6 +89,11 @@ class Dilation:
         if not np.all(np.isfinite(Vinv)) or np.linalg.cond(V) > _EIG_COND_LIMIT:
             return None
         return w, V, Vinv
+
+    @cached_property
+    def _PG(self) -> np.ndarray:
+        # the root-find's slope is u' P G u
+        return self.weight @ self.generator
 
 
 def dilation_matrix(D: Dilation, s: float) -> np.ndarray:
@@ -134,22 +139,19 @@ def hom_norm(D: Dilation, x, guess: float | None = None) -> float:
     at residual ``| |d(-s)x| - 1 | <= 1e-12``.
 
     ``guess`` is an optional estimate of the norm.  The search starts from
-    ``ln guess`` when given and from ``ln|x|`` otherwise, so a poor guess
-    costs evaluations, never accuracy.
+    ``ln guess`` when given and from ``ln|x|`` otherwise (taken as
+    ``ln m + ln|x/m|``, ``m = max|x|``, where ``x'Px`` overflows), so a
+    poor guess costs evaluations, never accuracy.
 
     Raises ``RuntimeError`` when no root can be located, which for finite
-    input means the supplied pair is not strictly monotone.
+    input means the supplied pair is not strictly monotone, and
+    ``ValueError`` when ``|x|`` overflows even at the scale of ``x``.
     """
     x = linalg.as_vector(x, "x", D.dim)
     if guess is not None and not (math.isfinite(guess) and guess > 0):
         raise ValueError(f"guess must be a positive finite number, got {guess!r}")
-    base = D.norm(x)
-    if base < _TINY_NORM:
-        return 0.0
-    # ln|x|: the exact root for G = I, the natural cold start in general
-    s0 = math.log(base) if guess is None else math.log(guess)
     with np.errstate(over="ignore", invalid="ignore"):
-        return math.exp(_root(D, _orbit(D, x), s0))
+        return _solve(D, x, guess)[0]
 
 
 def _orbit(D: Dilation, x: np.ndarray):
@@ -165,18 +167,52 @@ def _orbit(D: Dilation, x: np.ndarray):
     # transposed, a block's eigen-coordinates broadcast against exp(-s w)
     # row by row; a vector's are unchanged
     cT = (Vinv @ x).T
-    return lambda s: np.real(V @ (np.exp(-s * w) * cT).T)
+    return lambda s: V.dot((np.exp(-s * w) * cT).T).real
 
 
-def _root(D: Dilation, orbit, s: float) -> float:
-    """Root of ``ln|d(-s) x| = 0`` by Newton steps from ``s``, kept in a sign bracket."""
-    G, P = D.generator, D.weight
+def _log_base_norm(D: Dilation, x: np.ndarray) -> float:
+    """``ln|x|``, or ``-inf`` when ``x' P x`` is not positive.
+
+    Where ``x' P x`` over- or underflows it is taken as
+    ``ln m + ln|x/m|`` with ``m = max|x|``.
+    """
+    P = D.weight
+    q = float(x.dot(P).dot(x))
+    if _TINY_NORM**2 <= q < math.inf:
+        return math.log(math.sqrt(q))
+    m = float(np.abs(x).max())
+    if m == 0.0:
+        return -math.inf
+    u = x / m
+    q = float(u.dot(P).dot(u))
+    if not q < math.inf:
+        raise ValueError(f"hom_norm: the weighted norm of x overflows at its scale max|x| = {m:.6g}")
+    return math.log(m) + math.log(math.sqrt(q)) if q > 0.0 else -math.inf
+
+
+def _solve(D: Dilation, x: np.ndarray, guess: float | None = None) -> tuple[float, np.ndarray | None]:
+    """``(||x||_d, z)`` for a finite vector ``x``, with ``z = d(-ln ||x||_d) x``.
+
+    ``z`` is the unit-sphere point at which the root-find stopped; it is
+    None at (or numerically below) the origin, where the norm is 0.  The
+    caller validates ``x`` and ``guess`` and silences floating-point
+    warnings: orbit points far from the root may overflow.
+    """
+    ln_base = _log_base_norm(D, x)
+    if ln_base < math.log(_TINY_NORM):
+        return 0.0, None
+    # ln|x|: the exact root for G = I, the natural cold start in general
+    s = ln_base if guess is None else math.log(guess)
+    orbit = _orbit(D, x)
+    P, PG = D.weight, D._PG
     lo, hi, step = -math.inf, math.inf, 1.0
     for _ in range(_MAX_ITER):
         z = orbit(s)
-        zn = D.norm(z)
+        q = float(z.dot(P).dot(z))
+        # NaN (an overflowed orbit point) stays NaN
+        zn = 0.0 if q < 0.0 else math.sqrt(q)
         if abs(zn - 1.0) <= HOM_NORM_RESIDUAL_TOL:
-            return s
+            return math.exp(s), z
         # an overflowed orbit point (zn inf or NaN) lies outside the sphere
         outside = not zn <= 1.0
         if outside:
@@ -184,11 +220,11 @@ def _root(D: Dilation, orbit, s: float) -> float:
         else:
             hi = s
         # -d ln|z|/ds = z'PGz/|z|^2, between fixed positive bounds for a
-        # strictly monotone pair
+        # strictly monotone pair; evaluated on z/|z| so it cannot overflow
         rate = math.nan
         if 0.0 < zn < math.inf:
             u = z / zn
-            rate = float(u @ P @ (G @ u))
+            rate = float(u.dot(PG).dot(u))
         newton = s + math.log(zn) / rate if math.isfinite(rate) and rate > 0.0 else math.nan
         if lo < newton < hi:
             s = newton
@@ -214,12 +250,11 @@ def hom_norm_gradient(D: Dilation, x) -> np.ndarray:
     ``|d(-ln v) x| = 1``.  Raises ``ValueError`` at the origin where the
     norm is not differentiable.
     """
-    x = linalg.as_vector(x, "x")
-    v = hom_norm(D, x)
+    x = linalg.as_vector(x, "x", D.dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v, z = _solve(D, x)
     if v == 0.0:
         raise ValueError("hom_norm_gradient: undefined at the origin")
     Dm = dilation_matrix(D, -math.log(v))
-    z = Dm @ x
-    G, P = D.generator, D.weight
-    denom = float(z @ P @ (G @ z))
-    return v * (Dm.T @ (P @ z)) / denom
+    denom = float(z @ D._PG @ z)
+    return v * (Dm.T @ (D.weight @ z)) / denom

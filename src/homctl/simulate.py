@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import atomic, linalg
-from .control_laws import ControlContext, ControllerKind, eval_control, make_context
-from .dilation import dilate, hom_norm
+from .control_laws import ControlContext, ControllerKind, _feedback, make_context
+from .dilation import _solve, dilate
 from .predictor import _steps_in_delay, build_tables, predict
 from .synthesis import LinearPlant, SynthesizedController, verify_controller
 
@@ -311,6 +311,15 @@ def _warm_guess(s_prev: float, s_prev2: float) -> float | None:
     return guess if s_prev2 > 0.0 and guess > 0.0 else s_prev
 
 
+def _scaled(y: np.ndarray, r: float) -> np.ndarray:
+    """``y / r``, the solver's input, checked for finite entries."""
+    yr = y / r
+    # a finite y'y proves every entry finite without the elementwise test
+    if not math.isfinite(yr.dot(yr)) and not np.isfinite(yr).all():
+        raise ValueError("x has non-finite entries")
+    return yr
+
+
 def _simulate_zoh(config: ScenarioConfig) -> SimulationTrace:
     # One loop for both settings: a zero delay is the N = 0 predictor, y = x.
     # With a delay the controller acts on the predictor state y, the plant
@@ -360,42 +369,46 @@ def _simulate_zoh(config: ScenarioConfig) -> SimulationTrace:
     y_snap_at: int | None = None
     x_snap_at: int | None = None
     s_prev = s_prev2 = 0.0
-    for k in range(K):
-        if x_snap_at is not None and k >= x_snap_at:
-            x = np.zeros(n)
-        snapped = y_snap_at is not None and k >= y_snap_at
-        if snapped:
-            y = np.zeros(n)
-        else:
-            y = x if N == 0 else predict(tables, x, U[k:k + N])
-        # s is solved once per sample, warm-started from the last samples;
-        # the feedback reuses it (with r = 0 or y = 0 it needs no s at all)
-        s = 0.0
-        if r > 0 and not snapped:
-            s = hom_norm(dil, y / r, _warm_guess(s_prev, s_prev2))
-        s_prev, s_prev2 = s, s_prev
-        if rng is None:
-            u = eval_control(ctx, y, s)
-        else:
-            meas = y + rng.uniform(-config.noise.amplitude, config.noise.amplitude, n)
-            s_meas = hom_norm(dil, meas / r, s if s > 0 else None) if r > 0 else None
-            u = eval_control(ctx, meas, s_meas)
-        xs[k], U[k + N], ss[k] = x, u, s
-        if N:
-            ys[k] = y
-        norms[k] = dil.norm(x)
-        if snap_enabled and y_snap_at is None and s <= snap_delta:
-            y_snap_at = k + 1
-            x_snap_at = k + 1 + N
-            events.append((times[k] + h, "predictor_snap_to_zero" if N else "snap_to_zero"))
+    # orbit points far from a root may overflow; a diverging plant state
+    # overflows its weighted norm and then fails the finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(K):
+            if x_snap_at is not None and k >= x_snap_at:
+                x = np.zeros(n)
+            snapped = y_snap_at is not None and k >= y_snap_at
+            if snapped:
+                y = np.zeros(n)
+            else:
+                y = x if N == 0 else predict(tables, x, U[k:k + N])
+            # s is solved once per sample, warm-started from the last samples;
+            # the feedback reuses it and the root point z = d(-ln s)(y/r)
+            # (with r = 0 or y = 0 it needs neither)
+            s, z = 0.0, None
+            if r > 0 and not snapped:
+                s, z = _solve(dil, _scaled(y, r), _warm_guess(s_prev, s_prev2))
+            s_prev, s_prev2 = s, s_prev
+            if rng is None:
+                u = _feedback(ctx, y, s, z)
+            else:
+                meas = y + rng.uniform(-config.noise.amplitude, config.noise.amplitude, n)
+                s_meas, z_meas = _solve(dil, _scaled(meas, r), s if s > 0 else None) if r > 0 else (0.0, None)
+                u = _feedback(ctx, meas, s_meas, z_meas)
+            xs[k], U[k + N], ss[k] = x, u, s
             if N:
-                events.append((times[k] + h + plant.delay, "state_snap_to_zero"))
-            log.debug("snap scheduled after t=%.6f (s=%.3e <= %.3e)", times[k], s, snap_delta)
-        if k + 1 < K:
-            x = F @ x + gamma @ U[k]
-            if exo is not None:
-                x = x + Ed @ v
-                v = Ev @ v
+                ys[k] = y
+            norms[k] = dil.norm(x)
+            if snap_enabled and y_snap_at is None and s <= snap_delta:
+                y_snap_at = k + 1
+                x_snap_at = k + 1 + N
+                events.append((times[k] + h, "predictor_snap_to_zero" if N else "snap_to_zero"))
+                if N:
+                    events.append((times[k] + h + plant.delay, "state_snap_to_zero"))
+                log.debug("snap scheduled after t=%.6f (s=%.3e <= %.3e)", times[k], s, snap_delta)
+            if k + 1 < K:
+                x = F.dot(x) + gamma.dot(U[k])
+                if exo is not None:
+                    x = x + Ed.dot(v)
+                    v = Ev.dot(v)
 
     return SimulationTrace(t=times, x=xs, u=U[N:], s=ss, x_norm=norms, y=ys, events=events)
 
@@ -452,7 +465,8 @@ def simulate_dense(config: ScenarioConfig) -> SimulationTrace:
         def flow(t):
             return linalg.expm(t * L) @ x0
     else:
-        s0 = hom_norm(dil, x0 / r)
+        with np.errstate(over="ignore", invalid="ignore"):
+            s0, z0 = _solve(dil, _scaled(x0, r))
         if s0 > 1.0 + _DENSE_CLAMP_TOL and config.kind is not ControllerKind.PRESCRIBED_TIME:
             raise ValueError(f"simulate_dense: {config.kind.value} starts clamped (s0 = {s0:.6g} > 1)")
         t_stop = T * max(s0 - _DENSE_STOP_S, 0.0)
@@ -460,7 +474,6 @@ def simulate_dense(config: ScenarioConfig) -> SimulationTrace:
         if t_stop <= config.t_end:
             events.append((t_stop, "dense_stop"))
         H = L + ctrl.Gd / T
-        z0 = dilate(dil, -math.log(s0), x0 / r) if t_stop > 0.0 else None
 
         def flow(t):
             sigma = -T * math.log1p(-t / (T * s0))
@@ -471,10 +484,12 @@ def simulate_dense(config: ScenarioConfig) -> SimulationTrace:
     ss = np.empty(len(grid))
     us = np.empty((len(grid), m))
     guess = None
-    for i, x in enumerate(xs):
-        ss[i] = hom_norm(dil, x / r, guess)
-        guess = ss[i] if ss[i] > 0.0 else None
-        us[i] = eval_control(ctx, x, ss[i])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, x in enumerate(xs):
+            s, z = _solve(dil, _scaled(x, r), guess)
+            ss[i] = s
+            guess = s if s > 0.0 else None
+            us[i] = _feedback(ctx, x, s, z)
     norms = np.array([dil.norm(x) for x in xs])
     return SimulationTrace(t=grid, x=xs, u=us, s=ss, x_norm=norms,
                            settled=False, settling_time=None, settle_epsilon=eps,

@@ -306,3 +306,35 @@ def test_hom_norm_rejects_invalid_guess(guess):
     D = oscillator_controller().dilation
     with pytest.raises(ValueError, match="guess"):
         hom_norm(D, [0.3, -0.1], guess=guess)
+
+
+# ---------------------------------------------------------------------------
+# states whose weighted norm overflows
+
+
+def test_hom_norm_of_a_state_whose_weighted_norm_overflows():
+    # |x|_P overflows for |x| ~ 1e154 on the oscillator; the cold start is
+    # taken at the scale of x instead, so the root is found
+    D = oscillator_controller().dilation
+    with np.errstate(over="ignore"):
+        assert D.norm([1e154, 0.0]) == math.inf
+    v = hom_norm(D, [1e154, 0.0])
+    assert abs(D.norm(dilate(D, -math.log(v), np.array([1.0, 0.0]))) * 1e154 - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("name,D", _warm_start_dilations())
+def test_hom_norm_homogeneity_at_overflowing_scales(name, D, rng):
+    # ||d(t) x||_d = e^t ||x||_d for |x| from 1e154 to 1e300, where x'Px overflows
+    for mag in (1e154, 1e200, 1e250, 1e300):
+        for _ in range(5):
+            v = rng.standard_normal(D.dim)
+            x = mag * v / np.linalg.norm(v)
+            norm = hom_norm(D, x)
+            for t in (-20.0, -3.0, -0.5):
+                assert hom_norm(D, dilate(D, t, x)) == pytest.approx(math.exp(t) * norm, rel=1e-12)
+
+
+def test_hom_norm_rejects_a_state_whose_norm_overflows_at_its_own_scale():
+    D = Dilation(np.eye(2), np.diag([1e308, 1e308]))
+    with pytest.raises(ValueError, match=r"overflows at its scale max\|x\| = 1e\+10"):
+        hom_norm(D, [1e10, 1e10])

@@ -15,6 +15,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
+import homctl
 from homctl import (
     ControllerKind,
     DisturbanceSpec,
@@ -25,7 +26,6 @@ from homctl import (
     dilate,
     disturbance_bound,
     eval_control,
-    hom_norm,
     make_context,
     measure_settling,
     oscillator_controller,
@@ -562,15 +562,15 @@ def test_trace_summary_contents():
 
 def _count_norm_solves(monkeypatch):
     calls = []
+    solve = homctl.dilation._solve
 
     def counting(D, x, guess=None):
         calls.append(guess)
-        return hom_norm(D, x, guess)
+        return solve(D, x, guess)
 
-    # every binding through which a sampled run reaches the solver (the
-    # package re-exports the function simulate under the module's name)
+    # every binding through which a run reaches the private solver
     for module in ("homctl.simulate", "homctl.control_laws"):
-        monkeypatch.setattr(importlib.import_module(module), "hom_norm", counting)
+        monkeypatch.setattr(importlib.import_module(module), "_solve", counting)
     return calls
 
 
@@ -597,6 +597,30 @@ def test_delay_run_makes_one_norm_solve_per_sample(monkeypatch):
     trace = simulate(config)
     assert len(calls) == np.count_nonzero(trace.s)
     assert trace.y is not None
+
+
+def test_sampled_loop_never_calls_dilate(monkeypatch):
+    # the feedback takes d(-ln s) y as r z from the norm solve's root point
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sampled loop called dilate")
+
+    for module in ("homctl", "homctl.dilation", "homctl.simulate", "homctl.control_laws"):
+        if hasattr(importlib.import_module(module), "dilate"):
+            monkeypatch.setattr(importlib.import_module(module), "dilate", refuse)
+    for kind in ControllerKind:
+        for tau, noise in ((0.0, NoiseSpec()), (0.5, NoiseSpec()), (0.0, NoiseSpec(0.01, seed=3))):
+            config = ScenarioConfig(plant=oscillator_plant(delay=tau), controller=oscillator_controller(),
+                                    x0=np.array([0.7, 0.0]), h=H, t_end=2.0 + tau, kind=kind, noise=noise)
+            assert np.all(np.isfinite(simulate(config).u))
+
+
+def test_divergent_run_fails_on_its_non_finite_state():
+    # h = 0.9 destabilizes the sampled linear law; the state overflows and
+    # the loop's finiteness check names it before the norm solve sees it
+    config = ScenarioConfig(plant=oscillator_plant(), controller=oscillator_controller(),
+                            x0=np.array([0.7, 0.0]), h=0.9, t_end=1800.0, kind=ControllerKind.LINEAR)
+    with pytest.raises(ValueError, match="x has non-finite entries"):
+        simulate(config)
 
 
 def test_delay_free_trace_has_no_predictor_state():
