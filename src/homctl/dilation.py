@@ -66,12 +66,12 @@ class Dilation:
     def norm(self, x) -> float:
         """Weighted Euclidean norm ``sqrt(x' P x)`` of the base space.
 
-        NaN when ``x' P x`` is NaN (an overflowed ``x``), so such a point
-        never reads as the origin.
+        NaN when ``x' P x`` is NaN or ``-inf`` (an overflowed ``x``), so such
+        a point never reads as the origin.
         """
         x = np.asarray(x, dtype=float)
         q = float(x.dot(self.weight).dot(x))
-        if math.isnan(q):
+        if not q > -math.inf:
             return math.nan
         return math.sqrt(q) if q > 0.0 else 0.0
 
@@ -91,9 +91,12 @@ class Dilation:
         return w, V, Vinv
 
     @cached_property
-    def _PG(self) -> np.ndarray:
-        # the root-find's slope is u' P G u
-        return self.weight @ self.generator
+    def _forms(self) -> np.ndarray:
+        # [P; PG; H] with H = G'PG + sym(PG^2): one product gives z'Pz and
+        # the orbit's -d(z'Pz)/2ds = z'PGz and -d(z'PGz)/ds = z'Hz
+        G, P = self.generator, self.weight
+        PG2 = P @ G @ G
+        return np.vstack([P, P @ G, G.T @ P @ G + 0.5 * (PG2 + PG2.T)])
 
 
 def dilation_matrix(D: Dilation, s: float) -> np.ndarray:
@@ -131,12 +134,15 @@ def hom_norm(D: Dilation, x, guess: float | None = None) -> float:
 
     Defined by ``||x||_d = e^{s_x}`` where ``s_x`` solves
     ``|d(-s_x) x| = 1`` in the weighted base norm, and ``||0||_d = 0``.
-    The root is found by Newton steps on ``ln|d(-s)x|``, whose slope
-    ``-z'PGz/|z|^2`` stays between fixed negative bounds for a strictly
-    monotone pair.  Every residual narrows a sign bracket on ``s``; a step
-    that leaves the bracket is replaced by bisection, and while one side is
-    still open and the slope unusable the search doubles outward.  It stops
-    at residual ``| |d(-s)x| - 1 | <= 1e-12``.
+    The root is found on ``f(s) = ln|z|``, ``z = d(-s)x``, whose slope
+    ``f' = -z'PGz/|z|^2`` stays between fixed negative bounds for a strictly
+    monotone pair.  One product of ``z`` with the stacked ``[P; PG; H]``
+    gives ``f``, ``f'`` and ``f'' = z'Hz/|z|^2 - 2f'^2``; the step is
+    Halley's where ``f f'' <= f'^2`` and Newton's elsewhere.  Every residual
+    narrows a sign bracket on ``s``; a step that leaves the bracket is
+    replaced by bisection, and while one side is still open and the slope
+    unusable the search doubles outward.  It stops at residual
+    ``| |d(-s)x| - 1 | <= 1e-12``.
 
     ``guess`` is an optional estimate of the norm.  The search starts from
     ``ln guess`` when given and from ``ln|x|`` otherwise (taken as
@@ -204,13 +210,13 @@ def _solve(D: Dilation, x: np.ndarray, guess: float | None = None) -> tuple[floa
     # ln|x|: the exact root for G = I, the natural cold start in general
     s = ln_base if guess is None else math.log(guess)
     orbit = _orbit(D, x)
-    P, PG = D.weight, D._PG
+    forms, n = D._forms, len(x)
     lo, hi, step = -math.inf, math.inf, 1.0
     for _ in range(_MAX_ITER):
         z = orbit(s)
-        q = float(z.dot(P).dot(z))
-        # NaN (an overflowed orbit point) stays NaN
-        zn = 0.0 if q < 0.0 else math.sqrt(q)
+        q, g, hq = forms.dot(z).reshape(3, n).dot(z).tolist()
+        # NaN or -inf (an overflowed orbit point) reads NaN
+        zn = math.sqrt(max(q, 0.0)) if q > -math.inf else math.nan
         if abs(zn - 1.0) <= HOM_NORM_RESIDUAL_TOL:
             return math.exp(s), z
         # an overflowed orbit point (zn inf or NaN) lies outside the sphere
@@ -219,15 +225,18 @@ def _solve(D: Dilation, x: np.ndarray, guess: float | None = None) -> tuple[floa
             lo = s
         else:
             hi = s
-        # -d ln|z|/ds = z'PGz/|z|^2, between fixed positive bounds for a
-        # strictly monotone pair; evaluated on z/|z| so it cannot overflow
-        rate = math.nan
-        if 0.0 < zn < math.inf:
-            u = z / zn
-            rate = float(u.dot(PG).dot(u))
-        newton = s + math.log(zn) / rate if math.isfinite(rate) and rate > 0.0 else math.nan
-        if lo < newton < hi:
-            s = newton
+        # f = ln|z| = ln(q)/2 has the slope f' = -z'PGz/|z|^2, between fixed
+        # negative bounds for a strictly monotone pair, and the curvature
+        # f'' = z'Hz/|z|^2 - 2f'^2.  Halley's step where f f'' <= f'^2 keeps
+        # its denominator >= f'^2 > 0; elsewhere the step is Newton's
+        s_next = math.nan
+        if 0.0 < q < math.inf:
+            f, d1 = 0.5 * math.log(q), -g / q
+            d1sq, fd2 = d1 * d1, f * (hq / q - 2.0 * d1 * d1)
+            if d1 < 0.0 < d1sq:
+                s_next = s - (2.0 * f * d1 / (2.0 * d1sq - fd2) if fd2 <= d1sq else f / d1)
+        if lo < s_next < hi:
+            s = s_next
         elif math.isfinite(lo) and math.isfinite(hi):
             s = 0.5 * (lo + hi)
         else:
@@ -256,5 +265,5 @@ def hom_norm_gradient(D: Dilation, x) -> np.ndarray:
     if v == 0.0:
         raise ValueError("hom_norm_gradient: undefined at the origin")
     Dm = dilation_matrix(D, -math.log(v))
-    denom = float(z @ D._PG @ z)
+    denom = float(z @ D._forms[D.dim:2 * D.dim] @ z)
     return v * (Dm.T @ (D.weight @ z)) / denom

@@ -15,6 +15,10 @@ one step and ``Phi_{j+1} = e^{A h} Phi_j``.
 The predictor keeps no state of its own: :func:`predict` and :func:`invert`
 take the ``N`` inputs still in flight, ``u(t - N h), ..., u(t - h)``, as an
 ``(N, m)`` array, earliest first (the row order of the pre-history ``phi``).
+The tables hold the kernels side by side as one ``(n, N m)`` matrix
+``Phi = [Phi_N, ..., Phi_1]``, so the sum is the single product
+``Phi u`` with the flattened in-flight inputs, and the predictor state is
+``E x + Phi u`` in :func:`predict` and in the sampled loop alike.
 """
 
 from __future__ import annotations
@@ -48,14 +52,14 @@ def _steps_in_delay(tau: float, h: float) -> int:
 class PredictorTables:
     """Exact sampled matrices for one (plant, sample period) pair."""
 
-    E: np.ndarray        # e^{A tau}
-    kernels: np.ndarray  # (N, n, m); kernels[j-1] = Phi_j
-    F: np.ndarray        # e^{A h}, the one-sample state transition
-    gamma: np.ndarray    # int_0^h e^{A s} ds B, the one-sample input integral
+    E: np.ndarray      # e^{A tau}
+    Phi: np.ndarray    # (n, N m) [Phi_N, ..., Phi_1], paired with the in-flight inputs earliest first
+    F: np.ndarray      # e^{A h}, the one-sample state transition
+    gamma: np.ndarray  # int_0^h e^{A s} ds B = Phi_1, the one-sample input integral
 
     @property
     def N(self) -> int:
-        return self.kernels.shape[0]
+        return self.Phi.shape[1] // self.gamma.shape[1]
 
     @property
     def n(self) -> int:
@@ -71,26 +75,28 @@ def build_tables(plant, h: float) -> PredictorTables:
     """
     A, B = plant.A, plant.B
     N = _steps_in_delay(plant.delay, h)
-    n, m = B.shape
     F = linalg.expm(A * h)
     gamma = linalg.zoh_integral(A, B, h)
-    kernels = np.zeros((N, n, m))
-    if N == 0:
-        return PredictorTables(E=np.eye(n), kernels=kernels, F=F, gamma=gamma)
-    kernels[0] = gamma
-    for j in range(1, N):
-        kernels[j] = F @ kernels[j - 1]
-    return PredictorTables(E=np.linalg.matrix_power(F, N), kernels=kernels, F=F, gamma=gamma)
+    kernels = [gamma]
+    for _ in range(1, N):
+        kernels.append(F @ kernels[-1])
+    Phi = np.hstack(kernels[::-1]) if N else np.zeros((B.shape[0], 0))
+    E = np.linalg.matrix_power(F, N) if N else np.eye(B.shape[0])
+    return PredictorTables(E=E, Phi=Phi, F=F, gamma=gamma)
 
 
 def _in_flight(tables: PredictorTables, u_past) -> np.ndarray:
-    """``sum_j Phi_j u(t - j h)`` for the in-flight inputs, earliest first."""
+    """The in-flight inputs, checked to be ``(N, m)``, flattened earliest first."""
     u_past = np.asarray(u_past, dtype=float)
-    N, _, m = tables.kernels.shape
-    if u_past.shape != (N, m):
-        raise ValueError(f"u_past has shape {u_past.shape}, expected ({N}, {m})")
-    # the last row is u(t - h), paired with Phi_1
-    return np.einsum("jnm,jm->n", tables.kernels, u_past[::-1])
+    shape = (tables.N, tables.gamma.shape[1])
+    if u_past.shape != shape:
+        raise ValueError(f"u_past has shape {u_past.shape}, expected {shape}")
+    return u_past.reshape(-1)
+
+
+def _shift(tables: PredictorTables, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``E x + Phi u`` for a checked state and flat in-flight inputs."""
+    return tables.E.dot(x) + tables.Phi.dot(u)
 
 
 def predict(tables: PredictorTables, x, u_past) -> np.ndarray:
@@ -98,14 +104,10 @@ def predict(tables: PredictorTables, x, u_past) -> np.ndarray:
 
     ``u_past`` is the ``(N, m)`` array of in-flight inputs, earliest first.
     """
-    x = linalg.as_vector(x, "x", tables.n)
-    pending = _in_flight(tables, u_past)
-    y = tables.E @ x
-    return y + pending if tables.N else y
+    return _shift(tables, linalg.as_vector(x, "x", tables.n), _in_flight(tables, u_past))
 
 
 def invert(tables: PredictorTables, y, u_past) -> np.ndarray:
     """Recover the physical state from a predictor state: inverse of predict."""
     y = linalg.as_vector(y, "y", tables.n)
-    pending = _in_flight(tables, u_past)
-    return linalg.solve_linear(tables.E, y - pending if tables.N else y)
+    return linalg.solve_linear(tables.E, y - tables.Phi.dot(_in_flight(tables, u_past)))

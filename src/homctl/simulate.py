@@ -34,8 +34,8 @@ import numpy as np
 
 from . import atomic, linalg
 from .control_laws import ControlContext, ControllerKind, _feedback, make_context
-from .dilation import _solve, dilate
-from .predictor import _steps_in_delay, build_tables, predict
+from .dilation import Dilation, _solve, dilate
+from .predictor import _shift, _steps_in_delay, build_tables, predict
 from .synthesis import LinearPlant, SynthesizedController, verify_controller
 
 __all__ = [
@@ -362,8 +362,8 @@ def _simulate_zoh(config: ScenarioConfig) -> SimulationTrace:
     xs = np.empty((K, n))
     ys = np.empty((K, n)) if N else None
     ss = np.empty(K)
-    norms = np.empty(K)
     events: list = []
+    U_flat = U.reshape(-1)  # the inputs in flight at sample k are U_flat[k m:(k + N) m]
 
     x = config.x0.copy()
     y_snap_at: int | None = None
@@ -379,7 +379,7 @@ def _simulate_zoh(config: ScenarioConfig) -> SimulationTrace:
             if snapped:
                 y = np.zeros(n)
             else:
-                y = x if N == 0 else predict(tables, x, U[k:k + N])
+                y = x if N == 0 else _shift(tables, x, U_flat[k * m:(k + N) * m])
             # s is solved once per sample, warm-started from the last samples;
             # the feedback reuses it and the root point z = d(-ln s)(y/r)
             # (with r = 0 or y = 0 it needs neither)
@@ -396,7 +396,6 @@ def _simulate_zoh(config: ScenarioConfig) -> SimulationTrace:
             xs[k], U[k + N], ss[k] = x, u, s
             if N:
                 ys[k] = y
-            norms[k] = dil.norm(x)
             if snap_enabled and y_snap_at is None and s <= snap_delta:
                 y_snap_at = k + 1
                 x_snap_at = k + 1 + N
@@ -410,7 +409,14 @@ def _simulate_zoh(config: ScenarioConfig) -> SimulationTrace:
                     x = x + Ed.dot(v)
                     v = Ev.dot(v)
 
-    return SimulationTrace(t=times, x=xs, u=U[N:], s=ss, x_norm=norms, y=ys, events=events)
+    return SimulationTrace(t=times, x=xs, u=U[N:], s=ss, x_norm=_norms(dil, xs), y=ys, events=events)
+
+
+def _norms(D: Dilation, xs: np.ndarray) -> np.ndarray:
+    """:meth:`Dilation.norm` of each row of ``xs``: an overflow reads NaN or inf, never 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = (xs[:, None, :] @ D.weight @ xs[:, :, None]).reshape(-1)
+        return np.sqrt(np.where(q > -np.inf, np.maximum(q, 0.0), np.nan))
 
 
 def simulate_dense(config: ScenarioConfig) -> SimulationTrace:
@@ -490,8 +496,7 @@ def simulate_dense(config: ScenarioConfig) -> SimulationTrace:
             ss[i] = s
             guess = s if s > 0.0 else None
             us[i] = _feedback(ctx, x, s, z)
-    norms = np.array([dil.norm(x) for x in xs])
-    return SimulationTrace(t=grid, x=xs, u=us, s=ss, x_norm=norms,
+    return SimulationTrace(t=grid, x=xs, u=us, s=ss, x_norm=_norms(dil, xs),
                            settled=False, settling_time=None, settle_epsilon=eps,
                            events=events)
 

@@ -8,7 +8,9 @@ import pytest
 
 import homctl.dilation
 from homctl import (
+    ControllerKind,
     Dilation,
+    ScenarioConfig,
     check_strict_monotonicity,
     dilate,
     dilation_matrix,
@@ -16,6 +18,8 @@ from homctl import (
     hom_norm_gradient,
     load_controller,
     oscillator_controller,
+    oscillator_plant,
+    simulate,
 )
 
 # a family of strictly monotone dilations used by the property suites:
@@ -174,15 +178,27 @@ def test_hom_norm_rejects_non_monotone_pair():
         hom_norm(D, [2.0, 0.0])
 
 
-def test_hom_norm_overflowed_orbit_point_lies_outside(orbit_evaluations):
-    # G = -I: |d(-s)x| = e^s |x| grows without a crossing.  Near s = 710 the
-    # orbit point overflows to (inf, NaN); it must count as outside the
+_MIXED_P = [[1.6, -0.4, -2.3], [-0.4, 6.2, 0.6], [-2.3, 0.6, 3.7]]
+
+
+@pytest.mark.parametrize(
+    "P, x, far",
+    [
+        (np.eye(2), [2.0, 0.0], [math.inf, 0.0]),
+        # the terms of z'Pz overflow with both signs and sum to -inf
+        (_MIXED_P, [-0.05, 0.09, -1.5], math.exp(500) * np.array([-0.05, 0.09, -1.5])),
+    ],
+    ids=["nan", "minus-inf"],
+)
+def test_hom_norm_overflowed_orbit_point_lies_outside(orbit_evaluations, P, x, far):
+    # G = -I: |d(-s)x| = e^s |x| grows without a crossing.  Far out the orbit
+    # point's z'Pz overflows to NaN or -inf; it must count as outside the
     # sphere, so the outward search runs on instead of bisecting onto it
-    D = Dilation(-np.eye(2), np.eye(2))
-    with np.errstate(invalid="ignore"):
-        assert math.isnan(D.norm([math.inf, 0.0]))
+    D = Dilation(-np.eye(len(x)), np.array(P))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(D.norm(far))
     with pytest.raises(RuntimeError, match="no unit-sphere crossing found"):
-        hom_norm(D, [2.0, 0.0])
+        hom_norm(D, x)
     assert orbit_evaluations[0] <= 25
 
 
@@ -283,7 +299,7 @@ def test_hom_norm_guess_evaluation_count(orbit_evaluations):
     for guess in (cold * (1 + 1e-4), cold * (1 - 1e-4)):
         orbit_evaluations[0] = 0
         assert hom_norm(D, x, guess=guess) == pytest.approx(cold, rel=1e-12)
-        assert orbit_evaluations[0] <= 3
+        assert orbit_evaluations[0] <= 2
     # a guess eight decades off costs evaluations, never accuracy
     assert hom_norm(D, x, guess=1e-8) == pytest.approx(cold, rel=1e-12)
 
@@ -297,8 +313,46 @@ def test_hom_norm_cold_evaluation_count(name, D, rng, orbit_evaluations):
             orbit_evaluations[0] = 0
             hom_norm(D, mag * v / np.linalg.norm(v))
             counts.append(orbit_evaluations[0])
-    assert np.mean(counts) <= 6.0
-    assert max(counts) <= 12
+    assert np.mean(counts) <= 4.5
+    assert max(counts) <= 8
+
+
+def test_hom_norm_curvature_guard_keeps_the_steps_near_the_root(monkeypatch):
+    # here f f'' > f'^2 at the guess: an unguarded Halley step jumps to
+    # s ~ -589, far past the root at s ~ -3.8, and the search spends its
+    # evaluations coming back (found by the noise-sensitivity criterion);
+    # the guard takes Newton's step instead
+    D = oscillator_controller().dilation
+    x = np.array([4.0026e-4, -2.002872e-2])
+    cold = hom_norm(D, x)
+    points = []
+    orbit = homctl.dilation._orbit
+
+    def recording_orbit(D, x):
+        f = orbit(D, x)
+
+        def evaluate(s):
+            points.append(s)
+            return f(s)
+
+        return evaluate
+
+    monkeypatch.setattr(homctl.dilation, "_orbit", recording_orbit)
+    warm = hom_norm(D, x, guess=0.1040125872919879)
+    assert warm == pytest.approx(cold, rel=1e-10)
+    assert max(abs(s - math.log(warm)) for s in points) < 5.0
+    assert abs(D.norm(dilate(D, -math.log(warm), x)) - 1.0) <= 1e-12
+
+
+def test_sampled_run_evaluation_count(orbit_evaluations):
+    # the warm-started solves of a nominal run, one per sample until the
+    # capture (s > 0): 2.27 orbit points per solve
+    config = ScenarioConfig(plant=oscillator_plant(), controller=oscillator_controller(),
+                            x0=np.array([0.2, 0.0]), h=0.01, t_end=1.5,
+                            kind=ControllerKind.PRESCRIBED_TIME_ROBUST)
+    solves = np.count_nonzero(simulate(config).s)
+    assert solves > 90
+    assert orbit_evaluations[0] <= 2.4 * solves
 
 
 @pytest.mark.parametrize("guess", [0.0, -1.0, math.nan, math.inf])

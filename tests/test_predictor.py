@@ -7,7 +7,7 @@ import pytest
 
 from homctl import (LinearPlant, ScenarioConfig, build_tables, invert, oscillator_controller,
                     predict, simulate)
-from homctl.linalg import expm, zoh_integral
+from homctl.linalg import expm, solve_linear, zoh_integral
 
 
 def _osc(delay):
@@ -89,9 +89,16 @@ def test_config_off_grid_delay_raises():
 # tables
 
 
+def _kernel(tables, j):
+    """``Phi_j``: the block of the stacked kernels paired with ``u(t - j h)``."""
+    m = tables.gamma.shape[1]
+    return tables.Phi[:, (tables.N - j) * m:(tables.N - j + 1) * m]
+
+
 def test_tables_zero_delay_is_identity():
     tables = build_tables(_osc(0.0), h=0.01)
     assert tables.N == 0
+    assert tables.Phi.shape == (2, 0)
     np.testing.assert_array_equal(tables.E, np.eye(2))
 
 
@@ -104,7 +111,7 @@ def test_tables_kernels_match_closed_form():
     Ainv = np.linalg.inv(A)
     for j in range(1, tables.N + 1):
         expected = Ainv @ (expm(A * j * h) - expm(A * (j - 1) * h)) @ B
-        np.testing.assert_allclose(tables.kernels[j - 1], expected, atol=1e-12)
+        np.testing.assert_allclose(_kernel(tables, j), expected, atol=1e-12)
     np.testing.assert_allclose(tables.E, expm(A * 0.5), atol=1e-13)
 
 
@@ -112,7 +119,7 @@ def test_tables_kernel_sum_is_delay_integral():
     # sum_j Phi_j = int_0^tau e^{A s} B ds
     plant = _osc(0.5)
     tables = build_tables(plant, h=0.01)
-    total = tables.kernels.sum(axis=0)
+    total = sum(_kernel(tables, j) for j in range(1, tables.N + 1))
     np.testing.assert_allclose(total, zoh_integral(plant.A, plant.B, 0.5), atol=1e-10)
 
 
@@ -181,6 +188,32 @@ def test_predict_invert_round_trip_200_cases(rng):
         u_past = rng.normal(size=(tables.N, plant.m))
         y = predict(tables, x, u_past)
         np.testing.assert_allclose(invert(tables, y, u_past), x, rtol=1e-9, atol=1e-10)
+
+
+def test_stacked_predict_and_invert_match_the_kernel_sum(rng):
+    # the stacked product E x + Phi u against the per-kernel sum
+    # sum_j Phi_j u(t - j h), with Phi_1 = Gamma and Phi_{j+1} = F Phi_j.
+    # Both round their sums in different orders, so they agree to 1e-15 of
+    # the summed terms' magnitude |E||x| + sum_j |Phi_j||u_j|; the sum
+    # itself may cancel far below that
+    h, N = 0.01, 50
+    plant = LinearPlant(rng.normal(size=(3, 3)), rng.normal(size=(3, 2)), delay=N * h)
+    tables = build_tables(plant, h)
+    assert (tables.N, tables.Phi.shape) == (N, (3, N * 2))
+    F, Gamma = expm(plant.A * h), zoh_integral(plant.A, plant.B, h)
+    kernels = [Gamma]
+    for _ in range(N - 1):
+        kernels.append(F @ kernels[-1])
+    kernels = np.array(kernels)
+    for _ in range(20):
+        x = rng.normal(size=3)
+        u_past = rng.normal(size=(N, 2))
+        pending = np.einsum("jnm,jm->n", kernels, u_past[::-1])
+        scale = np.abs(tables.E) @ np.abs(x) + np.einsum("jnm,jm->n", np.abs(kernels), np.abs(u_past[::-1]))
+        y = tables.E @ x + pending
+        assert np.all(np.abs(predict(tables, x, u_past) - y) <= 1e-15 * scale)
+        x_back = solve_linear(tables.E, y - pending)
+        assert np.all(np.abs(tables.E @ (invert(tables, y, u_past) - x_back)) <= 1e-15 * scale)
 
 
 def test_zero_delay_predict_and_invert_are_identity(rng):

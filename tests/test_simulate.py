@@ -26,6 +26,7 @@ from homctl import (
     dilate,
     disturbance_bound,
     eval_control,
+    load_controller,
     make_context,
     measure_settling,
     oscillator_controller,
@@ -621,6 +622,51 @@ def test_divergent_run_fails_on_its_non_finite_state():
                             x0=np.array([0.7, 0.0]), h=0.9, t_end=1800.0, kind=ControllerKind.LINEAR)
     with pytest.raises(ValueError, match="x has non-finite entries"):
         simulate(config)
+
+
+_RECORDS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "records")
+
+
+def _norm_cases():
+    cases = [("oscillator", oscillator_controller())]
+    for name in ("chain3", "rand3x2", "rand5x2"):
+        cases.append((name, load_controller(os.path.join(_RECORDS, f"{name}.json"))))
+    return cases
+
+
+@pytest.mark.parametrize("name,ctrl", _norm_cases())
+def test_trace_norms_match_the_weighted_norm_row_by_row(name, ctrl, rng):
+    # x_norm is computed for the whole trace at once; every row must agree
+    # with Dilation.norm of that state to 4 ulp (sampled and dense runs)
+    D = ctrl.dilation
+    for kind in ControllerKind:
+        for tau, integrator in ((0.0, "zoh_exact"), (0.3, "zoh_exact"), (0.0, "dense_rk")):
+            if integrator == "dense_rk" and kind is not ControllerKind.PRESCRIBED_TIME:
+                continue
+            x0 = rng.normal(size=ctrl.n) * 10.0 ** rng.integers(-3, 4)
+            config = ScenarioConfig(plant=LinearPlant(ctrl.A, ctrl.B, delay=tau), controller=ctrl, x0=x0, h=H,
+                                    t_end=1.2 * ctrl.T + tau, kind=kind, integrator=integrator)
+            trace = simulate(config)
+            ref = np.array([D.norm(x) for x in trace.x])
+            assert np.all(np.abs(trace.x_norm - ref) <= 4 * np.spacing(ref)), (kind, tau, integrator)
+
+
+def test_overflowed_trace_norms_read_nan_never_zero():
+    # h = 0.5 destabilizes the sampled linear law on rand5x2.  From about
+    # 1e154 on, the terms of x'Px overflow, some with both signs: such a
+    # state's norm is NaN (or inf).  Read as 0, these rows would make the
+    # diverging run look settled
+    ctrl = load_controller(os.path.join(_RECORDS, "rand5x2.json"))
+    config = ScenarioConfig(plant=LinearPlant(ctrl.A, ctrl.B), controller=ctrl, x0=np.ones(5), h=0.5,
+                            t_end=190.0, kind=ControllerKind.LINEAR)
+    trace = simulate(config)
+    assert np.isfinite(trace.x).all()
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = np.array([ctrl.dilation.norm(x) for x in trace.x])
+    assert np.isnan(ref).sum() > 100
+    np.testing.assert_array_equal(np.isnan(trace.x_norm), np.isnan(ref))
+    assert np.all(np.isnan(trace.x_norm) | (trace.x_norm > 0.0))
+    assert not trace.settled
 
 
 def test_delay_free_trace_has_no_predictor_state():
