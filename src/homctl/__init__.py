@@ -46,7 +46,6 @@ from .control_laws import (
     ControlContext,
     ControllerKind,
     eval_control,
-    gain_matrix,
     make_context,
 )
 from .predictor import (

@@ -55,7 +55,7 @@ def _setup_logging() -> None:
 
 
 def _write_json(path, obj) -> None:
-    atomic.write_text(path, json.dumps(obj, indent=2) + "\n")
+    atomic.write_text(path, json.dumps(obj, indent=2, allow_nan=False) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -127,7 +127,7 @@ def cmd_simulate(args) -> int:
         root, _ = os.path.splitext(args.out)
         _write_json(root + ".summary.json", summary)
         log.info("trace written to %s", args.out)
-    print(json.dumps(summary, indent=2))
+    print(json.dumps(summary, indent=2, allow_nan=False))
     return EXIT_OK
 
 

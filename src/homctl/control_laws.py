@@ -22,12 +22,13 @@ The dispatch at the degenerate points (zero state, zero reference) follows
 the closed-loop solution concept: ``u(0) = 0``, and a zero reference selects
 the linear (respectively ``K0``) branch.
 
-The norm solve already lands on the unit-sphere point
-``z = d(-ln s)(x / r)``, so the homogeneous term is ``r K d(-ln T) z`` and
-applies no dilation of its own.  :func:`eval_control` is a validating
-wrapper over that pair (``homctl.dilation._solve``, then :func:`_feedback`);
-the sampled and dense loops of :mod:`homctl.simulate` call the same pair
-directly, having checked their inputs once per run.
+The calibrated gain ``K d(-ln T)`` is the controller record's ``KT``,
+formed once beside its norm weight ``P``.  The norm solve already lands on
+the unit-sphere point ``z = d(-ln s)(x / r)``, so the homogeneous term is
+``r KT z`` and applies no dilation of its own.  :func:`eval_control` is a
+validating wrapper over that pair (``homctl.dilation._solve``, then
+:func:`_feedback`); the sampled and dense loops of :mod:`homctl.simulate`
+call the same pair directly, having checked their inputs once per run.
 """
 
 from __future__ import annotations
@@ -40,10 +41,10 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .dilation import Dilation, _solve, dilation_matrix
+from .dilation import Dilation, _solve
 from .synthesis import SynthesizedController
 
-__all__ = ["ControllerKind", "ControlContext", "make_context", "eval_control", "gain_matrix"]
+__all__ = ["ControllerKind", "ControlContext", "make_context", "eval_control"]
 
 
 class ControllerKind(enum.Enum):
@@ -81,11 +82,6 @@ class ControlContext:
     @property
     def dilation(self) -> Dilation:
         return self.controller.dilation
-
-    @cached_property
-    def KT(self) -> np.ndarray:
-        """The settling-time-calibrated gain ``K d(-ln T)``."""
-        return self.controller.K @ dilation_matrix(self.dilation, -math.log(self.controller.T))
 
     @cached_property
     def r0(self) -> float:
@@ -140,46 +136,27 @@ def _feedback(ctx: ControlContext, y: np.ndarray, s: float, z: np.ndarray | None
     Both are read only where :func:`_schedule` reads ``s``.
     """
     c = _schedule(ctx, y, s)
-    K0 = ctx.controller.K0
+    K0, KT = ctx.controller.K0, ctx.controller.KT
     if c is None:
         return np.zeros(ctx.controller.m)
     if c == 1.0:
         # clamp active (or exactly on the reference sphere): linear law,
         # evaluated without the identity dilation so the equality is exact
-        return K0.dot(y) + ctx.KT.dot(y)
+        return K0.dot(y) + KT.dot(y)
     if c == 0.0:
         return K0.dot(y)
-    return K0.dot(y) + ctx.ref_norm * ctx.KT.dot(z)
-
-
-def _norm_and_point(ctx: ControlContext, x: np.ndarray) -> tuple[float, np.ndarray | None]:
-    """``(s, z)`` of :func:`_feedback` at a validated ``x``, solved only where read."""
-    if ctx.kind is ControllerKind.LINEAR or ctx.r0 == 0.0:
-        return 0.0, None
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _solve(ctx.dilation, x / ctx.ref_norm)
+    return K0.dot(y) + ctx.ref_norm * KT.dot(z)
 
 
 def eval_control(ctx: ControlContext, x) -> np.ndarray:
-    """Evaluate the feedback at state ``x``; returns the input vector."""
-    x = linalg.as_vector(x, "x", ctx.controller.n)
-    return _feedback(ctx, x, *_norm_and_point(ctx, x))
+    """Evaluate the feedback at state ``x``; returns the input vector.
 
-
-def gain_matrix(ctx: ControlContext, x) -> np.ndarray:
-    """State-dependent gain ``K0 + K d(-ln T) d(-ln s)`` at ``x``.
-
-    Consistent with :func:`eval_control`: ``gain_matrix(ctx, x) @ x``
-    reproduces the control.  Undefined at ``x = 0`` and for a zero
-    reference (except for the linear kind, whose gain is constant).
+    The norm is solved only where :func:`_feedback` reads it: not for the
+    linear kind, nor for a zero reference.
     """
     x = linalg.as_vector(x, "x", ctx.controller.n)
-    s = _schedule(ctx, x, _norm_and_point(ctx, x)[0])
-    K0 = ctx.controller.K0
-    if s is None:
-        raise ValueError("gain_matrix: undefined at x = 0")
-    if s == 1.0:
-        return K0 + ctx.KT
-    if s == 0.0:
-        return K0.copy()
-    return K0 + ctx.KT @ dilation_matrix(ctx.dilation, -math.log(s))
+    s, z = 0.0, None
+    if ctx.kind is not ControllerKind.LINEAR and ctx.r0 > 0.0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            s, z = _solve(ctx.dilation, x / ctx.ref_norm)
+    return _feedback(ctx, x, s, z)

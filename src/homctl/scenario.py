@@ -7,7 +7,7 @@ entries, e.g. ``A = 0 1; -1 0``.  A scenario file has the sections
 * ``[controller]``     — ``file`` (JSON controller record, relative to the
   scenario file) or ``builtin`` (a named preset controller), plus ``kind``
 * ``[sim]``            — ``x0``, ``h``, ``t_end`` and optional ``integrator``,
-  ``settle_epsilon``, ``snap_delta``
+  ``settle_epsilon``
 * ``[perturbations]``  — optional ``disturbance``, ``noise`` + ``seed``,
   ``x0_noise``, ``phi``
 
@@ -32,7 +32,7 @@ __all__ = ["parse_matrix", "parse_vector", "load_plant", "load_scenario"]
 _KEYS = {
     "plant": ("A", "B", "delay"),
     "controller": ("file", "builtin", "kind"),
-    "sim": ("x0", "h", "t_end", "integrator", "settle_epsilon", "snap_delta"),
+    "sim": ("x0", "h", "t_end", "integrator", "settle_epsilon"),
     "perturbations": ("disturbance", "noise", "seed", "x0_noise", "phi"),
 }
 
@@ -168,8 +168,6 @@ def load_scenario(path, controller_override=None, seed_override: int | None = No
         kwargs["integrator"] = cp.get("sim", "integrator")
     if cp.has_option("sim", "settle_epsilon"):
         kwargs["settle_epsilon"] = cp.getfloat("sim", "settle_epsilon")
-    if cp.has_option("sim", "snap_delta"):
-        kwargs["snap_delta"] = cp.getfloat("sim", "snap_delta")
 
     disturbance = DisturbanceSpec()
     noise = NoiseSpec()

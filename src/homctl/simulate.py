@@ -140,7 +140,6 @@ class ScenarioConfig:
     phi: np.ndarray | None = None
     integrator: str = "zoh_exact"
     settle_epsilon: float | None = None
-    snap_delta: float | None = None
 
     def __post_init__(self):
         if self.controller.n != self.plant.n or self.controller.m != self.plant.m:
@@ -170,8 +169,6 @@ class ScenarioConfig:
             raise ValueError(f"unknown integrator {self.integrator!r}")
         if self.settle_epsilon is not None and not self.settle_epsilon > 0:
             raise ValueError("settle_epsilon must be positive")
-        if self.snap_delta is not None and not self.snap_delta > 0:
-            raise ValueError("snap_delta must be positive")
         if not isinstance(self.kind, ControllerKind):
             raise ValueError(f"kind must be a ControllerKind, got {self.kind!r}")
 
@@ -184,15 +181,6 @@ class ScenarioConfig:
         if self.settle_epsilon is not None:
             return self.settle_epsilon
         return _SETTLE_EPS_PERTURBED if self.perturbed else _SETTLE_EPS_NOMINAL
-
-    @property
-    def effective_snap_delta(self) -> float:
-        if self.snap_delta is not None:
-            return self.snap_delta
-        # two ideal decay steps: s shrinks by h/T per sample along the exact
-        # trajectory, so a band of one step has no margin against sampling
-        # wobble and trajectories can hop across it
-        return 2.0 * self.h / self.controller.T
 
 
 @dataclass
@@ -357,7 +345,10 @@ def _simulate_zoh(config: ScenarioConfig) -> SimulationTrace:
     dil = ctx.dilation
     r = ctx.ref_norm
     snap_enabled = _snap_enabled(config, r)
-    snap_delta = config.effective_snap_delta
+    # two ideal decay steps: s shrinks by h/T per sample along the exact
+    # trajectory, so a band of one step has no margin against sampling
+    # wobble and trajectories can hop across it
+    snap_delta = 2.0 * h / ctrl.T
 
     xs = np.empty((K, n))
     ys = np.empty((K, n)) if N else None
@@ -463,7 +454,7 @@ def simulate_dense(config: ScenarioConfig) -> SimulationTrace:
         raise ValueError("simulate_dense needs a nonzero reference for a nonzero state")
 
     T = ctrl.T
-    L = ctrl.A0 + ctrl.B @ ctx.KT
+    L = ctrl.A0 + ctrl.B @ ctrl.KT
     events = []
     if config.kind is ControllerKind.LINEAR:
         t_last = config.t_end
@@ -550,16 +541,25 @@ def trace_to_csv(trace: SimulationTrace, path) -> None:
         atomic.write_text(path, text)
 
 
+def _finite_or_none(v) -> float | None:
+    v = float(v)
+    return v if math.isfinite(v) else None
+
+
 def trace_summary(trace: SimulationTrace) -> dict:
-    """Headline numbers of a run, JSON-ready."""
+    """Headline numbers of a run, JSON-ready.
+
+    A norm or input that overflowed (NaN or inf) reads None, which JSON
+    writes as ``null``: ``NaN`` and ``Infinity`` are not JSON.
+    """
     return {
         "samples": int(len(trace.t)),
         "t_end": float(trace.t[-1]),
         "settled": bool(trace.settled),
         "settling_time": None if trace.settling_time is None else float(trace.settling_time),
         "settle_epsilon": float(trace.settle_epsilon),
-        "max_norm": float(np.max(trace.x_norm)),
-        "final_norm": float(trace.x_norm[-1]),
-        "max_input": float(np.max(np.abs(trace.u))) if trace.u.size else 0.0,
+        "max_norm": _finite_or_none(np.max(trace.x_norm)),
+        "final_norm": _finite_or_none(trace.x_norm[-1]),
+        "max_input": _finite_or_none(np.max(np.abs(trace.u))) if trace.u.size else 0.0,
         "events": [[float(t), str(lbl)] for t, lbl in trace.events],
     }

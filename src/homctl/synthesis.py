@@ -21,7 +21,9 @@ a linear dilation at the constant rate ``1/T``:
     ``A0 + Gd`` that conditions ``X`` better in the plant's coordinates.
 3.  Assemble ``K = Y X^{-1}`` and the weighted norm
     ``|x| = sqrt(x' d(-ln T)' X^{-1} d(-ln T) x)`` that calibrates the
-    settling time to exactly ``T``.
+    settling time to exactly ``T``.  The record forms ``d(-ln T)`` once;
+    the norm weight ``P`` and the feedback's gain ``KT = K d(-ln T)``
+    both read it.
 
 ``verify_controller`` re-checks every algebraic invariant of the result with
 explicit residuals, which is also what the CLI ``verify`` command prints.
@@ -199,12 +201,21 @@ class SynthesizedController:
         return self.B.shape[1]
 
     @cached_property
+    def DT(self) -> np.ndarray:
+        """The settling-time calibration ``d(-ln T) = e^{-ln T Gd}``."""
+        return linalg.expm(-math.log(self.T) * self.Gd)
+
+    @cached_property
     def P(self) -> np.ndarray:
         """Weight of the controller norm: ``d(-ln T)' X^{-1} d(-ln T)``."""
-        Dm = linalg.expm(-math.log(self.T) * self.Gd)
         Xinv = np.linalg.inv(self.X)
-        P = Dm.T @ Xinv @ Dm
+        P = self.DT.T @ Xinv @ self.DT
         return 0.5 * (P + P.T)
+
+    @cached_property
+    def KT(self) -> np.ndarray:
+        """The settling-time-calibrated gain ``K d(-ln T)`` of the feedback."""
+        return self.K @ self.DT
 
     @cached_property
     def dilation(self) -> Dilation:

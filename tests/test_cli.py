@@ -108,6 +108,32 @@ def test_simulate_seed_flag_overrides_file_seed(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _strict_json(text: str):
+    """``json.loads`` that rejects ``NaN`` and ``Infinity``, which are not JSON."""
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_diverging_run_writes_strict_json_summary(tmp_path, capsys):
+    # h = 0.5 destabilizes the sampled linear law on rand5x2 and its
+    # weighted norm overflows: the summary reads null, never NaN
+    record = Path(__file__).resolve().parents[1] / "bench" / "records" / "rand5x2.json"
+    data = json.loads(record.read_text())
+    A, B = ("; ".join(" ".join(repr(float(v)) for v in row) for row in data[k]) for k in "AB")
+    scenario = tmp_path / "diverging.ini"
+    scenario.write_text(f"[plant]\nA = {A}\nB = {B}\n"
+                        f"[controller]\nfile = {record}\nkind = linear\n"
+                        "[sim]\nx0 = 1 1 1 1 1\nh = 0.5\nt_end = 190\n")
+    csv_path = tmp_path / "trace.csv"
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(csv_path)]) == EXIT_OK
+    printed = _strict_json(capsys.readouterr().out)
+    written = _strict_json((tmp_path / "trace.summary.json").read_text())
+    assert printed == written
+    assert written["max_norm"] is None and written["final_norm"] is None
+    assert written["settled"] is False
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

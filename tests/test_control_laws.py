@@ -1,5 +1,5 @@
 """Feedback evaluation: kinds, clamping, the zero-state and zero-reference
-branches, and consistency between the control vector and the gain matrix."""
+branches, and the calibrated gain ``KT`` on the controller record."""
 
 import dataclasses
 import math
@@ -14,8 +14,8 @@ from homctl import (
     ScenarioConfig,
     dilation_matrix,
     eval_control,
-    gain_matrix,
     hom_norm,
+    linalg,
     load_controller,
     make_context,
     oscillator_controller,
@@ -95,7 +95,6 @@ def test_linear_kind_is_constant_gain(ctrl, rng):
     for _ in range(50):
         x = rng.normal(size=2)
         np.testing.assert_allclose(eval_control(ctx, x), Klin @ x, rtol=1e-12)
-    np.testing.assert_allclose(gain_matrix(ctx, [1.0, 1.0]), Klin, rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -124,22 +123,7 @@ def test_reference_noise_shifts_normalization(ctrl):
 
 
 # ---------------------------------------------------------------------------
-# gain-matrix consistency
-
-
-def test_gain_matrix_reproduces_control_200_cases(ctrl, rng):
-    kinds = [ControllerKind.PRESCRIBED_TIME, ControllerKind.PRESCRIBED_TIME_ROBUST,
-             ControllerKind.FIXED_TIME, ControllerKind.LINEAR]
-    for _ in range(200):
-        kind = kinds[int(rng.integers(4))]
-        x0 = rng.normal(size=2) * 10.0 ** rng.integers(-2, 3)
-        ctx = make_context(ctrl, kind, x0)
-        x = rng.normal(size=2) * 10.0 ** rng.integers(-6, 4)
-        if not np.any(x):
-            continue
-        u_direct = eval_control(ctx, x)
-        u_via_gain = gain_matrix(ctx, x) @ x
-        np.testing.assert_allclose(u_via_gain, u_direct, rtol=1e-9, atol=1e-12)
+# the feedback formula
 
 
 _RECORDS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "records")
@@ -177,17 +161,17 @@ def test_sampled_inputs_match_the_feedback_formula(name, ctrl, x0, kind, tau):
         assert np.max(np.abs(u - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-def test_gain_matrix_rejects_zero_state(ctx):
-    with pytest.raises(ValueError):
-        gain_matrix(ctx, [0.0, 0.0])
-
-
 def test_gain_diverges_toward_origin_for_prescribed_time(ctrl):
     # the scheduled gain grows without bound as the state shrinks - the
-    # mechanism behind a settling time independent of the initial state
+    # mechanism behind a settling time independent of the initial state:
+    # the homogeneous part |u - K0 x| / |x| grows tenfold and more every
+    # two decades of |x|
     ctx = make_context(ctrl, ControllerKind.PRESCRIBED_TIME, [0.2, 0.0])
-    norms = [np.linalg.norm(gain_matrix(ctx, [0.2 * 10.0**-k, 0.0])) for k in range(0, 7, 2)]
-    assert all(b > 10 * a for a, b in zip(norms, norms[1:]))
+    gains = []
+    for k in range(0, 7, 2):
+        x = np.array([0.2 * 10.0**-k, 0.0])
+        gains.append(np.linalg.norm(eval_control(ctx, x) - ctrl.K0 @ x) / np.linalg.norm(x))
+    assert all(b > 10 * a for a, b in zip(gains, gains[1:]))
 
 
 def test_control_amplitude_bound_near_origin(ctrl, rng):
@@ -231,5 +215,23 @@ def test_context_kt_gain_uses_settling_time(plant):
     from homctl import SynthesisConfig, synthesize
 
     ctrl2 = synthesize(plant, SynthesisConfig(T=2.0))
-    ctx = make_context(ctrl2, ControllerKind.PRESCRIBED_TIME_ROBUST, [0.2, 0.0])
-    np.testing.assert_allclose(ctx.KT, ctrl2.K @ np.diag([0.25, 0.5]), rtol=1e-12)
+    np.testing.assert_allclose(ctrl2.KT, ctrl2.K @ np.diag([0.25, 0.5]), rtol=1e-12)
+
+
+def _calibration_cases():
+    cases = [pytest.param(oscillator_controller(), id="oscillator")]
+    for name in ("chain3", "rand3x2", "rand5x2", "rand6x1"):
+        cases.append(pytest.param(load_controller(os.path.join(_RECORDS, f"{name}.json")), id=name))
+    return cases
+
+
+@pytest.mark.parametrize("T", [1.0, 2.0])
+@pytest.mark.parametrize("record", _calibration_cases())
+def test_record_forms_kt_and_p_from_one_calibration(record, T):
+    # KT and P both read the record's one d(-ln T) = expm(-ln T Gd), bit for
+    # bit as the feedback's gain and the norm weight were formed before
+    ctrl = dataclasses.replace(record, T=T)
+    Dm = linalg.expm(-math.log(T) * ctrl.Gd)
+    np.testing.assert_array_equal(ctrl.KT, ctrl.K @ Dm)
+    P = Dm.T @ np.linalg.inv(ctrl.X) @ Dm
+    np.testing.assert_array_equal(ctrl.P, 0.5 * (P + P.T))

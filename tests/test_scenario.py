@@ -126,11 +126,10 @@ def test_scenario_controller_override(tmp_path):
 def test_scenario_sim_options(tmp_path):
     text = (PLANT + "[controller]\nbuiltin = oscillator\n"
             + "[sim]\nx0 = 0.2 0\nh = 0.01\nt_end = 1.0\nintegrator = dense_rk\n"
-            + "settle_epsilon = 1e-7\nsnap_delta = 0.02\n")
+            + "settle_epsilon = 1e-7\n")
     config = load_scenario(_write(tmp_path, text))
     assert config.integrator == "dense_rk"
     assert config.settle_epsilon == 1e-7
-    assert config.snap_delta == 0.02
 
 
 def test_scenario_perturbations_section(tmp_path):
@@ -218,8 +217,10 @@ _CONTROLLER = "[controller]\nbuiltin = oscillator\n"
         (PLANT + _CONTROLLER + SIM + "settle_epsilom = 1e-3\n", r"unknown key 'settle_epsilom' in \[sim\]"),
         (PLANT + "delya = 0.5\n" + _CONTROLLER + SIM, r"unknown key 'delya' in \[plant\]"),
         (PLANT + _CONTROLLER + "knid = linear\n" + SIM, r"unknown key 'knid' in \[controller\]"),
+        # the snap band is 2h/T, fixed: an override could only report a false capture
+        (PLANT + _CONTROLLER + SIM + "snap_delta = 0.02\n", r"unknown key 'snap_delta' in \[sim\]"),
     ],
-    ids=["section", "perturbations-key", "sim-key", "plant-key", "controller-key"],
+    ids=["section", "perturbations-key", "sim-key", "plant-key", "controller-key", "snap-delta"],
 )
 def test_scenario_rejects_unknown_sections_and_keys(tmp_path, text, message):
     # a misspelt name would otherwise be dropped: a noisy run loads noise-free
