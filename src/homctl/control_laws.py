@@ -22,13 +22,12 @@ The dispatch at the degenerate points (zero state, zero reference) follows
 the closed-loop solution concept: ``u(0) = 0``, and a zero reference selects
 the linear (respectively ``K0``) branch.
 
-The calibrated gain ``K d(-ln T)`` is the controller record's ``KT``,
-formed once beside its norm weight ``P``.  The norm solve already lands on
-the unit-sphere point ``z = d(-ln s)(x / r)``, so the homogeneous term is
-``r KT z`` and applies no dilation of its own.  :func:`eval_control` is a
-validating wrapper over that pair (``homctl.dilation._solve``, then
-:func:`_feedback`); the sampled and dense loops of :mod:`homctl.simulate`
-call the same pair directly, having checked their inputs once per run.
+The calibrated gain ``K d(-ln T)`` is the controller record's ``KT``.  The
+per-sample step is the pair :meth:`ControlContext.solve`, which returns
+``s`` and the unit-sphere point ``z = d(-ln s)(x / r)`` of its root-find,
+and :meth:`ControlContext.feedback`, whose homogeneous term ``r KT z`` needs
+no dilation.  :func:`eval_control` and the sampled and dense loops of
+:mod:`homctl.simulate` all call that pair.
 """
 
 from __future__ import annotations
@@ -95,6 +94,52 @@ class ControlContext:
             return max(self.r0, 1.0)
         return self.r0
 
+    def solve(self, y: np.ndarray, guess: float | None = None) -> tuple[float, np.ndarray | None]:
+        """The unclamped ``s = ||y / r||_d`` and its root point ``z = d(-ln s)(y / r)``.
+
+        ``(0.0, None)`` at the origin and for a zero radius ``r``, which
+        solves nothing.  ``guess`` warm-starts the root-find.  Raises
+        ``ValueError`` for a non-finite ``y / r``; the caller silences
+        floating-point warnings, as orbit points far from the root overflow.
+        """
+        r = self.ref_norm
+        if r == 0.0:
+            return 0.0, None
+        yr = y / r
+        # a finite y'y proves every entry finite without the elementwise test
+        if not math.isfinite(yr.dot(yr)) and not np.isfinite(yr).all():
+            raise ValueError("x has non-finite entries")
+        return _solve(self.dilation, yr, guess)
+
+    def feedback(self, y: np.ndarray, s: float, z: np.ndarray | None) -> np.ndarray:
+        """The input at a finite state ``y`` from ``(s, z) = solve(y)``.
+
+        ``d(-ln s) y = r z`` needs no dilation.  Only a homogeneous kind with
+        a nonzero reference reads ``s`` and ``z``.
+        """
+        K0, KT = self.controller.K0, self.controller.KT
+        # the clamped scheduling scalar c: 1.0 is the linear law, 0.0 the K0 branch
+        if self.kind is ControllerKind.LINEAR:
+            c = 1.0
+        elif self.r0 == 0.0:
+            # zero reference: prescribed_time degenerates to the K0 branch,
+            # the clamped kinds to the linear law
+            c = 0.0 if self.kind is ControllerKind.PRESCRIBED_TIME else 1.0
+        elif not s > 0.0:
+            # the zero state, or a subnormal one far below resolvable scale
+            if not y.any():
+                return np.zeros(self.controller.m)
+            c = 0.0
+        else:
+            c = s if self.kind is ControllerKind.PRESCRIBED_TIME else min(1.0, s)
+        if c == 1.0:
+            # clamp active (or exactly on the reference sphere): linear law,
+            # evaluated without the identity dilation so the equality is exact
+            return K0.dot(y) + KT.dot(y)
+        if c == 0.0:
+            return K0.dot(y)
+        return K0.dot(y) + self.ref_norm * KT.dot(z)
+
 
 def make_context(controller: SynthesizedController, kind: ControllerKind, x0, x0_noise=None) -> ControlContext:
     """Build a :class:`ControlContext`, optionally with a corrupted reference.
@@ -108,55 +153,16 @@ def make_context(controller: SynthesizedController, kind: ControllerKind, x0, x0
     return ControlContext(controller, kind, x0)
 
 
-def _schedule(ctx: ControlContext, x: np.ndarray, s: float) -> float | None:
-    """The clamped scheduling scalar of the feedback at ``x``.
-
-    ``1.0`` selects the linear law ``K0 + K d(-ln T)``, ``0.0`` the ``K0``
-    branch, and None marks the zero state.  ``s`` is the unclamped
-    ``||x / r||_d``, read only by a homogeneous kind with a nonzero
-    reference.
-    """
-    if ctx.kind is ControllerKind.LINEAR:
-        return 1.0
-    if ctx.r0 == 0.0:
-        # zero reference: prescribed_time degenerates to the K0 branch, the
-        # clamped kinds to the linear law
-        return 0.0 if ctx.kind is ControllerKind.PRESCRIBED_TIME else 1.0
-    if not s > 0.0:
-        # the zero state, or a subnormal one far below resolvable scale
-        return 0.0 if x.any() else None
-    return s if ctx.kind is ControllerKind.PRESCRIBED_TIME else min(1.0, s)
-
-
-def _feedback(ctx: ControlContext, y: np.ndarray, s: float, z: np.ndarray | None) -> np.ndarray:
-    """The feedback at a finite state ``y``.
-
-    ``s = ||y / r||_d`` is unclamped and ``z = d(-ln s)(y / r)`` is the
-    root point of its solve, so ``d(-ln s) y = r z`` needs no dilation.
-    Both are read only where :func:`_schedule` reads ``s``.
-    """
-    c = _schedule(ctx, y, s)
-    K0, KT = ctx.controller.K0, ctx.controller.KT
-    if c is None:
-        return np.zeros(ctx.controller.m)
-    if c == 1.0:
-        # clamp active (or exactly on the reference sphere): linear law,
-        # evaluated without the identity dilation so the equality is exact
-        return K0.dot(y) + KT.dot(y)
-    if c == 0.0:
-        return K0.dot(y)
-    return K0.dot(y) + ctx.ref_norm * KT.dot(z)
-
-
 def eval_control(ctx: ControlContext, x) -> np.ndarray:
     """Evaluate the feedback at state ``x``; returns the input vector.
 
-    The norm is solved only where :func:`_feedback` reads it: not for the
-    linear kind, nor for a zero reference.
+    A validating wrapper over :meth:`ControlContext.solve` and
+    :meth:`ControlContext.feedback` that solves the norm only where the
+    feedback reads it: not for the linear kind, nor for a zero reference.
     """
     x = linalg.as_vector(x, "x", ctx.controller.n)
     s, z = 0.0, None
     if ctx.kind is not ControllerKind.LINEAR and ctx.r0 > 0.0:
         with np.errstate(over="ignore", invalid="ignore"):
-            s, z = _solve(ctx.dilation, x / ctx.ref_norm)
-    return _feedback(ctx, x, s, z)
+            s, z = ctx.solve(x)
+    return ctx.feedback(x, s, z)

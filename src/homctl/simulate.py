@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import atomic, linalg
-from .control_laws import ControlContext, ControllerKind, _feedback, make_context
-from .dilation import Dilation, _solve, dilate
+from .control_laws import ControlContext, ControllerKind, make_context
+from .dilation import Dilation, dilate
 from .predictor import _shift, _steps_in_delay, build_tables, predict
 from .synthesis import LinearPlant, SynthesizedController, verify_controller
 
@@ -299,15 +299,6 @@ def _warm_guess(s_prev: float, s_prev2: float) -> float | None:
     return guess if s_prev2 > 0.0 and guess > 0.0 else s_prev
 
 
-def _scaled(y: np.ndarray, r: float) -> np.ndarray:
-    """``y / r``, the solver's input, checked for finite entries."""
-    yr = y / r
-    # a finite y'y proves every entry finite without the elementwise test
-    if not math.isfinite(yr.dot(yr)) and not np.isfinite(yr).all():
-        raise ValueError("x has non-finite entries")
-    return yr
-
-
 def _simulate_zoh(config: ScenarioConfig) -> SimulationTrace:
     # One loop for both settings: a zero delay is the N = 0 predictor, y = x.
     # With a delay the controller acts on the predictor state y, the plant
@@ -342,9 +333,7 @@ def _simulate_zoh(config: ScenarioConfig) -> SimulationTrace:
     if N:
         x0_ctx = predict(tables, x0_ctx, U[:N])
     ctx = ControlContext(ctrl, config.kind, x0_ctx)
-    dil = ctx.dilation
-    r = ctx.ref_norm
-    snap_enabled = _snap_enabled(config, r)
+    snap_enabled = _snap_enabled(config, ctx.ref_norm)
     # two ideal decay steps: s shrinks by h/T per sample along the exact
     # trajectory, so a band of one step has no margin against sampling
     # wobble and trajectories can hop across it
@@ -357,39 +346,34 @@ def _simulate_zoh(config: ScenarioConfig) -> SimulationTrace:
     U_flat = U.reshape(-1)  # the inputs in flight at sample k are U_flat[k m:(k + N) m]
 
     x = config.x0.copy()
-    y_snap_at: int | None = None
-    x_snap_at: int | None = None
+    # the predictor state is zero from sample snap_at on, the plant state
+    # from snap_at + N on; K (past the last sample) while no snap is scheduled
+    snap_at = K
     s_prev = s_prev2 = 0.0
     # orbit points far from a root may overflow; a diverging plant state
     # overflows its weighted norm and then fails the finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(K):
-            if x_snap_at is not None and k >= x_snap_at:
+            if k >= snap_at + N:
                 x = np.zeros(n)
-            snapped = y_snap_at is not None and k >= y_snap_at
-            if snapped:
-                y = np.zeros(n)
+            if k >= snap_at:
+                y, s, z = np.zeros(n), 0.0, None
             else:
                 y = x if N == 0 else _shift(tables, x, U_flat[k * m:(k + N) * m])
-            # s is solved once per sample, warm-started from the last samples;
-            # the feedback reuses it and the root point z = d(-ln s)(y/r)
-            # (with r = 0 or y = 0 it needs neither)
-            s, z = 0.0, None
-            if r > 0 and not snapped:
-                s, z = _solve(dil, _scaled(y, r), _warm_guess(s_prev, s_prev2))
+                # one solve per sample, warm-started from the last two; the
+                # feedback reuses s and the root point z = d(-ln s)(y/r)
+                s, z = ctx.solve(y, _warm_guess(s_prev, s_prev2))
             s_prev, s_prev2 = s, s_prev
             if rng is None:
-                u = _feedback(ctx, y, s, z)
+                u = ctx.feedback(y, s, z)
             else:
                 meas = y + rng.uniform(-config.noise.amplitude, config.noise.amplitude, n)
-                s_meas, z_meas = _solve(dil, _scaled(meas, r), s if s > 0 else None) if r > 0 else (0.0, None)
-                u = _feedback(ctx, meas, s_meas, z_meas)
+                u = ctx.feedback(meas, *ctx.solve(meas, s if s > 0 else None))
             xs[k], U[k + N], ss[k] = x, u, s
             if N:
                 ys[k] = y
-            if snap_enabled and y_snap_at is None and s <= snap_delta:
-                y_snap_at = k + 1
-                x_snap_at = k + 1 + N
+            if snap_enabled and k < snap_at and s <= snap_delta:
+                snap_at = k + 1
                 events.append((times[k] + h, "predictor_snap_to_zero" if N else "snap_to_zero"))
                 if N:
                     events.append((times[k] + h + plant.delay, "state_snap_to_zero"))
@@ -400,7 +384,7 @@ def _simulate_zoh(config: ScenarioConfig) -> SimulationTrace:
                     x = x + Ed.dot(v)
                     v = Ev.dot(v)
 
-    return SimulationTrace(t=times, x=xs, u=U[N:], s=ss, x_norm=_norms(dil, xs), y=ys, events=events)
+    return SimulationTrace(t=times, x=xs, u=U[N:], s=ss, x_norm=_norms(ctx.dilation, xs), y=ys, events=events)
 
 
 def _norms(D: Dilation, xs: np.ndarray) -> np.ndarray:
@@ -463,7 +447,7 @@ def simulate_dense(config: ScenarioConfig) -> SimulationTrace:
             return linalg.expm(t * L) @ x0
     else:
         with np.errstate(over="ignore", invalid="ignore"):
-            s0, z0 = _solve(dil, _scaled(x0, r))
+            s0, z0 = ctx.solve(x0)
         if s0 > 1.0 + _DENSE_CLAMP_TOL and config.kind is not ControllerKind.PRESCRIBED_TIME:
             raise ValueError(f"simulate_dense: {config.kind.value} starts clamped (s0 = {s0:.6g} > 1)")
         t_stop = T * max(s0 - _DENSE_STOP_S, 0.0)
@@ -483,10 +467,10 @@ def simulate_dense(config: ScenarioConfig) -> SimulationTrace:
     guess = None
     with np.errstate(over="ignore", invalid="ignore"):
         for i, x in enumerate(xs):
-            s, z = _solve(dil, _scaled(x, r), guess)
+            s, z = ctx.solve(x, guess)
             ss[i] = s
             guess = s if s > 0.0 else None
-            us[i] = _feedback(ctx, x, s, z)
+            us[i] = ctx.feedback(x, s, z)
     return SimulationTrace(t=grid, x=xs, u=us, s=ss, x_norm=_norms(dil, xs),
                            settled=False, settling_time=None, settle_epsilon=eps,
                            events=events)

@@ -540,12 +540,21 @@ def controller_to_dict(controller: SynthesizedController) -> dict:
 
 
 def controller_from_dict(data: dict) -> SynthesizedController:
-    """Rebuild a controller from its plain-dict form."""
+    """Rebuild a controller from its plain-dict form; a malformed field is a ``ValueError`` naming it."""
+    if not isinstance(data, dict):
+        raise ValueError(f"controller record must be a JSON object, got {type(data).__name__}")
     missing = [k for k in _FIELDS_SCALAR + _FIELDS_MATRIX if k not in data]
     if missing:
         raise ValueError(f"controller record is missing fields: {', '.join(missing)}")
-    kwargs = {name: float(data[name]) for name in _FIELDS_SCALAR}
-    kwargs.update({name: np.asarray(data[name], dtype=float) for name in _FIELDS_MATRIX})
+    kwargs = {}
+    for name in _FIELDS_SCALAR + _FIELDS_MATRIX:
+        scalar, value = name in _FIELDS_SCALAR, data[name]
+        try:
+            if scalar and not _is_real(value):
+                raise TypeError(f"expected a number, got {value!r}")
+            kwargs[name] = float(value) if scalar else np.asarray(value, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:  # an int beyond float range overflows
+            raise ValueError(f"controller record field {name}: {exc}") from None
     return SynthesizedController(**kwargs)
 
 

@@ -209,6 +209,35 @@ def test_verify_rejects_record_with_other_degree(tmp_path, plant_file, capsys):
     assert "mu" in capsys.readouterr().err
 
 
+@pytest.fixture
+def record(tmp_path, plant_file):
+    path = tmp_path / "ctrl.json"
+    assert main(["synth", "--plant", str(plant_file), "--T", "1", "--out", str(path)]) == EXIT_OK
+    return path
+
+
+MALFORMED = ["42", "null", "T=[1.0]", "T=null", 'A={"a": 1}', "T=true"]
+
+
+@pytest.mark.parametrize("command, case", [("verify", case) for case in MALFORMED]
+                         + [("simulate", 'A={"a": 1}')])
+def test_malformed_record_is_input_error(record, scenario_file, capsys, command, case):
+    capsys.readouterr()
+    if "=" in case:
+        field, value = case.split("=")
+        record.write_text(json.dumps({**json.loads(record.read_text()), field: json.loads(value)}))
+        named = f"field {field}"
+    else:
+        record.write_text(case)
+        named = "JSON object"
+    argv = [command, "--controller", str(record)]
+    if command == "simulate":
+        argv += ["--scenario", str(scenario_file)]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert named in err and "internal error" not in err
+
+
 def test_version_flag(capsys):
     assert main(["--version"]) == EXIT_OK
     assert capsys.readouterr().out.startswith("homctl ")

@@ -598,9 +598,14 @@ def _count_norm_solves(monkeypatch):
         calls.append(guess)
         return solve(D, x, guess)
 
-    # every binding through which a run reaches the private solver
-    for module in ("homctl.simulate", "homctl.control_laws"):
-        monkeypatch.setattr(importlib.import_module(module), "_solve", counting)
+    # every binding through which a run reaches the private solver, found by
+    # identity so that no binding can hide a solve from the count
+    patched = [(mod, attr) for name, mod in list(sys.modules.items())
+               if name == "homctl" or name.startswith("homctl.")
+               for attr, value in vars(mod).items() if value is solve]
+    assert patched
+    for mod, attr in patched:
+        monkeypatch.setattr(mod, attr, counting)
     return calls
 
 
