@@ -1,11 +1,12 @@
 """Dense matrix kernels: exponentials, ZOH integrals, eigenvalues, factorizations.
 
 Thin wrappers around numpy routines that add the validation and error
-contracts the rest of the package relies on; the matrix exponential is a
-numpy scaling-and-squaring Pade approximant, so importing this module does
-not load scipy.  Everything here is pure, operates on small dense float
-arrays, and raises ``ValueError`` for malformed input and
-``numpy.linalg.LinAlgError`` for rank/consistency failures.
+contracts the rest of the package relies on; the matrix exponential is one
+degree-13 Pade approximant with scaling and squaring, written in numpy, so
+importing this module does not load scipy.  Everything here is pure,
+operates on small dense float arrays, and raises ``ValueError`` for
+malformed input and ``numpy.linalg.LinAlgError`` for rank/consistency
+failures.
 """
 
 from __future__ import annotations
@@ -29,26 +30,15 @@ __all__ = [
 
 #: relative pivot floor for the positive-definiteness check
 _CHOL_PIVOT_RTOL = 1e-12
-#: Pade degrees of expm with the largest 1-norm each one serves in double
-#: precision (Higham 2005, Table 2.3); degree 13 is reached by scaling
-_PADE_THETA = (
-    (3, 1.495585217958292e-2),
-    (5, 2.539398330063230e-1),
-    (7, 9.504178996162932e-1),
-    (9, 2.097847961257068e0),
-    (13, 5.371920351148152e0),
-)
-#: numerator coefficients of the [m/m] Pade approximant of e^x, lowest power first
-_PADE_COEFFS = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0, 2162160.0, 110880.0,
-        3960.0, 90.0, 1.0),
-    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
-         129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
-         40840800.0, 960960.0, 16380.0, 182.0, 1.0),
-}
+#: largest 1-norm the degree-13 Pade approximant serves in double precision
+#: (Higham 2005, Table 2.3); expm scales a larger matrix by 2^-s into it
+_THETA13 = 5.371920351148152e0
+#: numerator coefficients of the [13/13] Pade approximant of e^x, lowest power
+#: first, divided by the constant term: with b[0] = 1, expm(0) is I bit for bit
+_PADE13 = tuple(c / 64764752532480000.0 for c in (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+    40840800.0, 960960.0, 16380.0, 182.0, 1.0))
 #: residual guard for solve_linear, relative to ||b||
 _SOLVE_RESIDUAL_RTOL = 1e-10
 #: consistency guard for least_norm_solve, relative to ||b||
@@ -92,9 +82,9 @@ def as_vector(a, name: str = "vector", size: int | None = None) -> np.ndarray:
 def expm(M) -> np.ndarray:
     """Matrix exponential ``e^M`` by scaling and squaring (Higham 2005).
 
-    The Pade degree is the smallest of 3, 5, 7, 9 whose 1-norm limit covers
-    ``|M|_1``; above the degree-9 limit, ``M`` is scaled by ``2^-s`` into
-    the degree-13 limit and the approximant is squared ``s`` times.  Raises
+    One degree-13 Pade approximant: ``M`` is scaled by ``2^-s``, with the
+    smallest ``s >= 0`` that brings ``|M|_1`` within the degree-13 limit
+    ``theta_13 = 5.37``, and the approximant is squared ``s`` times.  Raises
     ``ValueError`` for non-square or non-finite input, and for finite input
     whose 1-norm overflows.
     """
@@ -102,36 +92,22 @@ def expm(M) -> np.ndarray:
     norm = float(np.abs(A).sum(axis=0).max())
     if not math.isfinite(norm):
         raise ValueError("matrix 1-norm overflows")
-    for m, theta in _PADE_THETA[:-1]:
-        if norm <= theta:
-            return _pade(A, m)
-    s = max(0, math.ceil(math.log2(norm / _PADE_THETA[-1][1])))
-    E = _pade(A / 2.0**s, 13)
+    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    E = _pade13(A / 2.0**s)
     for _ in range(s):
         E = E @ E
     return E
 
 
-def _pade(A: np.ndarray, m: int) -> np.ndarray:
-    """The [m/m] Pade approximant ``(V - U)^{-1} (V + U)`` of ``e^A``."""
-    b = _PADE_COEFFS[m]
+def _pade13(A: np.ndarray) -> np.ndarray:
+    """The [13/13] Pade approximant ``(V - U)^{-1} (V + U)`` of ``e^A``."""
+    b = _PADE13
     I = np.eye(A.shape[0])
     A2 = A @ A
-    if m == 13:
-        A4 = A2 @ A2
-        A6 = A2 @ A4
-        U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * I)
-        V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * I
-    else:
-        # odd coefficients go with U, even ones with V, over the powers A^2k
-        U = b[1] * I + b[3] * A2
-        V = b[0] * I + b[2] * A2
-        P = A2
-        for k in range(2, (m + 1) // 2):
-            P = P @ A2
-            U += b[2 * k + 1] * P
-            V += b[2 * k] * P
-        U = A @ U
+    A4 = A2 @ A2
+    A6 = A2 @ A4
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * I)
+    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * I
     return np.linalg.solve(V - U, V + U)
 
 

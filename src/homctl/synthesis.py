@@ -550,8 +550,10 @@ def controller_from_dict(data: dict) -> SynthesizedController:
     for name in _FIELDS_SCALAR + _FIELDS_MATRIX:
         scalar, value = name in _FIELDS_SCALAR, data[name]
         try:
-            if scalar and not _is_real(value):
-                raise TypeError(f"expected a number, got {value!r}")
+            # a bool or a numeric string would convert silently, so every entry is checked first
+            for entry in (value,) if scalar else np.asarray(value, dtype=object).flat:
+                if not _is_real(entry):
+                    raise TypeError(f"expected a number, got {entry!r}")
             kwargs[name] = float(value) if scalar else np.asarray(value, dtype=float)
         except (TypeError, ValueError, OverflowError) as exc:  # an int beyond float range overflows
             raise ValueError(f"controller record field {name}: {exc}") from None

@@ -216,7 +216,8 @@ def record(tmp_path, plant_file):
     return path
 
 
-MALFORMED = ["42", "null", "T=[1.0]", "T=null", 'A={"a": 1}', "T=true"]
+MALFORMED = ["42", "null", "T=[1.0]", "T=null", 'A={"a": 1}', "T=true", "A=[[false, true], [-1.0, false]]",
+             'A=[["0", "1"], ["-1", "0"]]']
 
 
 @pytest.mark.parametrize("command, case", [("verify", case) for case in MALFORMED]

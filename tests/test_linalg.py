@@ -85,15 +85,15 @@ def _rel_diff(E, R):
 
 @pytest.fixture
 def pade_calls(monkeypatch):
-    """Record ``(degree, |A|_1)`` of every Pade approximant expm evaluates."""
+    """Record ``|A|_1`` of every Pade approximant expm evaluates."""
     calls = []
-    pade = linalg._pade
+    pade13 = linalg._pade13
 
-    def spy(A, m):
-        calls.append((m, _norm1(A)))
-        return pade(A, m)
+    def spy(A):
+        calls.append(_norm1(A))
+        return pade13(A)
 
-    monkeypatch.setattr(linalg, "_pade", spy)
+    monkeypatch.setattr(linalg, "_pade13", spy)
     return calls
 
 
@@ -101,21 +101,19 @@ def pade_calls(monkeypatch):
 _SCIPY_BANDS = ((1.0, 1e-14), (10.0, 1e-11), (100.0, 1e-10), (math.inf, 1e-9))
 
 
-def test_expm_matches_scipy_on_each_side_of_every_pade_limit(rng, pade_calls):
-    degrees = [m for m, _ in linalg._PADE_THETA]
-    theta13 = linalg._PADE_THETA[-1][1]
-    for k, (m, theta) in enumerate(linalg._PADE_THETA):
+def test_expm_matches_scipy_on_each_side_of_every_scaling_step(rng, pade_calls):
+    for k in range(4):
         for side in (1.0 - 1e-6, 1.0 + 1e-6):
             for _ in range(20):
                 n = int(rng.integers(1, 11))
                 A = rng.normal(size=(n, n))
-                A *= theta * side / _norm1(A)
+                A *= linalg._THETA13 * 2.0**k * side / _norm1(A)
                 pade_calls.clear()
                 E = linalg.expm(A)
-                # below its limit a degree serves unscaled; above, the next one (or scaling) takes over
-                expected = m if side < 1.0 else degrees[min(k + 1, len(degrees) - 1)]
-                assert pade_calls[0][0] == expected
-                assert pade_calls[0][1] <= theta13
+                # just below theta_13 2^k, k squarings reach A; just above, one more
+                (scaled,) = pade_calls
+                assert scaled <= linalg._THETA13
+                assert round(math.log2(_norm1(A) / scaled)) == (k if side < 1.0 else k + 1)
                 bound = next(b for top, b in _SCIPY_BANDS if _norm1(A) <= top)
                 assert _rel_diff(E, scipy.linalg.expm(A)) <= bound
 
@@ -133,7 +131,7 @@ def test_expm_matches_scipy_on_random_matrices_of_every_scale(rng):
         assert _rel_diff(linalg.expm(A), R) <= bound
 
 
-def test_expm_scaled_branch_squares_at_least_ten_times(rng, pade_calls):
+def test_expm_large_norm_squares_at_least_ten_times(rng, pade_calls):
     # a skew-symmetric matrix has an orthogonal exponential, so no entry overflows
     for _ in range(20):
         n = int(rng.integers(2, 11))
@@ -142,8 +140,8 @@ def test_expm_scaled_branch_squares_at_least_ten_times(rng, pade_calls):
         S *= 6000.0 / _norm1(S)
         pade_calls.clear()
         E = linalg.expm(S)
-        (m, scaled), = pade_calls
-        assert m == 13 and scaled <= linalg._PADE_THETA[-1][1]
+        (scaled,) = pade_calls
+        assert scaled <= linalg._THETA13
         assert 6000.0 / scaled >= 2.0**10
         assert _rel_diff(E, scipy.linalg.expm(S)) <= 1e-9
         np.testing.assert_allclose(E @ E.T, np.eye(n), atol=1e-9)
