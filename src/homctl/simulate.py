@@ -22,6 +22,11 @@ there the continuous closed loop still reaches exactly zero and zero stays
 invariant, the feedback absorbing the disturbance.  Outside the envelope,
 for unmatched disturbances, and under measurement noise the snap is
 disabled and the trace keeps its raw floor.
+
+The sampled loop ends at the capture.  Behind a delay of ``N`` samples the
+plant then runs out the ``N`` inputs already in flight, with no norm solve
+and no feedback; every later row of the trace is zero by construction, as
+the trace arrays are allocated as zeros.
 """
 
 from __future__ import annotations
@@ -248,17 +253,6 @@ def _sample_times(h: float, t_end: float) -> np.ndarray:
     return h * np.arange(steps + 1)
 
 
-def _rejection_rate(controller: SynthesizedController) -> float:
-    """The eigenvalue factor of the rejectable-disturbance bound."""
-    w, V = np.linalg.eigh(0.5 * (controller.X + controller.X.T))
-    if w[0] <= 0:
-        raise ValueError("controller X is not positive definite")
-    Xh = (V * np.sqrt(w)) @ V.T
-    Xmh = (V / np.sqrt(w)) @ V.T
-    Gd = controller.Gd
-    return linalg.min_eig_sym(Xmh @ Gd @ Xh + Xh @ Gd.T @ Xmh)
-
-
 def _matched_sup_norm(dist: DisturbanceSpec, B: np.ndarray, controller: SynthesizedController) -> float | None:
     """Supremum of ``|q2(t)|_P`` for matched disturbances, else None.
 
@@ -287,7 +281,7 @@ def _snap_enabled(config: ScenarioConfig, ref_norm: float) -> bool:
     sup = _matched_sup_norm(config.disturbance, config.plant.B, config.controller)
     if sup is None:
         return False
-    envelope = ref_norm * _rejection_rate(config.controller) / (2.0 * config.controller.T)
+    envelope = ref_norm * config.controller.rejection_rate / (2.0 * config.controller.T)
     return sup < envelope
 
 
@@ -339,30 +333,28 @@ def _simulate_zoh(config: ScenarioConfig) -> SimulationTrace:
     # wobble and trajectories can hop across it
     snap_delta = 2.0 * h / ctrl.T
 
-    xs = np.empty((K, n))
-    ys = np.empty((K, n)) if N else None
-    ss = np.empty(K)
+    # rows past the capture keep these zeros: y, s and u from snap_at on,
+    # the plant state from snap_at + N on
+    xs = np.zeros((K, n))
+    ys = np.zeros((K, n)) if N else None
+    ss = np.zeros(K)
     events: list = []
     U_flat = U.reshape(-1)  # the inputs in flight at sample k are U_flat[k m:(k + N) m]
 
     x = config.x0.copy()
-    # the predictor state is zero from sample snap_at on, the plant state
-    # from snap_at + N on; K (past the last sample) while no snap is scheduled
+    # K (past the last sample) while no snap is scheduled
     snap_at = K
     s_prev = s_prev2 = 0.0
     # orbit points far from a root may overflow; a diverging plant state
     # overflows its weighted norm and then fails the finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(K):
-            if k >= snap_at + N:
-                x = np.zeros(n)
-            if k >= snap_at:
-                y, s, z = np.zeros(n), 0.0, None
-            else:
-                y = x if N == 0 else _shift(tables, x, U_flat[k * m:(k + N) * m])
-                # one solve per sample, warm-started from the last two; the
-                # feedback reuses s and the root point z = d(-ln s)(y/r)
-                s, z = ctx.solve(y, _warm_guess(s_prev, s_prev2))
+            if k == snap_at:
+                break
+            y = x if N == 0 else _shift(tables, x, U_flat[k * m:(k + N) * m])
+            # one solve per sample, warm-started from the last two; the
+            # feedback reuses s and the root point z = d(-ln s)(y/r)
+            s, z = ctx.solve(y, _warm_guess(s_prev, s_prev2))
             s_prev, s_prev2 = s, s_prev
             if rng is None:
                 u = ctx.feedback(y, s, z)
@@ -372,7 +364,7 @@ def _simulate_zoh(config: ScenarioConfig) -> SimulationTrace:
             xs[k], U[k + N], ss[k] = x, u, s
             if N:
                 ys[k] = y
-            if snap_enabled and k < snap_at and s <= snap_delta:
+            if snap_enabled and s <= snap_delta:
                 snap_at = k + 1
                 events.append((times[k] + h, "predictor_snap_to_zero" if N else "snap_to_zero"))
                 if N:
@@ -383,6 +375,13 @@ def _simulate_zoh(config: ScenarioConfig) -> SimulationTrace:
                 if exo is not None:
                     x = x + Ed.dot(v)
                     v = Ev.dot(v)
+        # the plant runs out the N inputs already in flight at the capture
+        for k in range(snap_at, min(snap_at + N, K)):
+            xs[k] = x
+            x = F.dot(x) + gamma.dot(U[k])
+            if exo is not None:
+                x = x + Ed.dot(v)
+                v = Ev.dot(v)
 
     return SimulationTrace(t=times, x=xs, u=U[N:], s=ss, x_norm=_norms(ctx.dilation, xs), y=ys, events=events)
 
@@ -490,7 +489,7 @@ def disturbance_bound(controller: SynthesizedController, x0_norm: float, rho: fl
         raise ValueError(f"rho must exceed 1, got {rho}")
     if not (math.isfinite(x0_norm) and x0_norm >= 0):
         raise ValueError(f"x0_norm must be finite and >= 0, got {x0_norm}")
-    lam = _rejection_rate(controller)
+    lam = controller.rejection_rate
     radius = max(1.0, x0_norm) if kind is ControllerKind.FIXED_TIME else x0_norm
     return radius * lam / (2.0 * rho * controller.T)
 

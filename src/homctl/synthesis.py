@@ -218,6 +218,21 @@ class SynthesizedController:
         return self.K @ self.DT
 
     @cached_property
+    def rejection_rate(self) -> float:
+        """The eigenvalue factor of the rejectable-disturbance bound.
+
+        ``lmin(X^{-1/2} Gd X^{1/2} + X^{1/2} Gd' X^{-1/2})``; raises
+        ``ValueError`` unless ``X`` is positive definite.
+        """
+        w, V = np.linalg.eigh(0.5 * (self.X + self.X.T))
+        if w[0] <= 0:
+            raise ValueError("controller X is not positive definite")
+        Xh = (V * np.sqrt(w)) @ V.T
+        Xmh = (V / np.sqrt(w)) @ V.T
+        Gd = self.Gd
+        return linalg.min_eig_sym(Xmh @ Gd @ Xh + Xh @ Gd.T @ Xmh)
+
+    @cached_property
     def dilation(self) -> Dilation:
         """Dilation (generator ``Gd``, weight ``P``) the feedback is scheduled on."""
         return Dilation(self.Gd, self.P)

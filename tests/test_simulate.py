@@ -17,6 +17,7 @@ import scipy.linalg
 
 import homctl
 from homctl import (
+    ControlContext,
     ControllerKind,
     DisturbanceSpec,
     LinearPlant,
@@ -37,6 +38,7 @@ from homctl import (
     trace_summary,
     trace_to_csv,
 )
+from homctl.predictor import build_tables
 
 H = 0.01
 
@@ -632,6 +634,99 @@ def test_delay_run_makes_one_norm_solve_per_sample(monkeypatch):
     trace = simulate(config)
     assert len(calls) == np.count_nonzero(trace.s)
     assert trace.y is not None
+
+
+def _capture_index(trace):
+    """The sample from which the (predictor) state is captured at zero."""
+    snaps = [t for t, label in trace.events if label in ("snap_to_zero", "predictor_snap_to_zero")]
+    return int(round(snaps[0] / H)) if snaps else None
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5])
+@pytest.mark.parametrize("kind", list(ControllerKind))
+def test_feedback_runs_only_before_the_capture(monkeypatch, kind, tau):
+    calls = []
+    feedback = ControlContext.feedback
+
+    def counting(self, y, s, z):
+        calls.append(s)
+        return feedback(self, y, s, z)
+
+    monkeypatch.setattr(ControlContext, "feedback", counting)
+    config = ScenarioConfig(plant=oscillator_plant(delay=tau), controller=oscillator_controller(),
+                            x0=np.array([0.7, 0.0]), h=H, t_end=2.0 + tau, kind=kind)
+    trace = simulate(config)
+    k_snap = _capture_index(trace)
+    if kind is ControllerKind.LINEAR:
+        assert k_snap is None
+        assert len(calls) == len(trace.t)
+    else:
+        assert 0 < k_snap < len(trace.t)
+        assert len(calls) == k_snap
+
+
+def test_delayed_plant_runs_out_its_inputs_in_flight():
+    # after the predictor capture the plant is stepped exactly on the N
+    # inputs already sent, row for row, and reads zero from k_snap + N on
+    plant = oscillator_plant(delay=0.5)
+    config = ScenarioConfig(plant=plant, controller=oscillator_controller(), x0=np.array([0.7, 0.0]),
+                            h=H, t_end=2.5)
+    trace = simulate(config)
+    tables = build_tables(plant, H)
+    N, F, gamma = tables.N, tables.F, tables.gamma
+    k_snap = _capture_index(trace)
+    assert N == 50 and k_snap + N < len(trace.t)
+    for k in range(k_snap - 1, k_snap + N - 1):
+        assert np.array_equal(trace.x[k + 1], F @ trace.x[k] + gamma @ trace.u[k - N]), k
+    assert np.all(trace.x[k_snap + N - 1] != 0.0)
+    assert not trace.x[k_snap + N:].any()
+
+
+# 0.05 |x0| from x0 = (0.7, 0): inside the rejection envelope, so the run captures
+_INSIDE = DisturbanceSpec(kind="matched_sin", amplitude=0.05 * 0.7, omega=5.0)
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5])
+@pytest.mark.parametrize("dist", [DisturbanceSpec(), _INSIDE], ids=["undisturbed", "matched_sin"])
+def test_tail_after_the_capture_is_positive_zero(dist, tau):
+    config = ScenarioConfig(plant=oscillator_plant(delay=tau), controller=oscillator_controller(),
+                            x0=np.array([0.7, 0.0]), h=H, t_end=3.0 + tau, disturbance=dist)
+    trace = simulate(config)
+    k_snap = _capture_index(trace)
+    N = int(round(tau / H))
+    assert k_snap is not None and k_snap + N < len(trace.t)
+    tails = [trace.x[k_snap + N:], trace.u[k_snap:], trace.s[k_snap:], trace.x_norm[k_snap + N:]]
+    if tau:
+        tails.append(trace.y[k_snap:])
+    for tail in tails:
+        assert tail.size and not tail.any() and not np.signbit(tail).any()
+    assert trace.settled and trace.settling_time == trace.t[k_snap + N]
+
+
+def _old_rejection_rate(controller):
+    w, V = np.linalg.eigh(0.5 * (controller.X + controller.X.T))
+    Xh = (V * np.sqrt(w)) @ V.T
+    Xmh = (V / np.sqrt(w)) @ V.T
+    Gd = controller.Gd
+    return homctl.linalg.min_eig_sym(Xmh @ Gd @ Xh + Xh @ Gd.T @ Xmh)
+
+
+@pytest.mark.parametrize("name", ["oscillator", "chain3", "rand3x2", "rand5x2", "rand6x1"])
+def test_rejection_rate_is_the_formula_bit_for_bit(name):
+    if name == "oscillator":
+        ctrl = oscillator_controller()
+    else:
+        ctrl = load_controller(os.path.join(_RECORDS, f"{name}.json"))
+    assert ctrl.rejection_rate == _old_rejection_rate(ctrl)
+    assert ctrl.rejection_rate is ctrl.rejection_rate  # formed once per record
+
+
+def test_rejection_rate_needs_a_positive_definite_X(ctrl):
+    bad = dataclasses.replace(ctrl, X=-ctrl.X)
+    with pytest.raises(ValueError, match="not positive definite"):
+        bad.rejection_rate
+    with pytest.raises(ValueError, match="not positive definite"):
+        disturbance_bound(bad, 1.0, rho=2.0)
 
 
 def test_sampled_loop_never_calls_dilate(monkeypatch):
