@@ -110,8 +110,7 @@ def cmd_verify(args) -> int:
     report = verify_controller(controller, plant)
     print(report)
     if not report.all_passed:
-        failed = [c.name for c in report.checks if not c.passed]
-        print(f"verification FAILED: {', '.join(failed)}")
+        print(f"verification FAILED: {', '.join(c.name for c in report.failed)}")
         return EXIT_VERIFICATION
     print("verification passed")
     return EXIT_OK

@@ -2,8 +2,8 @@
 
 Thin wrappers around numpy routines that add the validation and error
 contracts the rest of the package relies on; the matrix exponential is one
-degree-13 Pade approximant with scaling and squaring, written in numpy, so
-importing this module does not load scipy.  Everything here is pure,
+degree-13 Pade approximant with scaling and squaring, written in numpy; no
+``homctl`` module imports scipy.  Everything here is pure,
 operates on small dense float arrays, and raises ``ValueError`` for
 malformed input and ``numpy.linalg.LinAlgError`` for rank/consistency
 failures.

@@ -19,6 +19,9 @@ a linear dilation at the constant rate ``1/T``:
     ``(A0 + Gd) X + X (A0 + Gd)' = 2 B B'``.  If that controller fails
     verification, a Riccati equation adds a feedback ``B B' Pi`` to
     ``A0 + Gd`` that conditions ``X`` better in the plant's coordinates.
+    Both equations are solved in numpy: the Lyapunov equation as one
+    ``n^2 x n^2`` Kronecker solve, the Riccati equation from the stable
+    eigenvectors of its ``2n x 2n`` Hamiltonian.
 3.  Assemble ``K = Y X^{-1}`` and the weighted norm
     ``|x| = sqrt(x' d(-ln T)' X^{-1} d(-ln T) x)`` that calibrates the
     settling time to exactly ``T``.  The record forms ``d(-ln T)`` once;
@@ -339,6 +342,33 @@ def solve_generator_equation(plant: LinearPlant) -> tuple[np.ndarray, np.ndarray
 # step 2: feasibility problem
 
 
+def _solve_lyapunov(F: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """``X`` with ``F X + X F' = Q``, as one Kronecker solve on row-major vectors.
+
+    The operator ``F kron I + I kron F`` has the eigenvalues ``l_i + l_j``
+    of ``F``, so it is nonsingular for an anti-Hurwitz ``F``.
+    """
+    I = np.eye(F.shape[0])
+    return np.linalg.solve(np.kron(F, I) + np.kron(I, F), Q.ravel()).reshape(Q.shape)
+
+
+def _solve_riccati(W: np.ndarray, B: np.ndarray, q: float) -> np.ndarray:
+    """Stabilizing ``Pi`` of ``W' Pi + Pi W + Pi B B' Pi = q I``: ``W + B B' Pi`` is anti-Hurwitz.
+
+    Laub's Hamiltonian method with eigenvectors: the ``n`` stable
+    eigenvectors ``[U1; U2]`` of ``[[-W, -B B'], [-q I, W']]`` give
+    ``Pi = U2 U1^{-1}``.  Raises ``LinAlgError`` unless there are exactly
+    ``n`` of them and ``U1`` is invertible.
+    """
+    n = W.shape[0]
+    lam, V = np.linalg.eig(np.block([[-W, -B @ B.T], [-q * np.eye(n), W.T]]))
+    stable = lam.real < 0
+    if np.count_nonzero(stable) != n:
+        raise np.linalg.LinAlgError(f"Hamiltonian has {np.count_nonzero(stable)} stable eigenvalues, expected {n}")
+    Pi = np.linalg.solve(V[:n, stable].T, V[n:, stable].T).T.real
+    return 0.5 * (Pi + Pi.T)
+
+
 def solve_lmi_feasibility(A0, B, Gd, weight: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form ``X > 0``, ``Y`` of the closed-loop dilation equality.
 
@@ -358,17 +388,18 @@ def solve_lmi_feasibility(A0, B, Gd, weight: float = 0.0) -> tuple[np.ndarray, n
     coordinates.  A positive ``weight`` ``q`` takes ``Pi``, the stabilizing
     solution of ``W' Pi + Pi W + Pi B B' Pi = q I``; ``F`` stays anti-Hurwitz
     and the identity weight shapes ``X`` in the plant's coordinates, at the
-    price of larger gains.
+    price of larger gains.  ``X`` is one Kronecker solve
+    (:func:`_solve_lyapunov`) and ``Pi`` comes from the stable eigenvectors
+    of the Riccati equation's Hamiltonian (:func:`_solve_riccati`).
 
     ``X`` and ``Y`` are rescaled so ``lmin(X) = 1``.  Raises
-    :class:`InfeasibleError` when a solve fails or when ``X`` or
+    :class:`InfeasibleError` when a solve fails (a ``LinAlgError``: a
+    singular Kronecker operator, a Hamiltonian without ``n`` stable
+    eigenvalues or a singular ``U1``), or when ``X`` or
     ``Gd X + X Gd'`` fails the Cholesky test of :func:`verify_controller`,
     as happens in double precision for badly conditioned plants and for a
     ``Gd`` that is not anti-Hurwitz.
     """
-    # the only scipy user in the package: simulate/verify/experiment never load it
-    import scipy.linalg
-
     A0 = linalg.as_square(A0, "A0")
     n = A0.shape[0]
     B = _as_tall(B, n, "B")
@@ -377,10 +408,10 @@ def solve_lmi_feasibility(A0, B, Gd, weight: float = 0.0) -> tuple[np.ndarray, n
     BBt = B @ B.T
     try:
         if weight > 0.0:
-            Pi = scipy.linalg.solve_continuous_are(-W, B, weight * np.eye(n), np.eye(B.shape[1]))
+            Pi = _solve_riccati(W, B, weight)
         else:
             Pi = np.zeros((n, n))
-        X = scipy.linalg.solve_continuous_lyapunov(W + BBt @ Pi, 2.0 * BBt)
+        X = _solve_lyapunov(W + BBt @ Pi, 2.0 * BBt)
     except np.linalg.LinAlgError as exc:
         raise InfeasibleError(f"no positive-definite solution found (solve failed: {exc})") from exc
     X = 0.5 * (X + X.T)
@@ -523,8 +554,12 @@ def verify_controller(controller: SynthesizedController, plant: LinearPlant | No
     lam_s = linalg.min_eig_sym(S)
     checks.append(CheckResult("dilation_lyapunov_pd", lam_s, 0.0, ok_s, "margin"))
     residual("gain_K_definition", np.linalg.norm(c.K @ c.X - c.Y), _IDENTITY_TOL * (1.0 + np.linalg.norm(c.Y)))
-    checks.append(CheckResult("norm_strict_monotonicity", linalg.min_eig_sym(c.P @ c.Gd + c.Gd.T @ c.P), 0.0,
-                              check_strict_monotonicity(c.dilation), "margin"))
+    # P inverts X, so without a positive-definite X the check fails unevaluated
+    if ok_x:
+        lam_p, ok_p = linalg.min_eig_sym(c.P @ c.Gd + c.Gd.T @ c.P), check_strict_monotonicity(c.dilation)
+    else:
+        lam_p, ok_p = math.nan, False
+    checks.append(CheckResult("norm_strict_monotonicity", lam_p, 0.0, ok_p, "margin"))
 
     if plant is not None:
         residual("plant_A_match", np.linalg.norm(c.A - plant.A), 1e-12 * a_scale)

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
+import homctl.synthesis
+from homctl import oscillator_controller
 from homctl.cli import (
     EXIT_INFEASIBLE,
     EXIT_INPUT,
@@ -18,6 +19,7 @@ from homctl.cli import (
     EXIT_VERIFICATION,
     main,
 )
+from homctl.synthesis import controller_to_dict
 
 PLANT = "[plant]\nA = 0 1; -1 0\nB = 0; 1\n"
 SCENARIO = (
@@ -25,6 +27,11 @@ SCENARIO = (
     + "[controller]\nbuiltin = oscillator\n"
     + "[sim]\nx0 = 0.2 0\nh = 0.01\nt_end = 2.0\n"
 )
+
+
+def _matrix_entry(M):
+    """A matrix as a plant-file value: rows split by ``;``, entries exact."""
+    return "; ".join(" ".join(repr(float(v)) for v in row) for row in M)
 
 
 @pytest.fixture
@@ -120,7 +127,7 @@ def test_diverging_run_writes_strict_json_summary(tmp_path, capsys):
     # weighted norm overflows: the summary reads null, never NaN
     record = Path(__file__).resolve().parents[1] / "bench" / "records" / "rand5x2.json"
     data = json.loads(record.read_text())
-    A, B = ("; ".join(" ".join(repr(float(v)) for v in row) for row in data[k]) for k in "AB")
+    A, B = (_matrix_entry(data[k]) for k in "AB")
     scenario = tmp_path / "diverging.ini"
     scenario.write_text(f"[plant]\nA = {A}\nB = {B}\n"
                         f"[controller]\nfile = {record}\nkind = linear\n"
@@ -167,12 +174,25 @@ def test_exit_code_uncontrollable_plant(tmp_path, capsys):
 
 
 def test_exit_code_failed_lyapunov_solve_is_infeasible(tmp_path, plant_file, monkeypatch, capsys):
-    def failing(a, q):
-        raise np.linalg.LinAlgError("Schur form did not converge")
+    def failing(F, Q):
+        raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", failing)
+    monkeypatch.setattr(homctl.synthesis, "_solve_lyapunov", failing)
     assert main(["synth", "--plant", str(plant_file), "--T", "1", "--out", str(tmp_path / "c.json")]) == EXIT_INFEASIBLE
     assert "no positive-definite solution" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("T", ["0.3", "1", "3"])
+def test_exit_code_census_plant_with_failed_riccati_branch_is_infeasible(tmp_path, T, capsys):
+    # census plant default_rng([99, 6, 2, 11]): both feasibility branches fail
+    rng = np.random.default_rng([99, 6, 2, 11])
+    A, B = rng.standard_normal((6, 6)), rng.standard_normal((6, 2))
+    plant = tmp_path / "rand6x2.ini"
+    plant.write_text(f"[plant]\nA = {_matrix_entry(A)}\nB = {_matrix_entry(B)}\n")
+    out = tmp_path / "c.json"
+    assert main(["synth", "--plant", str(plant), "--T", T, "--out", str(out)]) == EXIT_INFEASIBLE
+    assert "no positive-definite solution" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exit_code_verification_failure(tmp_path, plant_file, capsys):
@@ -183,6 +203,19 @@ def test_exit_code_verification_failure(tmp_path, plant_file, capsys):
     ctrl_path.write_text(json.dumps(data))
     assert main(["verify", "--controller", str(ctrl_path)]) == EXIT_VERIFICATION
     assert "FAILED" in capsys.readouterr().out
+
+
+def test_verify_singular_x_reports_failed_checks(tmp_path, capsys):
+    # the norm weight P inverts X, so a singular X must fail the checks, not the command
+    ctrl_path = tmp_path / "ctrl.json"
+    ctrl_path.write_text(json.dumps({**controller_to_dict(oscillator_controller()), "X": [[0, 0], [0, 0]]}))
+    assert main(["verify", "--controller", str(ctrl_path)]) == EXIT_VERIFICATION
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "[FAIL] X_positive_definite" in captured.out
+    assert "[FAIL] norm_strict_monotonicity: nan" in captured.out
+    assert captured.out.splitlines()[-1] == ("verification FAILED: feasibility_equality, X_positive_definite, "
+                                             "dilation_lyapunov_pd, gain_K_definition, norm_strict_monotonicity")
 
 
 def test_exit_code_bad_flags(capsys):
@@ -319,48 +352,51 @@ def test_experiment_parallel_matches_serial(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# scipy is loaded by synthesis only
+# no homctl module imports scipy
 
-_SCIPY_FREE_RUNS = textwrap.dedent("""
+_SCIPY_BLOCKED_RUNS = textwrap.dedent("""
     import contextlib, io, json, sys
     from pathlib import Path
 
+
+    class RefuseScipy:
+        def find_spec(self, name, path=None, target=None):
+            if name == "scipy" or name.startswith("scipy."):
+                raise ImportError(f"import of {{name}} refused")
+            return None
+
+
+    sys.meta_path.insert(0, RefuseScipy())
     import homctl.cli
-    from homctl import oscillator_controller, save_controller
 
     d = Path(sys.argv[1])
     (d / "plant.ini").write_text({plant!r})
     (d / "scenario.ini").write_text({scenario!r})
-    save_controller(oscillator_controller(), str(d / "ctrl.json"))
     runs = [
-        ["simulate", "--scenario", str(d / "scenario.ini"), "--out", str(d / "trace.csv")],
-        ["verify", "--controller", str(d / "ctrl.json"), "--plant", str(d / "plant.ini")],
+        ["synth", "--plant", str(d / "plant.ini"), "--T", "1.0", "--out", str(d / "synth.json")],
+        ["verify", "--controller", str(d / "synth.json"), "--plant", str(d / "plant.ini")],
+        ["simulate", "--scenario", str(d / "scenario.ini"), "--controller", str(d / "synth.json"),
+         "--out", str(d / "trace.csv")],
         ["experiment", "--preset", "fig7", "--out", str(d / "runs")],
     ]
     with contextlib.redirect_stdout(io.StringIO()):
         codes = [homctl.cli.main(argv) for argv in runs]
-        before = sorted(m for m in sys.modules if m.startswith("scipy"))
-        synth = homctl.cli.main(["synth", "--plant", str(d / "plant.ini"), "--T", "1.0",
-                                 "--out", str(d / "synth.json")])
-    after = any(m.startswith("scipy") for m in sys.modules)
-    print(json.dumps({{"codes": codes, "before": before, "synth": synth, "after": after}}))
+    loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    print(json.dumps({{"codes": codes, "loaded": loaded}}))
 """)
 
 
-def test_only_synthesis_loads_scipy(tmp_path):
+def test_cli_runs_with_scipy_imports_refused(tmp_path):
     import homctl
 
     src = str(Path(homctl.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     env.pop("HOMCTL_LOG", None)
-    code = _SCIPY_FREE_RUNS.format(plant=PLANT, scenario=SCENARIO)
+    code = _SCIPY_BLOCKED_RUNS.format(plant=PLANT, scenario=SCENARIO)
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True,
                           check=True, env=env)
-    result = json.loads(proc.stdout)
-    assert result["codes"] == [EXIT_OK] * 3
-    assert result["before"] == []
-    assert result["synth"] == EXIT_OK and (tmp_path / "synth.json").exists()
-    assert result["after"] is True
+    assert json.loads(proc.stdout) == {"codes": [EXIT_OK] * 4, "loaded": []}
+    assert (tmp_path / "synth.json").exists() and (tmp_path / "runs" / "report.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import homctl.synthesis
 from homctl import (
     ControllabilityError,
     InfeasibleError,
@@ -27,7 +28,14 @@ from homctl import (
     synthesize,
     verify_controller,
 )
-from homctl.synthesis import _RICCATI_STATE_WEIGHT, _generator_operator, controller_from_dict, controller_to_dict
+from homctl.synthesis import (
+    _RICCATI_STATE_WEIGHT,
+    _generator_operator,
+    _solve_lyapunov,
+    _solve_riccati,
+    controller_from_dict,
+    controller_to_dict,
+)
 
 
 def chain(n):
@@ -200,10 +208,10 @@ def test_lmi_feasibility_riccati_weight_rejects_non_anti_hurwitz_generator(plant
 
 
 def test_lmi_feasibility_riccati_failure_is_infeasible(plant, monkeypatch):
-    def failing(a, b, q, r):
-        raise np.linalg.LinAlgError("Failed to find a finite solution")
+    def failing(W, B, q):
+        raise np.linalg.LinAlgError("Hamiltonian has 1 stable eigenvalues, expected 2")
 
-    monkeypatch.setattr(scipy.linalg, "solve_continuous_are", failing)
+    monkeypatch.setattr(homctl.synthesis, "_solve_riccati", failing)
     with pytest.raises(InfeasibleError, match="no positive-definite solution found"):
         solve_lmi_feasibility(np.array([[0.0, 1.0], [0.0, 0.0]]), plant.B, np.diag([2.0, 1.0]), _RICCATI_STATE_WEIGHT)
 
@@ -216,18 +224,78 @@ def test_lmi_feasibility_rejects_non_anti_hurwitz_generator(plant):
 
 
 def test_lmi_feasibility_lyapunov_failure_is_infeasible(plant, monkeypatch):
-    def failing(a, q):
-        raise np.linalg.LinAlgError("Schur form did not converge")
+    def failing(F, Q):
+        raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", failing)
+    monkeypatch.setattr(homctl.synthesis, "_solve_lyapunov", failing)
     with pytest.raises(InfeasibleError, match="no positive-definite solution found"):
         solve_lmi_feasibility(np.array([[0.0, 1.0], [0.0, 0.0]]), plant.B, np.diag([2.0, 1.0]))
 
 
 def test_lmi_feasibility_non_finite_solution_is_infeasible(plant, monkeypatch):
-    monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", lambda a, q: np.full_like(q, np.nan))
+    monkeypatch.setattr(homctl.synthesis, "_solve_lyapunov", lambda F, Q: np.full_like(Q, np.nan))
     with pytest.raises(InfeasibleError, match=r"lmin\(X\) = nan"):
         solve_lmi_feasibility(np.array([[0.0, 1.0], [0.0, 0.0]]), plant.B, np.diag([2.0, 1.0]))
+
+
+def _anti_hurwitz(rng, n):
+    M = rng.standard_normal((n, n))
+    return M + (0.1 - np.linalg.eigvals(M).real.min()) * np.eye(n)
+
+
+def test_lyapunov_kronecker_solve_matches_scipy():
+    rng = np.random.default_rng([99, 1])
+    for n in range(2, 9):
+        for _ in range(5):
+            F = _anti_hurwitz(rng, n)
+            Q = rng.standard_normal((n, n))
+            Q = Q + Q.T
+            ref = scipy.linalg.solve_continuous_lyapunov(F, Q)
+            X = _solve_lyapunov(F, Q)
+            assert np.linalg.norm(X - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_riccati_hamiltonian_solution_matches_scipy_and_stabilizes():
+    rng = np.random.default_rng([99, 2])
+    for n in range(2, 9):
+        for m in range(1, min(n, 3) + 1):
+            W, B = rng.standard_normal((n, n)), rng.standard_normal((n, m))
+            for q in (1.0, _RICCATI_STATE_WEIGHT):
+                ref = scipy.linalg.solve_continuous_are(-W, B, q * np.eye(n), np.eye(m))
+                Pi = _solve_riccati(W, B, q)
+                assert np.array_equal(Pi, Pi.T)
+                assert np.linalg.norm(Pi - ref) <= 1e-9 * np.linalg.norm(ref)
+                assert np.linalg.eigvals(W + B @ B.T @ Pi).real.min() > 0
+
+
+def test_riccati_without_n_stable_eigenvalues_raises():
+    # W = 0, B = 0: the Hamiltonian [[0, 0], [-q I, 0]] has only zero eigenvalues
+    with pytest.raises(np.linalg.LinAlgError, match="0 stable eigenvalues, expected 2"):
+        _solve_riccati(np.zeros((2, 2)), np.zeros((2, 1)), 1.0)
+
+
+def _census_plant(n, m, seed):
+    """Plant ``seed`` of the synthesis census: ``A`` then ``B``, standard normal."""
+    rng = np.random.default_rng([99, n, m, seed])
+    return LinearPlant(rng.standard_normal((n, n)), rng.standard_normal((n, m)))
+
+
+@pytest.mark.parametrize(("n", "seed", "T"), [(5, 6, 0.3), (6, 2, 1.0)])
+def test_synthesize_riccati_only_census_plants(n, seed, T):
+    # two of the census cases that verify only through the Riccati branch
+    plant = _census_plant(n, 1, seed)
+    ctrl = synthesize(plant, SynthesisConfig(T=T))
+    assert verify_controller(ctrl, plant).all_passed
+    assert not np.allclose(ctrl.Y / np.linalg.norm(ctrl.Y), -plant.B.T / np.linalg.norm(plant.B), atol=1e-6)
+
+
+@pytest.mark.parametrize("T", [0.3, 1.0, 3.0])
+def test_synthesize_census_rand6x2_seed11_is_infeasible(T):
+    # with Y = -B' the solution X is indefinite, and the Riccati branch's
+    # record fails closed_loop_nilpotent, so the first error is raised: an
+    # InfeasibleError (CLI exit 3), never a foreign ValueError (exit 2)
+    with pytest.raises(InfeasibleError, match="no positive-definite solution"):
+        synthesize(_census_plant(6, 2, 11), SynthesisConfig(T=T))
 
 
 def _random_plant(seed):
