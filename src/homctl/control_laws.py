@@ -27,7 +27,9 @@ per-sample step is the pair :meth:`ControlContext.solve`, which returns
 ``s`` and the unit-sphere point ``z = d(-ln s)(x / r)`` of its root-find,
 and :meth:`ControlContext.feedback`, whose homogeneous term ``r KT z`` needs
 no dilation.  :func:`eval_control` and the sampled and dense loops of
-:mod:`homctl.simulate` all call that pair.
+:mod:`homctl.simulate` all call that pair.  A sampled run whose feedback
+never reads ``s`` takes its trace's ``s`` column from
+:meth:`ControlContext.solve_rows`, one batched root-find after the loop.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .dilation import Dilation, _solve
+from .dilation import Dilation, _solve, _solve_rows
 from .synthesis import SynthesizedController
 
 __all__ = ["ControllerKind", "ControlContext", "make_context", "eval_control"]
@@ -110,6 +112,20 @@ class ControlContext:
         if not math.isfinite(yr.dot(yr)) and not np.isfinite(yr).all():
             raise ValueError("x has non-finite entries")
         return _solve(self.dilation, yr, guess)
+
+    def solve_rows(self, Y: np.ndarray) -> np.ndarray:
+        """The unclamped ``s = ||y / r||_d`` for every row ``y`` of ``Y``, in one batched root-find.
+
+        Zeros for a zero radius ``r``; otherwise as :meth:`solve`, row by
+        row, from the cold start and without the root points.
+        """
+        r = self.ref_norm
+        if r == 0.0:
+            return np.zeros(len(Y))
+        Yr = Y / r
+        if not np.isfinite(Yr).all():
+            raise ValueError("x has non-finite entries")
+        return _solve_rows(self.dilation, Yr)
 
     def feedback(self, y: np.ndarray, s: float, z: np.ndarray | None) -> np.ndarray:
         """The input at a finite state ``y`` from ``(s, z) = solve(y)``.

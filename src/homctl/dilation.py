@@ -248,6 +248,83 @@ def _solve(D: Dilation, x: np.ndarray, guess: float | None = None) -> tuple[floa
     raise RuntimeError("hom_norm: root refinement did not converge (dilation not strictly monotone?)")
 
 
+def _solve_rows(D: Dilation, X: np.ndarray) -> np.ndarray:
+    """``||x||_d`` for every row ``x`` of a finite ``(k, n)`` block.
+
+    The rule of :func:`_solve` from its cold start, row by row, with every
+    row's orbit point, residual and step formed at once; rows leave the
+    batch as they converge.  A generator without a usable eigenbasis
+    evaluates each row's orbit point by its own matrix exponential.  Raises
+    what :func:`_solve` raises; the caller silences floating-point warnings.
+    """
+    k, n = X.shape
+    out = np.zeros(k)
+    q = np.einsum("ij,jl,il->i", X, D.weight, X)
+    ln_base = np.full(k, -math.inf)
+    ok = (_TINY_NORM**2 <= q) & (q < math.inf)
+    ln_base[ok] = np.log(np.sqrt(q[ok]))
+    # a nonzero row whose x'Px over- or underflowed: the rescaled form
+    for i in np.nonzero(~ok & X.any(axis=1))[0]:
+        ln_base[i] = _log_base_norm(D, X[i])
+    rows = np.nonzero(ln_base >= math.log(_TINY_NORM))[0]
+    s = ln_base[rows]
+    eig = D._eig
+    if eig is None:
+        G = D.generator
+        C = X[rows]
+
+        def orbit(s, C):
+            return np.array([linalg.expm(-si * G).dot(c) for si, c in zip(s.tolist(), C)])
+    else:
+        w, V, Vinv = eig
+        C = X[rows].dot(Vinv.T)
+
+        def orbit(s, C):
+            return (np.exp(-s[:, None] * w) * C).dot(V.T).real
+    forms = D._forms
+    lo, hi, step = np.full(len(rows), -math.inf), np.full(len(rows), math.inf), np.ones(len(rows))
+    for _ in range(_MAX_ITER):
+        if not len(rows):
+            return out
+        Z = orbit(s, C)
+        q, g, hq = np.einsum("kjl,kl->jk", Z.dot(forms.T).reshape(len(rows), 3, n), Z)
+        # NaN or -inf (an overflowed orbit point) reads NaN
+        zn = np.where(q > -math.inf, np.sqrt(np.maximum(q, 0.0)), math.nan)
+        done = np.abs(zn - 1.0) <= HOM_NORM_RESIDUAL_TOL
+        out[rows[done]] = np.exp(s[done])
+        if done.any():
+            keep = ~done
+            rows, s, C, lo, hi, step = rows[keep], s[keep], C[keep], lo[keep], hi[keep], step[keep]
+            q, g, hq, zn = q[keep], g[keep], hq[keep], zn[keep]
+        # an overflowed orbit point (zn inf or NaN) lies outside the sphere
+        outside = ~(zn <= 1.0)
+        lo = np.where(outside, s, lo)
+        hi = np.where(outside, hi, s)
+        # _solve's guarded Halley/Newton step, NaN where q or the slope is
+        # not usable; those rows divide by stand-ins, never by zero
+        usable = (0.0 < q) & (q < math.inf)
+        qs = np.where(usable, q, 1.0)
+        d1 = -g / qs
+        usable &= (d1 < 0.0) & (0.0 < d1 * d1)
+        f, d1 = np.where(usable, 0.5 * np.log(qs), 0.0), np.where(usable, d1, -1.0)
+        d1sq = d1 * d1
+        fd2 = f * (hq / qs - 2.0 * d1sq)
+        halley = fd2 <= d1sq
+        delta = np.where(halley, 2.0 * f * d1 / np.where(halley, 2.0 * d1sq - fd2, 1.0), f / d1)
+        s_next = np.where(usable, s - delta, math.nan)
+        inside = (lo < s_next) & (s_next < hi)
+        closed = np.isfinite(lo) & np.isfinite(hi)
+        # no usable slope and the root's side is open: double outward
+        widen = ~inside & ~closed
+        if (widen & (step > 1e6)).any():
+            raise RuntimeError("hom_norm: no unit-sphere crossing found (dilation not strictly monotone?)")
+        s = np.where(inside, s_next, np.where(closed, 0.5 * (lo + hi), s + np.where(outside, step, -step)))
+        step = np.where(widen, 2.0 * step, step)
+    if not len(rows):
+        return out
+    raise RuntimeError("hom_norm: root refinement did not converge (dilation not strictly monotone?)")
+
+
 def hom_norm_gradient(D: Dilation, x) -> np.ndarray:
     """Gradient of the homogeneous norm at ``x != 0``.
 

@@ -27,6 +27,13 @@ The sampled loop ends at the capture.  Behind a delay of ``N`` samples the
 plant then runs out the ``N`` inputs already in flight, with no norm solve
 and no feedback; every later row of the trace is zero by construction, as
 the trace arrays are allocated as zeros.
+
+The loop solves the state's norm only where the feedback or the snap reads
+it: once per sample for the homogeneous kinds without noise.  The linear
+kind, a zero reference and every noisy run fill the trace's ``s`` column
+after the loop, in one batched root-find over the (predictor) states.  A
+noisy homogeneous run solves only its measurement per sample, warm-started
+from the previous measurement's root.
 """
 
 from __future__ import annotations
@@ -341,10 +348,16 @@ def _simulate_zoh(config: ScenarioConfig) -> SimulationTrace:
     events: list = []
     U_flat = U.reshape(-1)  # the inputs in flight at sample k are U_flat[k m:(k + N) m]
 
+    # the state's (s, z) is solved per sample only where the feedback or
+    # the snap reads it; other runs fill s after the loop in one batched solve
+    reads_s = config.kind is not ControllerKind.LINEAR and ctx.r0 > 0.0
+    solve_state = snap_enabled or (reads_s and rng is None)
+
     x = config.x0.copy()
     # K (past the last sample) while no snap is scheduled
     snap_at = K
-    s_prev = s_prev2 = 0.0
+    s = s_prev = s_prev2 = 0.0
+    z = None
     # orbit points far from a root may overflow; a diverging plant state
     # overflows its weighted norm and then fails the finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
@@ -352,16 +365,22 @@ def _simulate_zoh(config: ScenarioConfig) -> SimulationTrace:
             if k == snap_at:
                 break
             y = x if N == 0 else _shift(tables, x, U_flat[k * m:(k + N) * m])
-            # one solve per sample, warm-started from the last two; the
-            # feedback reuses s and the root point z = d(-ln s)(y/r)
-            s, z = ctx.solve(y, _warm_guess(s_prev, s_prev2))
-            s_prev, s_prev2 = s, s_prev
-            if rng is None:
+            if solve_state:
+                # one solve per sample, warm-started from the last two; the
+                # feedback reuses s and the root point z = d(-ln s)(y/r)
+                s, z = ctx.solve(y, _warm_guess(s_prev, s_prev2))
+                s_prev, s_prev2 = s, s_prev
+                ss[k] = s
                 u = ctx.feedback(y, s, z)
+            elif rng is None:
+                u = ctx.feedback(y, 0.0, None)
             else:
                 meas = y + rng.uniform(-config.noise.amplitude, config.noise.amplitude, n)
-                u = ctx.feedback(meas, *ctx.solve(meas, s if s > 0 else None))
-            xs[k], U[k + N], ss[k] = x, u, s
+                if reads_s:
+                    # warm-started from the previous measurement's root
+                    s, z = ctx.solve(meas, s if s > 0 else None)
+                u = ctx.feedback(meas, s, z)
+            xs[k], U[k + N] = x, u
             if N:
                 ys[k] = y
             if snap_enabled and s <= snap_delta:
@@ -382,6 +401,8 @@ def _simulate_zoh(config: ScenarioConfig) -> SimulationTrace:
             if exo is not None:
                 x = x + Ed.dot(v)
                 v = Ev.dot(v)
+        if not solve_state:
+            ss[:] = ctx.solve_rows(ys if N else xs)
 
     return SimulationTrace(t=times, x=xs, u=U[N:], s=ss, x_norm=_norms(ctx.dilation, xs), y=ys, events=events)
 

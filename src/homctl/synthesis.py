@@ -317,7 +317,11 @@ def solve_generator_equation(plant: LinearPlant) -> tuple[np.ndarray, np.ndarray
 
     Returns the least-norm solution.  Every exact solution makes
     ``Gd = I + MU G0`` anti-Hurwitz with smallest eigenvalue 1 (see the
-    module docstring), so the solution set is not searched.
+    module docstring), so the solution set is not searched.  Raises
+    :class:`SynthesisError` when a residual is out of tolerance, when
+    ``G0 - I`` is numerically singular, or when ``A0 = A + B K0`` fails the
+    ``closed_loop_nilpotent`` check of :func:`verify_controller`, naming
+    ``|A0^n|`` and ``cond(G0 - I)``.
     """
     A, B = plant.A, plant.B
     n, m = plant.n, plant.m
@@ -335,7 +339,20 @@ def solve_generator_equation(plant: LinearPlant) -> tuple[np.ndarray, np.ndarray
     sv = np.linalg.svd(G0 - np.eye(n), compute_uv=False)
     if sv[-1] <= 1e-9 * max(sv[0], 1.0):
         raise SynthesisError("G0 - I is numerically singular")
+    # A0 = A + B K0 must be nilpotent to verify_controller's tolerance; an
+    # ill-conditioned G0 - I can lose that, and no feasibility step repairs it
+    _, A0 = _closed_loop(A, B, G0, Y0)
+    a0n, tol = np.linalg.norm(np.linalg.matrix_power(A0, n)), _IDENTITY_TOL * scale**n
+    if not a0n <= tol:
+        raise SynthesisError(f"generator equation: A0 = A + B K0 is not nilpotent (|A0^{n}| = {a0n:.3e} > {tol:.3e}, "
+                             f"cond(G0 - I) = {sv[0] / sv[-1]:.3e})")
     return G0, Y0
+
+
+def _closed_loop(A: np.ndarray, B: np.ndarray, G0: np.ndarray, Y0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``K0 = Y0 (G0 - I)^{-1}`` and the nilpotent closed loop ``A0 = A + B K0``."""
+    K0 = Y0 @ np.linalg.inv(G0 - np.eye(len(A)))
+    return K0, A + B @ K0
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +463,7 @@ def synthesize(plant: LinearPlant, config: SynthesisConfig) -> SynthesizedContro
     n = plant.n
     G0, Y0 = solve_generator_equation(plant)
     Gd = np.eye(n) + MU * G0
-    K0 = Y0 @ np.linalg.inv(G0 - np.eye(n))
-    A0 = A + B @ K0
+    K0, A0 = _closed_loop(A, B, G0, Y0)
     first_error = None
     for weight in (0.0, _RICCATI_STATE_WEIGHT):
         if weight:

@@ -184,14 +184,14 @@ def test_exit_code_failed_lyapunov_solve_is_infeasible(tmp_path, plant_file, mon
 
 @pytest.mark.parametrize("T", ["0.3", "1", "3"])
 def test_exit_code_census_plant_with_failed_riccati_branch_is_infeasible(tmp_path, T, capsys):
-    # census plant default_rng([99, 6, 2, 11]): both feasibility branches fail
+    # census plant default_rng([99, 6, 2, 11]): the generator step's A0 is not nilpotent
     rng = np.random.default_rng([99, 6, 2, 11])
     A, B = rng.standard_normal((6, 6)), rng.standard_normal((6, 2))
     plant = tmp_path / "rand6x2.ini"
     plant.write_text(f"[plant]\nA = {_matrix_entry(A)}\nB = {_matrix_entry(B)}\n")
     out = tmp_path / "c.json"
     assert main(["synth", "--plant", str(plant), "--T", T, "--out", str(out)]) == EXIT_INFEASIBLE
-    assert "no positive-definite solution" in capsys.readouterr().err
+    assert "generator equation: A0 = A + B K0 is not nilpotent" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -392,3 +392,72 @@ def test_hom_norm_rejects_a_state_whose_norm_overflows_at_its_own_scale():
     D = Dilation(np.eye(2), np.diag([1e308, 1e308]))
     with pytest.raises(ValueError, match=r"overflows at its scale max\|x\| = 1e\+10"):
         hom_norm(D, [1e10, 1e10])
+
+
+# ---------------------------------------------------------------------------
+# batched root-find over the rows of a block
+
+
+def _rows_block(D, rng):
+    """Rows from 1e-6 to 1e6, zero rows and rows near 1e200, shuffled."""
+    rows = []
+    for mag in 10.0 ** np.arange(-6, 7):
+        for _ in range(3):
+            v = rng.standard_normal(D.dim)
+            rows.append(mag * v / np.linalg.norm(v))
+    rows += [np.zeros(D.dim), np.zeros(D.dim)]
+    for _ in range(3):
+        v = rng.standard_normal(D.dim)
+        rows.append(1e200 * v / np.linalg.norm(v))
+    return np.array(rows)[rng.permutation(len(rows))]
+
+
+@pytest.mark.parametrize("name,D", _warm_start_dilations())
+def test_solve_rows_agrees_with_the_scalar_solve_row_by_row(name, D, rng):
+    X = _rows_block(D, rng)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the terms of x'Px overflow, to inf or, with both signs, to NaN
+        assert np.count_nonzero(~np.isfinite(np.einsum("ij,jl,il->i", X, D.weight, X))) == 3
+        got = homctl.dilation._solve_rows(D, X)
+    assert got.shape == (len(X),)
+    for x, s in zip(X, got):
+        ref = hom_norm(D, x)
+        if not x.any():
+            assert s == 0.0 and ref == 0.0
+            continue
+        z = dilate(D, -math.log(s), x)
+        assert abs(D.norm(z) - 1.0) <= 1e-12
+        # a residual of 1e-12 moves ln s by 1e-12 over the slope -d|d(-s)x|/ds
+        slope = float(z @ D.weight @ D.generator @ z)
+        assert abs(math.log(s) - math.log(ref)) <= 10 * 1e-12 / slope + 1e-14
+
+
+def test_solve_rows_of_an_empty_and_an_all_zero_block():
+    D = oscillator_controller().dilation
+    assert homctl.dilation._solve_rows(D, np.zeros((0, 2))).shape == (0,)
+    np.testing.assert_array_equal(homctl.dilation._solve_rows(D, np.zeros((3, 2))), np.zeros(3))
+
+
+def test_solve_rows_raises_the_scalar_solver_messages(monkeypatch):
+    # G = -I has no unit-sphere crossing; a good row beside it does not hide it
+    D = Dilation(-np.eye(2), np.eye(2))
+    X = np.array([[0.0, 0.0], [2.0, 0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RuntimeError, match="no unit-sphere crossing found"):
+            homctl.dilation._solve_rows(D, X)
+    with pytest.raises(RuntimeError, match="no unit-sphere crossing found"):
+        hom_norm(D, X[1])
+    # a row still off the sphere after the last evaluation
+    D = oscillator_controller().dilation
+    X = np.array([[0.3, -0.1], [1e-3, 2e-4]])
+    monkeypatch.setattr(homctl.dilation, "_MAX_ITER", 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RuntimeError, match="root refinement did not converge"):
+            homctl.dilation._solve_rows(D, X)
+    with pytest.raises(RuntimeError, match="root refinement did not converge"):
+        hom_norm(D, X[0])
+    # a row whose norm overflows even at its own scale
+    D = Dilation(np.eye(2), np.diag([1e308, 1e308]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"overflows at its scale max\|x\| = 1e\+10"):
+            homctl.dilation._solve_rows(D, np.array([[1.0, 0.0], [1e10, 1e10]]))

@@ -611,20 +611,61 @@ def _count_norm_solves(monkeypatch):
     return calls
 
 
+def _count_row_solves(monkeypatch):
+    """Counts the batched solves and the rows each one takes."""
+    rows = []
+    solve_rows = homctl.dilation._solve_rows
+
+    def counting(D, X):
+        rows.append(len(X))
+        return solve_rows(D, X)
+
+    monkeypatch.setattr(homctl.control_laws, "_solve_rows", counting)
+    return rows
+
+
 @pytest.mark.parametrize("kind", list(ControllerKind))
 def test_one_norm_solve_per_sample_and_none_after_snap(monkeypatch, kind):
     calls = _count_norm_solves(monkeypatch)
+    rows = _count_row_solves(monkeypatch)
     trace = simulate(_nominal([0.7, 0.0], kind=kind))
     snaps = [t for t, label in trace.events if label == "snap_to_zero"]
     if kind is ControllerKind.LINEAR:
+        # the linear law never reads s: no scalar solve, and the s column
+        # comes from one batched solve after the loop
         assert not snaps
-        assert len(calls) == len(trace.t)
+        assert not calls
+        assert rows == [len(trace.t)]
+        assert np.all(trace.s > 0)
     else:
         k_snap = int(round(snaps[0] / H))
         assert len(calls) == k_snap
+        assert not rows
         assert np.all(trace.s[:k_snap] > 0) and np.all(trace.s[k_snap:] == 0)
-    # only the first sample starts cold
-    assert calls[0] is None and all(g is not None for g in calls[1:])
+        # only the first sample starts cold
+        assert calls[0] is None and all(g is not None for g in calls[1:])
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5])
+@pytest.mark.parametrize("kind", list(ControllerKind))
+def test_noisy_run_solves_the_measurement_once_per_sample(monkeypatch, kind, tau):
+    # the homogeneous feedback solves each noisy measurement, warm-started
+    # from the previous measurement's root; the linear law solves nothing.
+    # The s column of the true state comes from one batched solve
+    calls = _count_norm_solves(monkeypatch)
+    rows = _count_row_solves(monkeypatch)
+    config = ScenarioConfig(plant=oscillator_plant(delay=tau), controller=oscillator_controller(),
+                            x0=np.array([0.7, 0.0]), h=H, t_end=2.0 + tau, kind=kind,
+                            noise=NoiseSpec(amplitude=0.01, seed=5))
+    trace = simulate(config)
+    assert not trace.events
+    assert rows == [len(trace.t)]
+    assert np.all(trace.s > 0)
+    if kind is ControllerKind.LINEAR:
+        assert not calls
+    else:
+        assert len(calls) == len(trace.t)
+        assert calls[0] is None and all(g is not None for g in calls[1:])
 
 
 def test_delay_run_makes_one_norm_solve_per_sample(monkeypatch):
@@ -805,13 +846,21 @@ def test_delay_free_trace_has_no_predictor_state():
     assert [label for _, label in trace.events] == ["snap_to_zero"]
 
 
-def test_warm_started_trace_keeps_the_root_tolerance():
-    config = _nominal([0.7, 0.0])
+@pytest.mark.parametrize("tau", [0.0, 0.5])
+@pytest.mark.parametrize("noise", [NoiseSpec(), NoiseSpec(0.01, seed=3)], ids=["nominal", "noisy"])
+@pytest.mark.parametrize("kind", [ControllerKind.PRESCRIBED_TIME_ROBUST, ControllerKind.LINEAR])
+def test_warm_started_trace_keeps_the_root_tolerance(kind, noise, tau):
+    # s is per-sample and warm-started (nominal homogeneous runs) or batched
+    # (linear and noisy runs); every row meets the root tolerance either way
+    config = ScenarioConfig(plant=oscillator_plant(delay=tau), controller=oscillator_controller(),
+                            x0=np.array([0.7, 0.0]), h=H, t_end=2.0 + tau, kind=kind, noise=noise)
     trace = simulate(config)
-    D, r = config.controller.dilation, config.controller.weighted_norm(config.x0)
-    for x, s in zip(trace.x, trace.s):
+    Y = trace.y if tau else trace.x
+    D, r = config.controller.dilation, config.controller.weighted_norm(Y[0])
+    assert np.count_nonzero(trace.s) > 90
+    for y, s in zip(Y, trace.s):
         if s > 0:
-            assert abs(D.norm(dilate(D, -math.log(s), x / r)) - 1.0) <= 1e-12
+            assert abs(D.norm(dilate(D, -math.log(s), y / r)) - 1.0) <= 1e-12
 
 
 def test_overflowing_initial_state_is_rejected():

@@ -291,10 +291,10 @@ def test_synthesize_riccati_only_census_plants(n, seed, T):
 
 @pytest.mark.parametrize("T", [0.3, 1.0, 3.0])
 def test_synthesize_census_rand6x2_seed11_is_infeasible(T):
-    # with Y = -B' the solution X is indefinite, and the Riccati branch's
-    # record fails closed_loop_nilpotent, so the first error is raised: an
-    # InfeasibleError (CLI exit 3), never a foreign ValueError (exit 2)
-    with pytest.raises(InfeasibleError, match="no positive-definite solution"):
+    # cond(G0 - I) ~ 3.9e6 leaves A0 = A + B K0 short of nilpotent: the
+    # generator step says so (CLI exit 3), before any feasibility step runs
+    with pytest.raises(SynthesisError, match=r"generator equation: A0 = A \+ B K0 is not nilpotent "
+                                             r"\(\|A0\^6\| = 2\.27\de-02 > 1\.469e-03, cond\(G0 - I\) = 3\.9\d\de\+06\)"):
         synthesize(_census_plant(6, 2, 11), SynthesisConfig(T=T))
 
 
