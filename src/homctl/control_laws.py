@@ -26,10 +26,10 @@ The calibrated gain ``K d(-ln T)`` is the controller record's ``KT``.  The
 per-sample step is the pair :meth:`ControlContext.solve`, which returns
 ``s`` and the unit-sphere point ``z = d(-ln s)(x / r)`` of its root-find,
 and :meth:`ControlContext.feedback`, whose homogeneous term ``r KT z`` needs
-no dilation.  :func:`eval_control` and the sampled and dense loops of
-:mod:`homctl.simulate` all call that pair.  A sampled run whose feedback
-never reads ``s`` takes its trace's ``s`` column from
-:meth:`ControlContext.solve_rows`, one batched root-find after the loop.
+no dilation.  :func:`eval_control` and the sampled loop of
+:mod:`homctl.simulate` solve where :attr:`ControlContext.reads_s` holds; the
+dense mode feeds its closed-form ``(s, z)``.  A run that does not solve its
+states takes their ``s`` from :meth:`ControlContext.solve_rows`, in one batch.
 """
 
 from __future__ import annotations
@@ -96,6 +96,11 @@ class ControlContext:
             return max(self.r0, 1.0)
         return self.r0
 
+    @cached_property
+    def reads_s(self) -> bool:
+        """Whether :meth:`feedback` reads ``s``: a homogeneous kind with a nonzero reference."""
+        return self.kind is not ControllerKind.LINEAR and self.r0 > 0.0
+
     def solve(self, y: np.ndarray, guess: float | None = None) -> tuple[float, np.ndarray | None]:
         """The unclamped ``s = ||y / r||_d`` and its root point ``z = d(-ln s)(y / r)``.
 
@@ -130,8 +135,8 @@ class ControlContext:
     def feedback(self, y: np.ndarray, s: float, z: np.ndarray | None) -> np.ndarray:
         """The input at a finite state ``y`` from ``(s, z) = solve(y)``.
 
-        ``d(-ln s) y = r z`` needs no dilation.  Only a homogeneous kind with
-        a nonzero reference reads ``s`` and ``z``.
+        ``d(-ln s) y = r z`` needs no dilation.  ``s`` and ``z`` are read
+        only where :attr:`reads_s` holds.
         """
         K0, KT = self.controller.K0, self.controller.KT
         # the clamped scheduling scalar c: 1.0 is the linear law, 0.0 the K0 branch
@@ -174,11 +179,11 @@ def eval_control(ctx: ControlContext, x) -> np.ndarray:
 
     A validating wrapper over :meth:`ControlContext.solve` and
     :meth:`ControlContext.feedback` that solves the norm only where the
-    feedback reads it: not for the linear kind, nor for a zero reference.
+    feedback reads it (:attr:`ControlContext.reads_s`).
     """
     x = linalg.as_vector(x, "x", ctx.controller.n)
     s, z = 0.0, None
-    if ctx.kind is not ControllerKind.LINEAR and ctx.r0 > 0.0:
+    if ctx.reads_s:
         with np.errstate(over="ignore", invalid="ignore"):
             s, z = ctx.solve(x)
     return ctx.feedback(x, s, z)

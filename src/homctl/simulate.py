@@ -23,17 +23,15 @@ invariant, the feedback absorbing the disturbance.  Outside the envelope,
 for unmatched disturbances, and under measurement noise the snap is
 disabled and the trace keeps its raw floor.
 
-The sampled loop ends at the capture.  Behind a delay of ``N`` samples the
-plant then runs out the ``N`` inputs already in flight, with no norm solve
-and no feedback; every later row of the trace is zero by construction, as
-the trace arrays are allocated as zeros.
-
-The loop solves the state's norm only where the feedback or the snap reads
-it: once per sample for the homogeneous kinds without noise.  The linear
-kind, a zero reference and every noisy run fill the trace's ``s`` column
-after the loop, in one batched root-find over the (predictor) states.  A
-noisy homogeneous run solves only its measurement per sample, warm-started
-from the previous measurement's root.
+Each sample of the loop takes the controller's point (the state or the
+predictor state, plus any measurement noise), solves its norm only where
+the feedback or the snap reads it, evaluates the feedback and takes the one
+plant step.  From the capture on, the plant runs out the ``N`` inputs in
+flight behind a delay of ``N`` samples, and the loop ends; later rows stay
+the zeros the trace arrays are allocated as.  The linear kind, a zero
+reference and every noisy run fill the trace's ``s`` column after the loop
+in one batched root-find, as does the dense mode, whose feedback reads the
+``(s, z)`` of its closed form.
 """
 
 from __future__ import annotations
@@ -279,9 +277,7 @@ def _matched_sup_norm(dist: DisturbanceSpec, B: np.ndarray, controller: Synthesi
 
 
 def _snap_enabled(config: ScenarioConfig, ref_norm: float) -> bool:
-    if config.kind is ControllerKind.LINEAR or ref_norm <= 0.0:
-        return False
-    if config.noise.active:
+    if config.kind is ControllerKind.LINEAR or ref_norm <= 0.0 or config.noise.active:
         return False
     if not config.disturbance.active:
         return True
@@ -290,14 +286,6 @@ def _snap_enabled(config: ScenarioConfig, ref_norm: float) -> bool:
         return False
     envelope = ref_norm * config.controller.rejection_rate / (2.0 * config.controller.T)
     return sup < envelope
-
-
-def _warm_guess(s_prev: float, s_prev2: float) -> float | None:
-    """Linear extrapolation of the last two norms, else the last, else None."""
-    if not s_prev > 0.0:
-        return None
-    guess = 2.0 * s_prev - s_prev2
-    return guess if s_prev2 > 0.0 and guess > 0.0 else s_prev
 
 
 def _simulate_zoh(config: ScenarioConfig) -> SimulationTrace:
@@ -341,70 +329,61 @@ def _simulate_zoh(config: ScenarioConfig) -> SimulationTrace:
     snap_delta = 2.0 * h / ctrl.T
 
     # rows past the capture keep these zeros: y, s and u from snap_at on,
-    # the plant state from snap_at + N on
+    # the plant state from snap_at + N on; without a delay y is x
     xs = np.zeros((K, n))
-    ys = np.zeros((K, n)) if N else None
+    ys = np.zeros((K, n)) if N else xs
     ss = np.zeros(K)
     events: list = []
     U_flat = U.reshape(-1)  # the inputs in flight at sample k are U_flat[k m:(k + N) m]
 
-    # the state's (s, z) is solved per sample only where the feedback or
-    # the snap reads it; other runs fill s after the loop in one batched solve
-    reads_s = config.kind is not ControllerKind.LINEAR and ctx.r0 > 0.0
-    solve_state = snap_enabled or (reads_s and rng is None)
+    # the controller's point is solved only where the feedback or the snap
+    # reads its norm; the trace's s column is that solve only without noise,
+    # other runs refill it after the loop in one batched solve
+    solve = ctx.reads_s or snap_enabled
 
     x = config.x0.copy()
     # K (past the last sample) while no snap is scheduled
     snap_at = K
-    s = s_prev = s_prev2 = 0.0
+    s = s_prev = 0.0
     z = None
     # orbit points far from a root may overflow; a diverging plant state
     # overflows its weighted norm and then fails the finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(K):
-            if k == snap_at:
+            if k == snap_at + N:
                 break
-            y = x if N == 0 else _shift(tables, x, U_flat[k * m:(k + N) * m])
-            if solve_state:
-                # one solve per sample, warm-started from the last two; the
-                # feedback reuses s and the root point z = d(-ln s)(y/r)
-                s, z = ctx.solve(y, _warm_guess(s_prev, s_prev2))
-                s_prev, s_prev2 = s, s_prev
-                ss[k] = s
-                u = ctx.feedback(y, s, z)
-            elif rng is None:
-                u = ctx.feedback(y, 0.0, None)
-            else:
-                meas = y + rng.uniform(-config.noise.amplitude, config.noise.amplitude, n)
-                if reads_s:
-                    # warm-started from the previous measurement's root
-                    s, z = ctx.solve(meas, s if s > 0 else None)
-                u = ctx.feedback(meas, s, z)
-            xs[k], U[k + N] = x, u
-            if N:
-                ys[k] = y
-            if snap_enabled and s <= snap_delta:
-                snap_at = k + 1
-                events.append((times[k] + h, "predictor_snap_to_zero" if N else "snap_to_zero"))
+            xs[k] = x
+            # from the capture on the plant runs out the N inputs in flight
+            if k < snap_at:
+                y = x if N == 0 else _shift(tables, x, U_flat[k * m:(k + N) * m])
+                meas = y if rng is None else y + rng.uniform(-config.noise.amplitude, config.noise.amplitude, n)
+                if solve:
+                    # warm-started from the linear extrapolation of the last
+                    # two roots, else the last (alone under noise), else cold;
+                    # the feedback reuses s and the root point z = d(-ln s)(meas/r)
+                    guess = 2.0 * s - s_prev if s_prev > 0.0 and 2.0 * s > s_prev else s
+                    s_prev = s if rng is None else 0.0
+                    s, z = ctx.solve(meas, guess if guess > 0.0 else None)
+                    ss[k] = s
+                U[k + N] = ctx.feedback(meas, s, z)
                 if N:
-                    events.append((times[k] + h + plant.delay, "state_snap_to_zero"))
-                log.debug("snap scheduled after t=%.6f (s=%.3e <= %.3e)", times[k], s, snap_delta)
+                    ys[k] = y
+                if snap_enabled and s <= snap_delta:
+                    snap_at = k + 1
+                    events.append((times[k] + h, "predictor_snap_to_zero" if N else "snap_to_zero"))
+                    if N:
+                        events.append((times[k] + h + plant.delay, "state_snap_to_zero"))
+                    log.debug("snap scheduled after t=%.6f (s=%.3e <= %.3e)", times[k], s, snap_delta)
             if k + 1 < K:
                 x = F.dot(x) + gamma.dot(U[k])
                 if exo is not None:
                     x = x + Ed.dot(v)
                     v = Ev.dot(v)
-        # the plant runs out the N inputs already in flight at the capture
-        for k in range(snap_at, min(snap_at + N, K)):
-            xs[k] = x
-            x = F.dot(x) + gamma.dot(U[k])
-            if exo is not None:
-                x = x + Ed.dot(v)
-                v = Ev.dot(v)
-        if not solve_state:
-            ss[:] = ctx.solve_rows(ys if N else xs)
+        if rng is not None or not solve:
+            ss[:] = ctx.solve_rows(ys)
 
-    return SimulationTrace(t=times, x=xs, u=U[N:], s=ss, x_norm=_norms(ctx.dilation, xs), y=ys, events=events)
+    return SimulationTrace(t=times, x=xs, u=U[N:], s=ss, x_norm=_norms(ctx.dilation, xs), y=ys if N else None,
+                           events=events)
 
 
 def _norms(D: Dilation, xs: np.ndarray) -> np.ndarray:
@@ -424,7 +403,9 @@ def simulate_dense(config: ScenarioConfig) -> SimulationTrace:
     B`` give ``dz/dsigma = H z`` for ``z = d(-ln s) x/r``, and ``H`` is skew
     in ``P``.)  The run stops where ``s`` reaches 0.02 (event ``dense_stop``)
     or at ``t_end``; the linear kind is ``e^{(A0 + B K d(-ln T)) t} x0`` up
-    to ``t_end``.  The recorded ``s`` is solved afresh from each state.
+    to ``t_end``.  The feedback reads the flow's own ``s`` and root point
+    ``z = e^{H sigma} z0``; the recorded ``s`` is solved from the states in
+    one batched root-find, an independent check on ``s0 - t/T``.
 
     Raises ``ValueError`` where the formula does not hold: a delay, noise or
     a disturbance, a record that fails :func:`verify_controller`, a zero
@@ -461,10 +442,10 @@ def simulate_dense(config: ScenarioConfig) -> SimulationTrace:
     L = ctrl.A0 + ctrl.B @ ctrl.KT
     events = []
     if config.kind is ControllerKind.LINEAR:
-        t_last = config.t_end
+        t_last, s0, z0 = config.t_end, 0.0, None
 
         def flow(t):
-            return linalg.expm(t * L) @ x0
+            return linalg.expm(t * L) @ x0, 0.0, None
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             s0, z0 = ctx.solve(x0)
@@ -477,23 +458,16 @@ def simulate_dense(config: ScenarioConfig) -> SimulationTrace:
         H = L + ctrl.Gd / T
 
         def flow(t):
-            sigma = -T * math.log1p(-t / (T * s0))
-            return r * dilate(dil, math.log(s0 - t / T), linalg.expm(sigma * H) @ z0)
+            s, sigma = s0 - t / T, -T * math.log1p(-t / (T * s0))
+            z = linalg.expm(sigma * H) @ z0
+            return r * dilate(dil, math.log(s), z), s, z
     grid = np.linspace(0.0, t_last, max(int(round(t_last / config.h)) * 4, 200)) if t_last > 0.0 else np.zeros(1)
-    xs = np.array([x0, *map(flow, grid[1:])])
-
-    ss = np.empty(len(grid))
-    us = np.empty((len(grid), m))
-    guess = None
+    rows = [(x0, s0, z0), *map(flow, grid[1:])]
+    xs = np.array([x for x, _, _ in rows])
+    us = np.array([ctx.feedback(x, s, z) for x, s, z in rows])
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, x in enumerate(xs):
-            s, z = ctx.solve(x, guess)
-            ss[i] = s
-            guess = s if s > 0.0 else None
-            us[i] = ctx.feedback(x, s, z)
-    return SimulationTrace(t=grid, x=xs, u=us, s=ss, x_norm=_norms(dil, xs),
-                           settled=False, settling_time=None, settle_epsilon=eps,
-                           events=events)
+        ss = ctx.solve_rows(xs)
+    return SimulationTrace(t=grid, x=xs, u=us, s=ss, x_norm=_norms(dil, xs), settle_epsilon=eps, events=events)
 
 
 def disturbance_bound(controller: SynthesizedController, x0_norm: float, rho: float,

@@ -279,17 +279,17 @@ def controllability_matrix(A, B) -> np.ndarray:
     return np.hstack(blocks)
 
 
-def controllability_index(A, B, rtol: float = _CTRB_RTOL) -> int | None:
+def controllability_index(A, B) -> int | None:
     """Smallest ``j`` with ``rank [B, AB, ..., A^{j-1} B] = n``, else None.
 
-    Rank decisions use singular values relative to the largest one.
+    Rank decisions count singular values above ``_CTRB_RTOL`` times the largest one.
     """
     C = controllability_matrix(A, B)
     n = C.shape[0]
     m = C.shape[1] // n
     for j in range(1, n + 1):
         sv = np.linalg.svd(C[:, : j * m], compute_uv=False)
-        if sv[0] > 0 and int(np.sum(sv > rtol * sv[0])) == n:
+        if sv[0] > 0 and int(np.sum(sv > _CTRB_RTOL * sv[0])) == n:
             return j
     return None
 
@@ -481,8 +481,21 @@ def synthesize(plant: LinearPlant, config: SynthesisConfig) -> SynthesizedContro
         report = verify_controller(controller, plant)
         if report.all_passed:
             return controller
-        first_error = first_error or SynthesisError("synthesized controller failed verification:\n" + str(report))
+        first_error = first_error or _verification_error(controller, report)
     raise first_error
+
+
+def _verification_error(c: SynthesizedController, report: VerificationReport) -> SynthesisError:
+    """The report as an error, naming the precision limit where only ``norm_strict_monotonicity`` fails."""
+    text = "synthesized controller failed verification:\n" + str(report)
+    if [f.name for f in report.failed] == ["norm_strict_monotonicity"]:
+        # congruent to dilation_lyapunov_pd, it fails as P = d(-ln T)' X^-1 d(-ln T) is formed in floating point
+        M = c.P @ c.Gd + c.Gd.T @ c.P
+        text += (f"\nnorm_strict_monotonicity fails at the limit of double precision: T = {c.T:g}, "
+                 f"cond(X) = {np.linalg.cond(c.X):.3e}, lmin(P Gd + Gd'P)/|P Gd + Gd'P| = "
+                 f"{linalg.min_eig_sym(M) / np.linalg.norm(M, 2):.3e} against the Cholesky floor "
+                 f"{linalg._CHOL_PIVOT_RTOL:.0e}")
+    return SynthesisError(text)
 
 
 @dataclass(frozen=True)

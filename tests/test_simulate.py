@@ -262,10 +262,11 @@ _DENSE_PLANTS = {
 def _check_dense_against_ode(name, T, kind, noise_scale):
     """The dense run against the ODE it claims to solve; returns the run.
 
-    Checks the residual ``x' - (A x + B u(x))`` by central differences of
-    runs that end at ``t - dt`` and ``t + dt``, and every sample against
-    ``solve_ivp`` at ``rtol = 1e-10``.  ``h`` only sets the output grid
-    here: ``T/50`` gives the 200-sample minimum.
+    Checks the recorded input against :func:`eval_control` at every sample,
+    the residual ``x' - (A x + B u(x))`` by central differences of runs that
+    end at ``t - dt`` and ``t + dt``, and every sample against ``solve_ivp``
+    at ``rtol = 1e-10``.  ``h`` only sets the output grid here: ``T/50``
+    gives the 200-sample minimum.
     """
     make_plant, x0 = _DENSE_PLANTS[name]
     plant, x0 = make_plant(), np.array(x0)
@@ -275,6 +276,10 @@ def _check_dense_against_ode(name, T, kind, noise_scale):
                             integrator="dense_rk", x0_noise=x0_noise)
     trace = simulate_dense(config)
     ctx = make_context(ctrl, kind, x0, x0_noise)
+    # the run's feedback reads the closed form's (s, z); eval_control solves
+    # them from each state, so the two agree to the root-find's tolerance
+    ref = np.array([eval_control(ctx, x) for x in trace.x])
+    assert np.all(np.abs(trace.u - ref) <= 1e-12 * np.max(np.abs(ref), axis=0))
 
     def rhs(_, x):
         return plant.A @ x + plant.B @ eval_control(ctx, x)
@@ -592,13 +597,17 @@ def test_trace_summary_contents():
 # one warm-started norm solve per sample
 
 
-def _count_norm_solves(monkeypatch):
+def _count_norm_solves(monkeypatch, roots=None):
+    """Records the guess of every scalar solve, and its root into ``roots``."""
     calls = []
     solve = homctl.dilation._solve
 
     def counting(D, x, guess=None):
         calls.append(guess)
-        return solve(D, x, guess)
+        out = solve(D, x, guess)
+        if roots is not None:
+            roots.append(out[0])
+        return out
 
     # every binding through which a run reaches the private solver, found by
     # identity so that no binding can hide a solve from the count
@@ -652,7 +661,8 @@ def test_noisy_run_solves_the_measurement_once_per_sample(monkeypatch, kind, tau
     # the homogeneous feedback solves each noisy measurement, warm-started
     # from the previous measurement's root; the linear law solves nothing.
     # The s column of the true state comes from one batched solve
-    calls = _count_norm_solves(monkeypatch)
+    roots = []
+    calls = _count_norm_solves(monkeypatch, roots)
     rows = _count_row_solves(monkeypatch)
     config = ScenarioConfig(plant=oscillator_plant(delay=tau), controller=oscillator_controller(),
                             x0=np.array([0.7, 0.0]), h=H, t_end=2.0 + tau, kind=kind,
@@ -666,6 +676,35 @@ def test_noisy_run_solves_the_measurement_once_per_sample(monkeypatch, kind, tau
     else:
         assert len(calls) == len(trace.t)
         assert calls[0] is None and all(g is not None for g in calls[1:])
+        # the guess at sample k is the root at k - 1, not an extrapolation
+        assert calls[1:] == roots[:-1]
+
+
+@pytest.mark.parametrize("kind", list(ControllerKind))
+def test_dense_run_solves_s0_once_and_the_s_column_in_one_batch(monkeypatch, kind):
+    # the closed form gives (s, z) at every grid point, so only s0 is
+    # solved (and nothing for the linear kind, whose feedback never reads
+    # s); the recorded s column is one batched solve over the states
+    calls = {"solve": 0, "solve_rows": []}
+    solve, solve_rows = ControlContext.solve, ControlContext.solve_rows
+
+    def counting_solve(self, y, guess=None):
+        calls["solve"] += 1
+        return solve(self, y, guess)
+
+    def counting_rows(self, Y):
+        calls["solve_rows"].append(len(Y))
+        return solve_rows(self, Y)
+
+    monkeypatch.setattr(ControlContext, "solve", counting_solve)
+    monkeypatch.setattr(ControlContext, "solve_rows", counting_rows)
+    scalar = _count_norm_solves(monkeypatch)
+    trace = simulate(_nominal([0.7, 0.0], kind=kind, integrator="dense_rk"))
+    expected = 0 if kind is ControllerKind.LINEAR else 1
+    assert calls["solve"] == len(scalar) == expected
+    assert calls["solve_rows"] == [len(trace.t)]
+    if kind is not ControllerKind.LINEAR:
+        np.testing.assert_allclose(trace.s, trace.s[0] - trace.t, rtol=0, atol=1e-12)
 
 
 def test_delay_run_makes_one_norm_solve_per_sample(monkeypatch):

@@ -4,6 +4,7 @@ solution used as the exact oracle throughout."""
 
 import math
 import os
+import re
 import stat
 
 import numpy as np
@@ -340,6 +341,28 @@ def test_chain_10_is_infeasible_in_double_precision():
 def test_chain_8_fails_norm_monotonicity_verification():
     with pytest.raises(SynthesisError, match=r"\[FAIL\] norm_strict_monotonicity"):
         synthesize(chain(8), SynthesisConfig(T=1.0))
+
+
+def test_chain_8_error_names_the_precision_limit():
+    # only norm_strict_monotonicity fails, so the error gives T, cond(X) and
+    # the relative smallest eigenvalue of P Gd + Gd'P, below the 1e-12 floor
+    with pytest.raises(SynthesisError) as info:
+        synthesize(chain(8), SynthesisConfig(T=1.0))
+    text = str(info.value)
+    assert text.count("[FAIL]") == 1
+    limit = re.search(r"norm_strict_monotonicity fails at the limit of double precision: T = 1, "
+                      r"cond\(X\) = (\S+), lmin\(P Gd \+ Gd'P\)/\|P Gd \+ Gd'P\| = (\S+) "
+                      r"against the Cholesky floor 1e-12$", text)
+    assert limit
+    cond_x, rel = map(float, limit.groups())
+    # the record of the Y = -B' form, whose error synthesize raises
+    plant = chain(8)
+    G0, Y0 = solve_generator_equation(plant)
+    Gd = np.eye(8) - G0
+    K0, A0 = homctl.synthesis._closed_loop(plant.A, plant.B, G0, Y0)
+    X, _ = solve_lmi_feasibility(A0, plant.B, Gd, 0.0)
+    assert cond_x == pytest.approx(np.linalg.cond(X), rel=1e-3)
+    assert rel < 1e-12
 
 
 # ---------------------------------------------------------------------------
