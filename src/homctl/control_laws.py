@@ -71,14 +71,12 @@ class ControlContext:
     x0_ref: np.ndarray
 
     def __post_init__(self):
-        x0 = linalg.as_vector(self.x0_ref, "x0_ref", self.controller.n)
-        with np.errstate(over="ignore"):
-            if not math.isfinite(self.dilation.norm(x0)):
-                # an infinite radius would scale every state to zero: a false capture
-                raise ValueError("the weighted norm of the initial state overflows; rescale the problem")
+        object.__setattr__(self, "x0_ref", linalg.as_vector(self.x0_ref, "x0_ref", self.controller.n))
+        if not math.isfinite(self.r0):
+            # an infinite radius would scale every state to zero: a false capture
+            raise ValueError("the weighted norm of the initial state overflows; rescale the problem")
         if not isinstance(self.kind, ControllerKind):
             raise ValueError(f"kind must be a ControllerKind, got {self.kind!r}")
-        object.__setattr__(self, "x0_ref", x0)
 
     @property
     def dilation(self) -> Dilation:

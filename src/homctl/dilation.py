@@ -8,6 +8,12 @@ decreasing, so every nonzero ``x`` crosses the unit sphere along its dilation
 orbit exactly once.  The crossing parameter defines the homogeneous norm
 ``||x||_d = e^{s_x}`` with ``|d(-s_x) x| = 1``, the scalar the feedback laws
 in :mod:`homctl.control_laws` are built on.
+
+One map, :func:`_orbit`, forms every orbit point ``d(-s) x``: of a vector,
+of a block under one ``s`` (:func:`dilation_matrix`), and of each column of
+a block under its own ``s`` (the batched root-find).  One method,
+:meth:`Dilation.norm`, forms the weighted norm of a state or of each row of
+a block, the simulation traces' norms included.
 """
 
 from __future__ import annotations
@@ -63,17 +69,20 @@ class Dilation:
     def dim(self) -> int:
         return self.generator.shape[0]
 
-    def norm(self, x) -> float:
+    def norm(self, x) -> float | np.ndarray:
         """Weighted Euclidean norm ``sqrt(x' P x)`` of the base space.
 
-        NaN when ``x' P x`` is NaN or ``-inf`` (an overflowed ``x``), so such
-        a point never reads as the origin.
+        Of a vector, or of each row of a ``(k, n)`` block.  ``inf`` where
+        ``x' P x`` overflows, NaN where it is NaN or ``-inf`` (the terms
+        overflowed with both signs), so an overflowed ``x`` never reads as
+        the origin.
         """
         x = np.asarray(x, dtype=float)
-        q = float(x.dot(self.weight).dot(x))
-        if not q > -math.inf:
-            return math.nan
-        return math.sqrt(q) if q > 0.0 else 0.0
+        X = np.atleast_2d(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = (X[:, None, :] @ self.weight @ X[:, :, None]).reshape(-1)
+        r = np.sqrt(np.where(q > -math.inf, np.maximum(q, 0.0), math.nan))
+        return float(r[0]) if x.ndim == 1 else r
 
     @cached_property
     def _eig(self):
@@ -163,15 +172,18 @@ def hom_norm(D: Dilation, x, guess: float | None = None) -> float:
 def _orbit(D: Dilation, x: np.ndarray):
     """The map ``s -> d(-s) x`` for a vector or an ``(n, k)`` block ``x``.
 
-    ``V^{-1} x`` is formed once.
+    ``s`` is one parameter for all of ``x``, or a ``(k, 1)`` column of them,
+    one per column of the block.  ``V^{-1} x`` is formed once.
     """
     eig = D._eig
     if eig is None:
         G = D.generator
-        return lambda s: linalg.expm(-s * G) @ x
+        return lambda s: (np.column_stack([linalg.expm(-si * G) @ c for si, c in zip(s.ravel().tolist(), x.T)])
+                          if np.ndim(s) else linalg.expm(-s * G) @ x)
     w, V, Vinv = eig
     # transposed, a block's eigen-coordinates broadcast against exp(-s w)
-    # row by row; a vector's are unchanged
+    # row by row, and a column s gives each row its own; a vector's are
+    # unchanged
     cT = (Vinv @ x).T
     return lambda s: V.dot((np.exp(-s * w) * cT).T).real
 
@@ -253,9 +265,9 @@ def _solve_rows(D: Dilation, X: np.ndarray) -> np.ndarray:
 
     The rule of :func:`_solve` from its cold start, row by row, with every
     row's orbit point, residual and step formed at once; rows leave the
-    batch as they converge.  A generator without a usable eigenbasis
-    evaluates each row's orbit point by its own matrix exponential.  Raises
-    what :func:`_solve` raises; the caller silences floating-point warnings.
+    batch as they converge, and the orbit map of :func:`_orbit` is rebuilt
+    on the rows that remain.  Raises what :func:`_solve` raises; the caller
+    silences floating-point warnings.
     """
     k, n = X.shape
     out = np.zeros(k)
@@ -268,25 +280,13 @@ def _solve_rows(D: Dilation, X: np.ndarray) -> np.ndarray:
         ln_base[i] = _log_base_norm(D, X[i])
     rows = np.nonzero(ln_base >= math.log(_TINY_NORM))[0]
     s = ln_base[rows]
-    eig = D._eig
-    if eig is None:
-        G = D.generator
-        C = X[rows]
-
-        def orbit(s, C):
-            return np.array([linalg.expm(-si * G).dot(c) for si, c in zip(s.tolist(), C)])
-    else:
-        w, V, Vinv = eig
-        C = X[rows].dot(Vinv.T)
-
-        def orbit(s, C):
-            return (np.exp(-s[:, None] * w) * C).dot(V.T).real
+    orbit = _orbit(D, X[rows].T)
     forms = D._forms
     lo, hi, step = np.full(len(rows), -math.inf), np.full(len(rows), math.inf), np.ones(len(rows))
     for _ in range(_MAX_ITER):
         if not len(rows):
             return out
-        Z = orbit(s, C)
+        Z = orbit(s[:, None]).T
         q, g, hq = np.einsum("kjl,kl->jk", Z.dot(forms.T).reshape(len(rows), 3, n), Z)
         # NaN or -inf (an overflowed orbit point) reads NaN
         zn = np.where(q > -math.inf, np.sqrt(np.maximum(q, 0.0)), math.nan)
@@ -294,8 +294,9 @@ def _solve_rows(D: Dilation, X: np.ndarray) -> np.ndarray:
         out[rows[done]] = np.exp(s[done])
         if done.any():
             keep = ~done
-            rows, s, C, lo, hi, step = rows[keep], s[keep], C[keep], lo[keep], hi[keep], step[keep]
+            rows, s, lo, hi, step = rows[keep], s[keep], lo[keep], hi[keep], step[keep]
             q, g, hq, zn = q[keep], g[keep], hq[keep], zn[keep]
+            orbit = _orbit(D, X[rows].T)
         # an overflowed orbit point (zn inf or NaN) lies outside the sphere
         outside = ~(zn <= 1.0)
         lo = np.where(outside, s, lo)

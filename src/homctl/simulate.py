@@ -31,7 +31,9 @@ flight behind a delay of ``N`` samples, and the loop ends; later rows stay
 the zeros the trace arrays are allocated as.  The linear kind, a zero
 reference and every noisy run fill the trace's ``s`` column after the loop
 in one batched root-find, as does the dense mode, whose feedback reads the
-``(s, z)`` of its closed form.
+``(s, z)`` of its closed form.  The trace's norm column is
+:meth:`~homctl.dilation.Dilation.norm` of all its states at once, and
+:func:`simulate` measures settling on it for either mode.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import numpy as np
 
 from . import atomic, linalg
 from .control_laws import ControlContext, ControllerKind, make_context
-from .dilation import Dilation, dilate
+from .dilation import dilate
 from .predictor import _shift, _steps_in_delay, build_tables, predict
 from .synthesis import LinearPlant, SynthesizedController, verify_controller
 
@@ -239,12 +241,10 @@ def simulate(config: ScenarioConfig) -> SimulationTrace:
     """Run one closed-loop scenario and return its trace.
 
     Dispatches on the configured integrator; the default exact-ZOH sampled
-    loop handles delays, disturbances, noise and snap-to-zero.  The state
-    norm used for settling is the controller's weighted norm.
+    loop handles delays, disturbances, noise and snap-to-zero.  Settling is
+    measured on the trace of either mode, in the controller's weighted norm.
     """
-    if config.integrator == "dense_rk":
-        return simulate_dense(config)
-    trace = _simulate_zoh(config)
+    trace = simulate_dense(config) if config.integrator == "dense_rk" else _simulate_zoh(config)
     eps = config.effective_settle_epsilon
     st = measure_settling(trace, eps)
     trace.settle_epsilon = eps
@@ -258,30 +258,25 @@ def _sample_times(h: float, t_end: float) -> np.ndarray:
     return h * np.arange(steps + 1)
 
 
-def _matched_sup_norm(dist: DisturbanceSpec, B: np.ndarray, controller: SynthesizedController) -> float | None:
-    """Supremum of ``|q2(t)|_P`` for matched disturbances, else None.
+def _matched_sup_norm(C: np.ndarray, B: np.ndarray, P: np.ndarray) -> float | None:
+    """Supremum of ``|q2(t)|_P`` for a matched ``q2 = C e^{St} v0``, else None.
 
-    A sinusoid through ``B`` is matched by construction, a constant vector
-    is matched when it lies in the range of ``B``.
+    Matched: ``C`` lies in the range of ``B``.  The exosystem state
+    ``e^{St} v0`` sweeps the unit circle (``matched_sin``) or stays at
+    ``v0 = 1`` (``constant``), so the supremum is ``sqrt(lmax(C'PC))``.
     """
-    if dist.kind == "matched_sin":
-        v = B @ np.ones(B.shape[1])
-        return abs(dist.amplitude) * controller.weighted_norm(v)
-    if dist.kind == "constant":
-        v = dist.vector
-        g, *_ = np.linalg.lstsq(B, v, rcond=None)
-        if np.linalg.norm(B @ g - v) > 1e-9 * max(np.linalg.norm(v), 1.0):
-            return None
-        return controller.weighted_norm(v)
-    return None
+    G, *_ = np.linalg.lstsq(B, C, rcond=None)
+    if np.linalg.norm(B @ G - C) > 1e-9 * max(np.linalg.norm(C), 1.0):
+        return None
+    return math.sqrt(np.linalg.eigvalsh(C.T @ P @ C)[-1])
 
 
-def _snap_enabled(config: ScenarioConfig, ref_norm: float) -> bool:
+def _snap_enabled(config: ScenarioConfig, ref_norm: float, exo) -> bool:
     if config.kind is ControllerKind.LINEAR or ref_norm <= 0.0 or config.noise.active:
         return False
-    if not config.disturbance.active:
+    if exo is None:
         return True
-    sup = _matched_sup_norm(config.disturbance, config.plant.B, config.controller)
+    sup = _matched_sup_norm(exo[0], config.plant.B, config.controller.P)
     if sup is None:
         return False
     envelope = ref_norm * config.controller.rejection_rate / (2.0 * config.controller.T)
@@ -322,7 +317,7 @@ def _simulate_zoh(config: ScenarioConfig) -> SimulationTrace:
     if N:
         x0_ctx = predict(tables, x0_ctx, U[:N])
     ctx = ControlContext(ctrl, config.kind, x0_ctx)
-    snap_enabled = _snap_enabled(config, ctx.ref_norm)
+    snap_enabled = _snap_enabled(config, ctx.ref_norm, exo)
     # two ideal decay steps: s shrinks by h/T per sample along the exact
     # trajectory, so a band of one step has no margin against sampling
     # wobble and trajectories can hop across it
@@ -382,15 +377,8 @@ def _simulate_zoh(config: ScenarioConfig) -> SimulationTrace:
         if rng is not None or not solve:
             ss[:] = ctx.solve_rows(ys)
 
-    return SimulationTrace(t=times, x=xs, u=U[N:], s=ss, x_norm=_norms(ctx.dilation, xs), y=ys if N else None,
+    return SimulationTrace(t=times, x=xs, u=U[N:], s=ss, x_norm=ctx.dilation.norm(xs), y=ys if N else None,
                            events=events)
-
-
-def _norms(D: Dilation, xs: np.ndarray) -> np.ndarray:
-    """:meth:`Dilation.norm` of each row of ``xs``: an overflow reads NaN or inf, never 0."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        q = (xs[:, None, :] @ D.weight @ xs[:, :, None]).reshape(-1)
-        return np.sqrt(np.where(q > -np.inf, np.maximum(q, 0.0), np.nan))
 
 
 def simulate_dense(config: ScenarioConfig) -> SimulationTrace:
@@ -405,7 +393,9 @@ def simulate_dense(config: ScenarioConfig) -> SimulationTrace:
     or at ``t_end``; the linear kind is ``e^{(A0 + B K d(-ln T)) t} x0`` up
     to ``t_end``.  The feedback reads the flow's own ``s`` and root point
     ``z = e^{H sigma} z0``; the recorded ``s`` is solved from the states in
-    one batched root-find, an independent check on ``s0 - t/T``.
+    one batched root-find, an independent check on ``s0 - t/T``.  The
+    trace's settling fields are left to :func:`simulate`, which measures
+    them as for a sampled run.
 
     Raises ``ValueError`` where the formula does not hold: a delay, noise or
     a disturbance, a record that fails :func:`verify_controller`, a zero
@@ -428,13 +418,11 @@ def simulate_dense(config: ScenarioConfig) -> SimulationTrace:
     ctx = make_context(ctrl, config.kind, x0, config.x0_noise)
     dil = ctx.dilation
     r = ctx.ref_norm
-    eps = config.effective_settle_epsilon
 
     if not np.any(x0):
         times = _sample_times(config.h, config.t_end)
         return SimulationTrace(t=times, x=np.zeros((len(times), n)), u=np.zeros((len(times), m)),
-                               s=np.zeros(len(times)), x_norm=np.zeros(len(times)),
-                               settled=True, settling_time=0.0, settle_epsilon=eps)
+                               s=np.zeros(len(times)), x_norm=np.zeros(len(times)))
     if r == 0.0:
         raise ValueError("simulate_dense needs a nonzero reference for a nonzero state")
 
@@ -467,7 +455,7 @@ def simulate_dense(config: ScenarioConfig) -> SimulationTrace:
     us = np.array([ctx.feedback(x, s, z) for x, s, z in rows])
     with np.errstate(over="ignore", invalid="ignore"):
         ss = ctx.solve_rows(xs)
-    return SimulationTrace(t=grid, x=xs, u=us, s=ss, x_norm=_norms(dil, xs), settle_epsilon=eps, events=events)
+    return SimulationTrace(t=grid, x=xs, u=us, s=ss, x_norm=dil.norm(xs), events=events)
 
 
 def disturbance_bound(controller: SynthesizedController, x0_norm: float, rho: float,

@@ -282,9 +282,14 @@ def controllability_matrix(A, B) -> np.ndarray:
 def controllability_index(A, B) -> int | None:
     """Smallest ``j`` with ``rank [B, AB, ..., A^{j-1} B] = n``, else None.
 
-    Rank decisions count singular values above ``_CTRB_RTOL`` times the largest one.
+    Rank decisions count singular values above ``_CTRB_RTOL`` times the
+    largest one, on the Krylov matrix of ``A / |A|_2``: it has the same
+    ranks, and its blocks keep the scale of ``B`` however large or small
+    ``A`` is.
     """
-    C = controllability_matrix(A, B)
+    A = linalg.as_square(A, "A")
+    a = np.linalg.norm(A, 2)
+    C = controllability_matrix(A / a if a > 0.0 else A, B)
     n = C.shape[0]
     m = C.shape[1] // n
     for j in range(1, n + 1):

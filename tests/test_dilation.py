@@ -96,6 +96,22 @@ def test_base_norm_weighted():
     assert D.norm([0.0, 0.0]) == 0.0
 
 
+def test_base_norm_of_a_block_is_the_norm_of_each_row():
+    # the block path is the vector path row by row, overflowed rows included:
+    # x'Px overflows to inf, or with terms of both signs to NaN or -inf, and
+    # such a row reads inf or NaN, never 0; no floating-point warning escapes
+    D = Dilation(np.eye(3), _MIXED_P)
+    X = np.array([[0.0, 0.0, 0.0], [1.0, -2.0, 0.5], [1e-160, 0.0, 0.0], [1e200, 0.0, 0.0],
+                  [math.inf, 0.0, 0.0], math.exp(500) * np.array([-0.05, 0.09, -1.5])])
+    got = D.norm(X)
+    assert got.shape == (len(X),)
+    ref = [D.norm(x) for x in X]
+    assert all(isinstance(r, float) for r in ref)
+    np.testing.assert_array_equal(got, ref)
+    assert got[0] == 0.0 and got[3] == math.inf and math.isnan(got[4]) and math.isnan(got[5])
+    assert D.norm(np.zeros((0, 3))).shape == (0,)
+
+
 # ---------------------------------------------------------------------------
 # strict monotonicity certificate
 
@@ -414,6 +430,9 @@ def _rows_block(D, rng):
 
 @pytest.mark.parametrize("name,D", _warm_start_dilations())
 def test_solve_rows_agrees_with_the_scalar_solve_row_by_row(name, D, rng):
+    # the Jordan dilation has no usable eigenbasis: its orbit points come
+    # from one matrix exponential per row
+    assert (D._eig is None) == (name == "jordan")
     X = _rows_block(D, rng)
     with np.errstate(over="ignore", invalid="ignore"):
         # the terms of x'Px overflow, to inf or, with both signs, to NaN

@@ -229,6 +229,17 @@ def test_dense_mode_zero_state():
     assert trace.settled and trace.settling_time == 0.0
 
 
+def test_dense_mode_reports_its_settling():
+    # a dense run's trace is measured like a sampled one: at epsilon 0.1 the
+    # oscillator from (0.7, 0) enters the band for good at t = 0.897; at the
+    # default 1e-9 it stops at s = 0.02 first and does not settle
+    trace = simulate(_nominal([0.7, 0.0], integrator="dense_rk", settle_epsilon=0.1))
+    assert trace.settled and trace.settle_epsilon == 0.1
+    assert trace.settling_time == measure_settling(trace, 0.1) == pytest.approx(0.897, abs=1e-3)
+    trace = simulate(_nominal([0.7, 0.0], integrator="dense_rk"))
+    assert not trace.settled and trace.settling_time is None and trace.settle_epsilon == 1e-9
+
+
 def test_dense_mode_rejects_zero_reference_with_nonzero_state():
     config = ScenarioConfig(plant=oscillator_plant(), controller=oscillator_controller(),
                             x0=np.array([0.2, 0.0]), h=H, t_end=1.0,
@@ -845,8 +856,9 @@ def _norm_cases():
 
 @pytest.mark.parametrize("name,ctrl", _norm_cases())
 def test_trace_norms_match_the_weighted_norm_row_by_row(name, ctrl, rng):
-    # x_norm is computed for the whole trace at once; every row must agree
-    # with Dilation.norm of that state to 4 ulp (sampled and dense runs)
+    # x_norm is Dilation.norm of the whole trace at once, its block path;
+    # every row must agree with the vector path on that state to 4 ulp
+    # (sampled and dense runs)
     D = ctrl.dilation
     for kind in ControllerKind:
         for tau, integrator in ((0.0, "zoh_exact"), (0.3, "zoh_exact"), (0.0, "dense_rk")):

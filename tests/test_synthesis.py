@@ -57,6 +57,19 @@ def test_controllability_index_none_for_uncontrollable():
     assert controllability_index(np.eye(2), np.array([[1.0], [0.0]])) is None
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1e-1, 10.0, 100.0, 1e3])
+def test_controllability_index_does_not_depend_on_the_scale_of_A(scale):
+    # the index of (cA, B) is that of (A, B) for every c != 0; a rank test on
+    # the unscaled Krylov matrix lost the blocks of size |A|^j against a
+    # relative tolerance (chain 4 at A = 1e-3 shift, the census plant below
+    # at 100 A)
+    rng = np.random.default_rng([99, 5, 1, 0])
+    for A, B, index in ((np.eye(4, k=1), np.eye(4)[:, -1:], 4), (rng.standard_normal((5, 5)), rng.standard_normal((5, 1)), 5)):
+        assert controllability_index(A, B) == index
+        assert controllability_index(scale * A, B) == index
+        LinearPlant(scale * A, B)
+
+
 def test_linear_plant_rejects_uncontrollable_pair():
     with pytest.raises(ControllabilityError):
         LinearPlant(np.eye(2), np.array([[1.0], [0.0]]))
