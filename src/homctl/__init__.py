@@ -62,7 +62,6 @@ from .simulate import (
     disturbance_bound,
     measure_settling,
     simulate,
-    simulate_dense,
     trace_summary,
     trace_to_csv,
 )

@@ -26,7 +26,6 @@ from .scenario import load_plant, load_scenario
 from .simulate import simulate, trace_summary, trace_to_csv
 from .synthesis import (
     ControllabilityError,
-    InfeasibleError,
     SynthesisConfig,
     SynthesisError,
     load_controller,
@@ -192,7 +191,7 @@ def main(argv=None) -> int:
         return EXIT_OK if not exc.code else EXIT_INPUT
     try:
         return args.func(args)
-    except (ControllabilityError, InfeasibleError, SynthesisError) as exc:
+    except (ControllabilityError, SynthesisError) as exc:
         log.debug("synthesis failed", exc_info=True)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -38,6 +38,7 @@ in one batched root-find, as does the dense mode, whose feedback reads the
 
 from __future__ import annotations
 
+import io
 import logging
 import math
 from dataclasses import dataclass, field
@@ -56,7 +57,6 @@ __all__ = [
     "ScenarioConfig",
     "SimulationTrace",
     "simulate",
-    "simulate_dense",
     "measure_settling",
     "disturbance_bound",
     "trace_to_csv",
@@ -240,11 +240,12 @@ def measure_settling(trace: SimulationTrace, epsilon: float) -> float | None:
 def simulate(config: ScenarioConfig) -> SimulationTrace:
     """Run one closed-loop scenario and return its trace.
 
-    Dispatches on the configured integrator; the default exact-ZOH sampled
-    loop handles delays, disturbances, noise and snap-to-zero.  Settling is
-    measured on the trace of either mode, in the controller's weighted norm.
+    The one entry point of both modes: the exact-ZOH sampled loop (the
+    default) handles delays, disturbances, noise and snap-to-zero, and
+    ``integrator = "dense_rk"`` runs the closed-form dense mode.  Settling is
+    measured on either trace, in the controller's weighted norm.
     """
-    trace = simulate_dense(config) if config.integrator == "dense_rk" else _simulate_zoh(config)
+    trace = _simulate_dense(config) if config.integrator == "dense_rk" else _simulate_zoh(config)
     eps = config.effective_settle_epsilon
     st = measure_settling(trace, eps)
     trace.settle_epsilon = eps
@@ -381,7 +382,7 @@ def _simulate_zoh(config: ScenarioConfig) -> SimulationTrace:
                            events=events)
 
 
-def simulate_dense(config: ScenarioConfig) -> SimulationTrace:
+def _simulate_dense(config: ScenarioConfig) -> SimulationTrace:
     """Exact continuous-feedback run, sampled on a dense grid.
 
     For degree -1 the closed loop ``x' = A x + B u(x)`` solves in closed
@@ -393,9 +394,8 @@ def simulate_dense(config: ScenarioConfig) -> SimulationTrace:
     or at ``t_end``; the linear kind is ``e^{(A0 + B K d(-ln T)) t} x0`` up
     to ``t_end``.  The feedback reads the flow's own ``s`` and root point
     ``z = e^{H sigma} z0``; the recorded ``s`` is solved from the states in
-    one batched root-find, an independent check on ``s0 - t/T``.  The
-    trace's settling fields are left to :func:`simulate`, which measures
-    them as for a sampled run.
+    one batched root-find, an independent check on ``s0 - t/T``.
+    :func:`simulate`, the only caller, measures the trace's settling.
 
     Raises ``ValueError`` where the formula does not hold: a delay, noise or
     a disturbance, a record that fails :func:`verify_controller`, a zero
@@ -404,14 +404,14 @@ def simulate_dense(config: ScenarioConfig) -> SimulationTrace:
     """
     plant, ctrl = config.plant, config.controller
     if plant.delay > 0:
-        raise ValueError("simulate_dense supports delay-free plants only")
+        raise ValueError("the dense mode supports delay-free plants only")
     if config.noise.active:
-        raise ValueError("simulate_dense does not support measurement noise")
+        raise ValueError("the dense mode does not support measurement noise")
     if config.disturbance.active:
-        raise ValueError("simulate_dense has no closed form under a disturbance")
+        raise ValueError("the dense mode has no closed form under a disturbance")
     failed = [c.name for c in verify_controller(ctrl, plant).failed]
     if failed:
-        raise ValueError(f"simulate_dense needs a controller that passes verification (failed: {', '.join(failed)})")
+        raise ValueError(f"the dense mode needs a controller that passes verification (failed: {', '.join(failed)})")
     n, m = plant.n, plant.m
     x0 = config.x0
 
@@ -424,7 +424,7 @@ def simulate_dense(config: ScenarioConfig) -> SimulationTrace:
         return SimulationTrace(t=times, x=np.zeros((len(times), n)), u=np.zeros((len(times), m)),
                                s=np.zeros(len(times)), x_norm=np.zeros(len(times)))
     if r == 0.0:
-        raise ValueError("simulate_dense needs a nonzero reference for a nonzero state")
+        raise ValueError("the dense mode needs a nonzero reference for a nonzero state")
 
     T = ctrl.T
     L = ctrl.A0 + ctrl.B @ ctrl.KT
@@ -438,7 +438,7 @@ def simulate_dense(config: ScenarioConfig) -> SimulationTrace:
         with np.errstate(over="ignore", invalid="ignore"):
             s0, z0 = ctx.solve(x0)
         if s0 > 1.0 + _DENSE_CLAMP_TOL and config.kind is not ControllerKind.PRESCRIBED_TIME:
-            raise ValueError(f"simulate_dense: {config.kind.value} starts clamped (s0 = {s0:.6g} > 1)")
+            raise ValueError(f"the dense mode: {config.kind.value} starts clamped (s0 = {s0:.6g} > 1)")
         t_stop = T * max(s0 - _DENSE_STOP_S, 0.0)
         t_last = min(t_stop, config.t_end)
         if t_stop <= config.t_end:
@@ -487,20 +487,18 @@ def trace_to_csv(trace: SimulationTrace, path) -> None:
     Floats carry 17 significant digits so a round-trip through the file is
     exact; ``settled`` is 0/1 per row (1 from the settling sample on).
     """
-    n, m = trace.n, trace.m
+    n, m, st = trace.n, trace.m, trace.settling_time
     cols = ["t"] + [f"x{i+1}" for i in range(n)] + [f"u{j+1}" for j in range(m)] + ["s", "settled"]
+    settled = trace.t >= (math.inf if st is None else st)
+    blocks = [trace.t[:, None], trace.x, trace.u, trace.s[:, None], settled[:, None]]
+    fmt = ["%.17g"] * (n + m + 2) + ["%d"]
     if trace.y is not None:
         cols += [f"y{i+1}" for i in range(n)]
-    lines = [",".join(cols)]
-    st = trace.settling_time
-    for k in range(len(trace.t)):
-        vals = [trace.t[k], *trace.x[k], *trace.u[k], trace.s[k]]
-        row = [f"{v:.17g}" for v in vals]
-        row.append("1" if (st is not None and trace.t[k] >= st) else "0")
-        if trace.y is not None:
-            row += [f"{v:.17g}" for v in trace.y[k]]
-        lines.append(",".join(row))
-    text = "\n".join(lines) + "\n"
+        blocks.append(trace.y)
+        fmt += ["%.17g"] * n
+    buf = io.StringIO()
+    np.savetxt(buf, np.hstack(blocks), fmt=fmt, delimiter=",", header=",".join(cols), comments="")
+    text = buf.getvalue()
     if hasattr(path, "write"):
         path.write(text)
     else:

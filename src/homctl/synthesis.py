@@ -29,7 +29,7 @@ a linear dilation at the constant rate ``1/T``:
     both read it.
 
 ``verify_controller`` re-checks every algebraic invariant of the result with
-explicit residuals, which is also what the CLI ``verify`` command prints.
+explicit residuals, as the CLI ``verify`` prints; steps 1-2 fail on its checks.
 """
 
 from __future__ import annotations
@@ -89,12 +89,16 @@ class ControllabilityError(ValueError):
     """The pair (A, B) is not controllable."""
 
 
-class InfeasibleError(RuntimeError):
-    """The feasibility problem admits no positive-definite solution."""
-
-
 class SynthesisError(RuntimeError):
-    """Synthesis could not produce a verified controller."""
+    """Synthesis could not produce a verified controller; ``check`` is the failed check, where one decided it."""
+
+    def __init__(self, message: str, check: CheckResult | None = None):
+        super().__init__(message)
+        self.check = check
+
+
+class InfeasibleError(SynthesisError):
+    """The feasibility problem admits no positive-definite solution."""
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +244,6 @@ class SynthesizedController:
         """Dilation (generator ``Gd``, weight ``P``) the feedback is scheduled on."""
         return Dilation(self.Gd, self.P)
 
-    def weighted_norm(self, x) -> float:
-        """The controller's state norm ``sqrt(x' P x)``."""
-        return self.dilation.norm(x)
-
 
 def _as_tall(B, n: int, name: str) -> np.ndarray:
     B = np.asarray(B, dtype=float)
@@ -323,34 +323,23 @@ def solve_generator_equation(plant: LinearPlant) -> tuple[np.ndarray, np.ndarray
     Returns the least-norm solution.  Every exact solution makes
     ``Gd = I + MU G0`` anti-Hurwitz with smallest eigenvalue 1 (see the
     module docstring), so the solution set is not searched.  Raises
-    :class:`SynthesisError` when a residual is out of tolerance, when
-    ``G0 - I`` is numerically singular, or when ``A0 = A + B K0`` fails the
-    ``closed_loop_nilpotent`` check of :func:`verify_controller`, naming
-    ``|A0^n|`` and ``cond(G0 - I)``.
+    :class:`SynthesisError`, with the failed check as ``check``, on the first
+    of :func:`verify_controller`'s ``generator_equation``, ``generator_kernel``,
+    ``generator_shift_invertible`` and ``closed_loop_nilpotent`` that fails;
+    the last names ``|A0^n|`` and ``cond(G0 - I)``.
     """
     A, B = plant.A, plant.B
     n, m = plant.n, plant.m
-    M = _generator_operator(A, B)
-    rhs = np.concatenate([A.ravel(), np.zeros(n * m)])
-    u = linalg.least_norm_solve(M, rhs)
+    u = linalg.least_norm_solve(_generator_operator(A, B), np.concatenate([A.ravel(), np.zeros(n * m)]))
     G0, Y0 = u[: n * n].reshape(n, n), u[n * n :].reshape(m, n)
-
-    # sanity: the defining equations and the shift invertibility
-    scale = 1.0 + np.linalg.norm(A)
-    if np.linalg.norm(A @ G0 - G0 @ A + B @ Y0 - A) > _IDENTITY_TOL * scale:
-        raise SynthesisError("generator equation residual out of tolerance")
-    if np.linalg.norm(G0 @ B) > _IDENTITY_TOL * (1.0 + np.linalg.norm(B)):
-        raise SynthesisError("generator kernel residual out of tolerance")
-    sv = np.linalg.svd(G0 - np.eye(n), compute_uv=False)
-    if sv[-1] <= 1e-9 * max(sv[0], 1.0):
-        raise SynthesisError("G0 - I is numerically singular")
-    # A0 = A + B K0 must be nilpotent to verify_controller's tolerance; an
-    # ill-conditioned G0 - I can lose that, and no feasibility step repairs it
-    _, A0 = _closed_loop(A, B, G0, Y0)
-    a0n, tol = np.linalg.norm(np.linalg.matrix_power(A0, n)), _IDENTITY_TOL * scale**n
-    if not a0n <= tol:
-        raise SynthesisError(f"generator equation: A0 = A + B K0 is not nilpotent (|A0^{n}| = {a0n:.3e} > {tol:.3e}, "
-                             f"cond(G0 - I) = {sv[0] / sv[-1]:.3e})")
+    for check in _generator_checks(A, B, G0, Y0):
+        if not check.passed:
+            raise SynthesisError(f"generator equation: {check}", check)
+    # an ill-conditioned G0 - I can cost A0 its nilpotency, which no feasibility step repairs
+    check = _nilpotency_check(A, _closed_loop(A, B, G0, Y0)[1])
+    if not check.passed:
+        raise SynthesisError(f"generator equation: A0 = A + B K0 is not nilpotent (|A0^{n}| = {check.value:.3e} > "
+                             f"{check.threshold:.3e}, cond(G0 - I) = {np.linalg.cond(G0 - np.eye(n)):.3e})", check)
     return G0, Y0
 
 
@@ -410,17 +399,14 @@ def solve_lmi_feasibility(A0, B, Gd, weight: float = 0.0) -> tuple[np.ndarray, n
     coordinates.  A positive ``weight`` ``q`` takes ``Pi``, the stabilizing
     solution of ``W' Pi + Pi W + Pi B B' Pi = q I``; ``F`` stays anti-Hurwitz
     and the identity weight shapes ``X`` in the plant's coordinates, at the
-    price of larger gains.  ``X`` is one Kronecker solve
-    (:func:`_solve_lyapunov`) and ``Pi`` comes from the stable eigenvectors
-    of the Riccati equation's Hamiltonian (:func:`_solve_riccati`).
+    price of larger gains (:func:`_solve_lyapunov`, :func:`_solve_riccati`).
 
     ``X`` and ``Y`` are rescaled so ``lmin(X) = 1``.  Raises
-    :class:`InfeasibleError` when a solve fails (a ``LinAlgError``: a
-    singular Kronecker operator, a Hamiltonian without ``n`` stable
-    eigenvalues or a singular ``U1``), or when ``X`` or
-    ``Gd X + X Gd'`` fails the Cholesky test of :func:`verify_controller`,
-    as happens in double precision for badly conditioned plants and for a
-    ``Gd`` that is not anti-Hurwitz.
+    :class:`InfeasibleError` when a solve raises ``LinAlgError``, or, with
+    the failed check as ``check``, when ``X`` or ``Gd X + X Gd'`` fails
+    :func:`verify_controller`'s ``X_positive_definite`` or
+    ``dilation_lyapunov_pd``, as happens in double precision for badly
+    conditioned plants and for a ``Gd`` that is not anti-Hurwitz.
     """
     A0 = linalg.as_square(A0, "A0")
     n = A0.shape[0]
@@ -429,25 +415,24 @@ def solve_lmi_feasibility(A0, B, Gd, weight: float = 0.0) -> tuple[np.ndarray, n
     W = A0 + Gd
     BBt = B @ B.T
     try:
-        if weight > 0.0:
-            Pi = _solve_riccati(W, B, weight)
-        else:
-            Pi = np.zeros((n, n))
+        Pi = _solve_riccati(W, B, weight) if weight > 0.0 else np.zeros((n, n))
         X = _solve_lyapunov(W + BBt @ Pi, 2.0 * BBt)
     except np.linalg.LinAlgError as exc:
         raise InfeasibleError(f"no positive-definite solution found (solve failed: {exc})") from exc
     X = 0.5 * (X + X.T)
     lam_min = linalg.min_eig_sym(X) if np.isfinite(X).all() else math.nan
-    if not (lam_min > 0.0 and linalg.chol_pd_check(X / lam_min)[0]):
-        raise InfeasibleError(f"no positive-definite solution found (lmin(X) = {lam_min:.3e})")
-    X /= lam_min
+    X = X / lam_min if lam_min > 0.0 else X
+    check = _positive_definite("X_positive_definite", X, lam_min)
+    if not check.passed:
+        raise InfeasibleError(f"no positive-definite solution found (lmin(X) = {check.value:.3e})", check)
     Y = B.T @ (Pi @ X - np.eye(n) / lam_min)
     S = Gd @ X + X @ Gd.T
-    if not linalg.chol_pd_check(S)[0]:
-        raise InfeasibleError(f"no positive-definite solution found (lmin(GdX+XGd') = {linalg.min_eig_sym(S):.3e})")
+    check = _positive_definite("dilation_lyapunov_pd", S)
+    if not check.passed:
+        raise InfeasibleError(f"no positive-definite solution found (lmin(GdX+XGd') = {check.value:.3e})", check)
     if log.isEnabledFor(logging.INFO):
         log.info("feasibility (weight %g): lmin(X)/|X| %.3e, lmin(GdX+XGd')/|.| %.3e, cond(X) %.3e", weight,
-                 1.0 / np.linalg.norm(X, 2), linalg.min_eig_sym(S) / np.linalg.norm(S, 2), np.linalg.cond(X))
+                 1.0 / np.linalg.norm(X, 2), check.value / np.linalg.norm(S, 2), np.linalg.cond(X))
     return X, Y
 
 
@@ -498,7 +483,7 @@ def _verification_error(c: SynthesizedController, report: VerificationReport) ->
         M = c.P @ c.Gd + c.Gd.T @ c.P
         text += (f"\nnorm_strict_monotonicity fails at the limit of double precision: T = {c.T:g}, "
                  f"cond(X) = {np.linalg.cond(c.X):.3e}, lmin(P Gd + Gd'P)/|P Gd + Gd'P| = "
-                 f"{linalg.min_eig_sym(M) / np.linalg.norm(M, 2):.3e} against the Cholesky floor "
+                 f"{report.failed[0].value / np.linalg.norm(M, 2):.3e} against the Cholesky floor "
                  f"{linalg._CHOL_PIVOT_RTOL:.0e}")
     return SynthesisError(text)
 
@@ -545,6 +530,36 @@ class VerificationReport:
         return "\n".join(lines + [verdict])
 
 
+def _residual(name: str, value, threshold=_IDENTITY_TOL) -> CheckResult:
+    return CheckResult(name, float(value), float(threshold), bool(value <= threshold), "residual")
+
+
+def _margin(name: str, value, threshold) -> CheckResult:
+    return CheckResult(name, float(value), float(threshold), bool(value > threshold), "margin")
+
+
+def _tol(M: np.ndarray) -> float:
+    return _IDENTITY_TOL * (1.0 + np.linalg.norm(M))
+
+
+def _positive_definite(name: str, S: np.ndarray, lmin: float | None = None) -> CheckResult:
+    """``S > 0``: ``lmin(S) > 0`` (or the given ``lmin``), then the Cholesky test of :func:`linalg.chol_pd_check`."""
+    lmin = linalg.min_eig_sym(S) if lmin is None else float(lmin)
+    return CheckResult(name, lmin, 0.0, bool(lmin > 0.0 and linalg.chol_pd_check(S)[0]), "margin")
+
+
+def _generator_checks(A, B, G0, Y0) -> tuple[CheckResult, CheckResult, CheckResult]:
+    sv = np.linalg.svd(G0 - np.eye(len(A)), compute_uv=False)
+    return (_residual("generator_equation", np.linalg.norm(A @ G0 - G0 @ A + B @ Y0 - A), _tol(A)),
+            _residual("generator_kernel", np.linalg.norm(G0 @ B), _tol(B)),
+            _margin("generator_shift_invertible", sv[-1] / max(sv[0], 1.0), 1e-9))
+
+
+def _nilpotency_check(A, A0) -> CheckResult:
+    return _residual("closed_loop_nilpotent", np.linalg.norm(np.linalg.matrix_power(A0, len(A))),
+                     _IDENTITY_TOL * (1.0 + np.linalg.norm(A)) ** len(A))
+
+
 def verify_controller(controller: SynthesizedController, plant: LinearPlant | None = None) -> VerificationReport:
     """Re-check every algebraic invariant of a controller record.
 
@@ -556,48 +571,32 @@ def verify_controller(controller: SynthesizedController, plant: LinearPlant | No
     against a plant.
     """
     c = controller
-    n, m = c.n, c.m
-    I = np.eye(n)
-    checks: list[CheckResult] = []
-
-    def residual(name, value, threshold=_IDENTITY_TOL):
-        checks.append(CheckResult(name, float(value), float(threshold), bool(value <= threshold), "residual"))
-
-    def margin(name, value, threshold):
-        checks.append(CheckResult(name, float(value), float(threshold), bool(value > threshold), "margin"))
-
-    a_scale = 1.0 + np.linalg.norm(c.A)
-    residual("generator_equation", np.linalg.norm(c.A @ c.G0 - c.G0 @ c.A + c.B @ c.Y0 - c.A), _IDENTITY_TOL * a_scale)
-    residual("generator_kernel", np.linalg.norm(c.G0 @ c.B), _IDENTITY_TOL * (1.0 + np.linalg.norm(c.B)))
-    residual("dilation_generator_definition", np.linalg.norm(c.Gd - (I + c.mu * c.G0)))
-    margin("dilation_generator_anti_hurwitz", float(np.min(np.real(linalg.eigenvalues(c.Gd)))), _ANTI_HURWITZ_MARGIN)
-    sv = np.linalg.svd(c.G0 - I, compute_uv=False)
-    margin("generator_shift_invertible", float(sv[-1] / max(sv[0], 1.0)), 1e-9)
-    residual("gain_K0_definition", np.linalg.norm(c.K0 @ (c.G0 - I) - c.Y0), _IDENTITY_TOL * (1.0 + np.linalg.norm(c.Y0)))
-    residual("closed_loop_definition", np.linalg.norm(c.A0 - (c.A + c.B @ c.K0)), _IDENTITY_TOL * a_scale)
-    residual("closed_loop_nilpotent", np.linalg.norm(np.linalg.matrix_power(c.A0, n)), _IDENTITY_TOL * a_scale**n)
-    residual("homogeneity_commutation", np.linalg.norm(c.A0 @ c.Gd - (c.Gd + c.mu * I) @ c.A0), _IDENTITY_TOL * a_scale)
-    residual("input_direction_invariance", np.linalg.norm(c.Gd @ c.B - c.B), _IDENTITY_TOL * (1.0 + np.linalg.norm(c.B)))
+    I = np.eye(c.n)
+    equation, kernel, shift = _generator_checks(c.A, c.B, c.G0, c.Y0)
     lmi = c.A0 @ c.X + c.X @ c.A0.T + c.B @ c.Y + c.Y.T @ c.B.T + c.Gd @ c.X + c.X @ c.Gd.T
-    residual("feasibility_equality", np.linalg.norm(lmi), _IDENTITY_TOL * (1.0 + np.linalg.norm(c.X)))
-    ok_x, _ = linalg.chol_pd_check(c.X)
-    lam_x = linalg.min_eig_sym(c.X)
-    checks.append(CheckResult("X_positive_definite", lam_x, 0.0, ok_x, "margin"))
-    S = c.Gd @ c.X + c.X @ c.Gd.T
-    ok_s, _ = linalg.chol_pd_check(S)
-    lam_s = linalg.min_eig_sym(S)
-    checks.append(CheckResult("dilation_lyapunov_pd", lam_s, 0.0, ok_s, "margin"))
-    residual("gain_K_definition", np.linalg.norm(c.K @ c.X - c.Y), _IDENTITY_TOL * (1.0 + np.linalg.norm(c.Y)))
+    x_pd = _positive_definite("X_positive_definite", c.X)
     # P inverts X, so without a positive-definite X the check fails unevaluated
-    if ok_x:
-        lam_p, ok_p = linalg.min_eig_sym(c.P @ c.Gd + c.Gd.T @ c.P), check_strict_monotonicity(c.dilation)
-    else:
-        lam_p, ok_p = math.nan, False
-    checks.append(CheckResult("norm_strict_monotonicity", lam_p, 0.0, ok_p, "margin"))
-
+    lam_p = linalg.min_eig_sym(c.P @ c.Gd + c.Gd.T @ c.P) if x_pd.passed else math.nan
+    ok_p = x_pd.passed and check_strict_monotonicity(c.dilation)
+    checks = [
+        equation, kernel,
+        _residual("dilation_generator_definition", np.linalg.norm(c.Gd - (I + c.mu * c.G0))),
+        _margin("dilation_generator_anti_hurwitz", np.min(np.real(linalg.eigenvalues(c.Gd))), _ANTI_HURWITZ_MARGIN),
+        shift,
+        _residual("gain_K0_definition", np.linalg.norm(c.K0 @ (c.G0 - I) - c.Y0), _tol(c.Y0)),
+        _residual("closed_loop_definition", np.linalg.norm(c.A0 - (c.A + c.B @ c.K0)), _tol(c.A)),
+        _nilpotency_check(c.A, c.A0),
+        _residual("homogeneity_commutation", np.linalg.norm(c.A0 @ c.Gd - (c.Gd + c.mu * I) @ c.A0), _tol(c.A)),
+        _residual("input_direction_invariance", np.linalg.norm(c.Gd @ c.B - c.B), _tol(c.B)),
+        _residual("feasibility_equality", np.linalg.norm(lmi), _tol(c.X)),
+        x_pd,
+        _positive_definite("dilation_lyapunov_pd", c.Gd @ c.X + c.X @ c.Gd.T),
+        _residual("gain_K_definition", np.linalg.norm(c.K @ c.X - c.Y), _tol(c.Y)),
+        CheckResult("norm_strict_monotonicity", lam_p, 0.0, ok_p, "margin"),
+    ]
     if plant is not None:
-        residual("plant_A_match", np.linalg.norm(c.A - plant.A), 1e-12 * a_scale)
-        residual("plant_B_match", np.linalg.norm(c.B - plant.B), 1e-12 * (1.0 + np.linalg.norm(plant.B)))
+        checks.append(_residual("plant_A_match", np.linalg.norm(c.A - plant.A), 1e-12 * (1.0 + np.linalg.norm(c.A))))
+        checks.append(_residual("plant_B_match", np.linalg.norm(c.B - plant.B), 1e-12 * (1.0 + np.linalg.norm(plant.B))))
 
     report = VerificationReport(tuple(checks))
     if not report.all_passed:

@@ -199,9 +199,9 @@ def test_criterion_6_matched_disturbance_rejection(announce):
     t0 = time.perf_counter()
     ctrl = oscillator_controller()
     x0 = np.array([0.2, 0.0])
-    r = ctrl.weighted_norm(x0)
+    r = ctrl.dilation.norm(x0)
     bound = disturbance_bound(ctrl, r, rho=2.0)
-    b_norm = ctrl.weighted_norm([0.0, 1.0])
+    b_norm = ctrl.dilation.norm([0.0, 1.0])
 
     def disturbed(gamma, **kw):
         return _run(x0, t_end=3.0,

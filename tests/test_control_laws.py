@@ -117,7 +117,7 @@ def test_zero_reference_clamped_kinds_fall_back_to_linear(ctrl):
 def test_reference_noise_shifts_normalization(ctrl):
     ctx_clean = make_context(ctrl, ControllerKind.PRESCRIBED_TIME_ROBUST, [0.2, 0.0])
     ctx_noisy = make_context(ctrl, ControllerKind.PRESCRIBED_TIME_ROBUST, [0.2, 0.0], x0_noise=[0.05, 0.0])
-    assert ctx_noisy.r0 == pytest.approx(ctrl.weighted_norm([0.25, 0.0]), rel=1e-12)
+    assert ctx_noisy.r0 == pytest.approx(ctrl.dilation.norm([0.25, 0.0]), rel=1e-12)
     x = [0.1, 0.05]
     assert abs(eval_control(ctx_clean, x)[0] - eval_control(ctx_noisy, x)[0]) > 1e-6
 

@@ -33,7 +33,6 @@ from homctl import (
     oscillator_controller,
     oscillator_plant,
     simulate,
-    simulate_dense,
     synthesize,
     trace_summary,
     trace_to_csv,
@@ -238,14 +237,17 @@ def test_dense_mode_reports_its_settling():
     assert trace.settling_time == measure_settling(trace, 0.1) == pytest.approx(0.897, abs=1e-3)
     trace = simulate(_nominal([0.7, 0.0], integrator="dense_rk"))
     assert not trace.settled and trace.settling_time is None and trace.settle_epsilon == 1e-9
+    # simulate is the dense mode's one entry point: the dense function's own
+    # trace had no settling fields, so it is not exported
+    assert not any(hasattr(m, "simulate_dense") for m in (homctl, importlib.import_module("homctl.simulate")))
 
 
 def test_dense_mode_rejects_zero_reference_with_nonzero_state():
     config = ScenarioConfig(plant=oscillator_plant(), controller=oscillator_controller(),
                             x0=np.array([0.2, 0.0]), h=H, t_end=1.0,
                             integrator="dense_rk", x0_noise=np.array([-0.2, 0.0]))
-    with pytest.raises(ValueError):
-        simulate_dense(config)
+    with pytest.raises(ValueError, match="the dense mode needs a nonzero reference"):
+        simulate(config)
 
 
 @pytest.mark.parametrize("T", [0.5, 2.0])
@@ -285,7 +287,7 @@ def _check_dense_against_ode(name, T, kind, noise_scale):
     x0_noise = None if noise_scale is None else noise_scale * x0
     config = ScenarioConfig(plant=plant, controller=ctrl, x0=x0, h=T / 50, t_end=1.5 * T, kind=kind,
                             integrator="dense_rk", x0_noise=x0_noise)
-    trace = simulate_dense(config)
+    trace = simulate(config)
     ctx = make_context(ctrl, kind, x0, x0_noise)
     # the run's feedback reads the closed form's (s, z); eval_control solves
     # them from each state, so the two agree to the root-find's tolerance
@@ -298,7 +300,7 @@ def _check_dense_against_ode(name, T, kind, noise_scale):
     t_last = trace.t[-1]
     dt = 1e-5 * T
     for t in (0.3 * t_last, 0.9 * t_last):
-        ends = [simulate_dense(dataclasses.replace(config, t_end=te)) for te in (t - dt, t, t + dt)]
+        ends = [simulate(dataclasses.replace(config, t_end=te)) for te in (t - dt, t, t + dt)]
         assert [e.t[-1] for e in ends] == [t - dt, t, t + dt]
         xdot = (ends[2].x[-1] - ends[0].x[-1]) / (2 * dt)
         f = rhs(t, ends[1].x[-1])
@@ -423,13 +425,13 @@ def test_noise_spec_requires_seed():
 
 def test_disturbance_bound_reference_value(ctrl):
     # closed form for the reference controller at |x0|_P of (0.2, 0)
-    r = ctrl.weighted_norm([0.2, 0.0])
+    r = ctrl.dilation.norm([0.2, 0.0])
     got = disturbance_bound(ctrl, r, rho=2.0)
     assert got == pytest.approx(0.10389479899356806, rel=1e-12)
 
 
 def test_disturbance_bound_scaling_properties(ctrl):
-    r = ctrl.weighted_norm([0.2, 0.0])
+    r = ctrl.dilation.norm([0.2, 0.0])
     b1 = disturbance_bound(ctrl, r, rho=2.0)
     # linear in the initial radius
     assert disturbance_bound(ctrl, 2 * r, rho=2.0) == pytest.approx(2 * b1, rel=1e-12)
@@ -444,9 +446,9 @@ def test_disturbance_bound_scaling_properties(ctrl):
 
 def test_constant_disturbance_inside_bound_settles():
     ctrl = oscillator_controller()
-    r = ctrl.weighted_norm([0.2, 0.0])
+    r = ctrl.dilation.norm([0.2, 0.0])
     bound = disturbance_bound(ctrl, r, rho=2.0)
-    gamma = 0.9 * bound / ctrl.weighted_norm([0.0, 1.0])  # |B gamma|_P = 0.9 bound
+    gamma = 0.9 * bound / ctrl.dilation.norm([0.0, 1.0])  # |B gamma|_P = 0.9 bound
     config = _nominal([0.2, 0.0], t_end=3.0,
                       disturbance=DisturbanceSpec(kind="constant", vector=[0.0, gamma]))
     trace = simulate(config)
@@ -455,9 +457,9 @@ def test_constant_disturbance_inside_bound_settles():
 
 def test_constant_disturbance_far_outside_bound_prevents_settling():
     ctrl = oscillator_controller()
-    r = ctrl.weighted_norm([0.2, 0.0])
+    r = ctrl.dilation.norm([0.2, 0.0])
     bound = disturbance_bound(ctrl, r, rho=2.0)
-    gamma = 5.0 * bound / ctrl.weighted_norm([0.0, 1.0])
+    gamma = 5.0 * bound / ctrl.dilation.norm([0.0, 1.0])
     config = _nominal([0.2, 0.0], t_end=3.0,
                       disturbance=DisturbanceSpec(kind="constant", vector=[0.0, gamma]))
     trace = simulate(config)
@@ -556,6 +558,15 @@ def test_csv_format_and_round_trip(tmp_path):
     flags = data[:, 5]
     k = int(round(trace.settling_time / H))
     assert np.all(flags[:k] == 0) and np.all(flags[k:] == 1)
+    # an overflowed row writes nan and inf, which read back as written
+    trace.x[3], trace.u[4], trace.s[5] = [np.nan, np.inf], -np.inf, np.nan
+    trace_to_csv(trace, path)
+    text = path.read_text().splitlines()
+    assert text[4].split(",")[1:3] == ["nan", "inf"] and text[5].split(",")[3] == "-inf"
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(data[:, 1:3], trace.x)
+    np.testing.assert_array_equal(data[:, 3:5], np.column_stack([trace.u, trace.s]))
+    assert np.array_equal(data[:, 5], flags)
 
 
 def test_csv_delay_run_appends_predictor_columns(tmp_path):
@@ -907,7 +918,8 @@ def test_warm_started_trace_keeps_the_root_tolerance(kind, noise, tau):
                             x0=np.array([0.7, 0.0]), h=H, t_end=2.0 + tau, kind=kind, noise=noise)
     trace = simulate(config)
     Y = trace.y if tau else trace.x
-    D, r = config.controller.dilation, config.controller.weighted_norm(Y[0])
+    D = config.controller.dilation
+    r = D.norm(Y[0])
     assert np.count_nonzero(trace.s) > 90
     for y, s in zip(Y, trace.s):
         if s > 0:
@@ -919,4 +931,4 @@ def test_overflowing_initial_state_is_rejected():
     with pytest.raises(ValueError, match="overflows"):
         simulate(_nominal([1e300, 0.0]))
     with pytest.raises(ValueError, match="overflows"):
-        simulate_dense(_nominal([1e300, 0.0], integrator="dense_rk"))
+        simulate(_nominal([1e300, 0.0], integrator="dense_rk"))

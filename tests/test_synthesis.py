@@ -379,6 +379,87 @@ def test_chain_8_error_names_the_precision_limit():
 
 
 # ---------------------------------------------------------------------------
+# the steps fail on verify_controller's own checks
+
+
+def _feed_generator_solve(monkeypatch, perturb):
+    """Make the generator step's least-norm solve return ``perturb(u)``; the solutions it returned go to the list."""
+    solve, fed = homctl.linalg.least_norm_solve, []
+
+    def perturbed(M, b):
+        fed.append(perturb(solve(M, b)))
+        return fed[-1]
+
+    monkeypatch.setattr(homctl.linalg, "least_norm_solve", perturbed)
+    return fed
+
+
+def _record(plant, G0, Y0, Gd=None, X=None):
+    """A record of the plant with the given matrices; the rest is consistent with them or the identity."""
+    n = plant.n
+    K0, A0 = homctl.synthesis._closed_loop(plant.A, plant.B, G0, Y0)
+    X = np.eye(n) if X is None else X
+    return SynthesizedController(A=plant.A, B=plant.B, T=1.0, mu=-1.0, G0=G0, Y0=Y0,
+                                 Gd=np.eye(n) - G0 if Gd is None else Gd, A0=A0, X=X, Y=-plant.B.T,
+                                 K0=K0, K=np.linalg.solve(X.T, -plant.B).T)
+
+
+def _null_direction(plant):
+    """The unit vector that spans the kernel of the generator operator (one-dimensional for n = 3, m = 2)."""
+    return np.linalg.svd(_generator_operator(plant.A, plant.B))[2][-1]
+
+
+@pytest.mark.parametrize(("name", "plant", "perturb"), [
+    # B dY0 enters the equation only
+    ("generator_equation", oscillator_plant(), lambda u, p: u + np.r_[np.zeros(4), 1e-3, 0.0]),
+    # 1e-3 I commutes with A, so only G0 B moves
+    ("generator_kernel", oscillator_plant(), lambda u, p: u + 1e-3 * np.r_[np.eye(2).ravel(), 0.0, 0.0]),
+    # another exact solution, 1e6 along the kernel: both residuals stay below
+    # 5e-10, while sv_min(G0 - I) / sv_max(G0 - I) falls to about 3.6e-11
+    ("generator_shift_invertible", _census_plant(3, 2, 0), lambda u, p: u + 1e6 * _null_direction(p)),
+])
+def test_generator_step_fails_on_the_verification_check(monkeypatch, name, plant, perturb):
+    fed = _feed_generator_solve(monkeypatch, lambda u: perturb(u, plant))
+    with pytest.raises(SynthesisError) as info:
+        solve_generator_equation(plant)
+    n = plant.n
+    check = verify_controller(_record(plant, fed[0][: n * n].reshape(n, n), fed[0][n * n :].reshape(-1, n)))[name]
+    assert not check.passed and info.value.check == check
+    # the failed check's own line names its value and threshold
+    assert str(info.value) == f"generator equation: {check}"
+    assert f"{check.name}: {check.value:.3e}" in str(info.value) and f"{check.threshold:.3e})" in str(info.value)
+
+
+def test_generator_step_fails_on_the_nilpotency_check(monkeypatch):
+    # census plant rand6x2 seed 11: cond(G0 - I) ~ 3.9e6 costs A0 its nilpotency
+    plant = _census_plant(6, 2, 11)
+    fed = _feed_generator_solve(monkeypatch, lambda u: u)
+    with pytest.raises(SynthesisError) as info:
+        solve_generator_equation(plant)
+    G0, Y0 = fed[0][:36].reshape(6, 6), fed[0][36:].reshape(2, 6)
+    check = verify_controller(_record(plant, G0, Y0))["closed_loop_nilpotent"]
+    assert not check.passed and info.value.check == check
+    assert str(info.value) == (f"generator equation: A0 = A + B K0 is not nilpotent (|A0^6| = {check.value:.3e} > "
+                               f"{check.threshold:.3e}, cond(G0 - I) = {np.linalg.cond(G0 - np.eye(6)):.3e})")
+
+
+@pytest.mark.parametrize(("name", "Gd", "X", "label"), [
+    # an indefinite Lyapunov solution is not rescaled, and its lmin is reported
+    ("X_positive_definite", np.diag([2.0, 1.0]), np.diag([1.0, -1.0]), "lmin(X)"),
+    # lmin(X) = 1 leaves X as it is; Gd = -I makes Gd X + X Gd' = -2 X
+    ("dilation_lyapunov_pd", -np.eye(2), np.diag([1.0, 2.0]), "lmin(GdX+XGd')"),
+])
+def test_feasibility_step_fails_on_the_verification_check(plant, ctrl, monkeypatch, name, Gd, X, label):
+    monkeypatch.setattr(homctl.synthesis, "_solve_lyapunov", lambda F, Q: X.copy())
+    with pytest.raises(InfeasibleError) as info:
+        solve_lmi_feasibility(ctrl.A0, plant.B, Gd)
+    check = verify_controller(_record(plant, ctrl.G0, ctrl.Y0, Gd=Gd, X=X))[name]
+    assert not check.passed and check.threshold == 0.0
+    assert info.value.check == check
+    assert str(info.value) == f"no positive-definite solution found ({label} = {check.value:.3e})"
+
+
+# ---------------------------------------------------------------------------
 # full synthesis
 
 
@@ -454,7 +535,7 @@ def test_reference_controller_margins(ctrl):
 def test_reference_controller_weight_matrix(ctrl):
     # T = 1 makes P the plain inverse of X
     np.testing.assert_allclose(ctrl.P, np.linalg.inv(ctrl.X), atol=1e-12)
-    assert ctrl.weighted_norm([0.2, 0.0]) == pytest.approx(0.2 * math.sqrt(11.0 / 3.0), rel=1e-12)
+    assert ctrl.dilation.norm([0.2, 0.0]) == pytest.approx(0.2 * math.sqrt(11.0 / 3.0), rel=1e-12)
 
 
 def test_verification_catches_wrong_gain(ctrl):
