@@ -30,6 +30,13 @@ a linear dilation at the constant rate ``1/T``:
 
 ``verify_controller`` re-checks every algebraic invariant of the result with
 explicit residuals, as the CLI ``verify`` prints; steps 1-2 fail on its checks.
+A record's plant-independent checks are its cached
+``SynthesizedController.checks``: ``synthesize`` verifies the record it
+returns, so verifying it again evaluates only the plant checks.
+
+``save_controller`` writes one JSON field per line, each through the C
+encoder of ``json.dumps``; ``load_controller`` reads that and the indented
+layout of earlier files alike, and the round trip is bit-exact.
 """
 
 from __future__ import annotations
@@ -244,6 +251,15 @@ class SynthesizedController:
         """Dilation (generator ``Gd``, weight ``P``) the feedback is scheduled on."""
         return Dilation(self.Gd, self.P)
 
+    @cached_property
+    def checks(self) -> tuple[CheckResult, ...]:
+        """The record's 15 plant-independent checks of :func:`verify_controller`, evaluated once.
+
+        Like the other cached fields it assumes the matrices are not changed
+        in place; ``dataclasses.replace`` builds a new record, checked afresh.
+        """
+        return _record_checks(self)
+
 
 def _as_tall(B, n: int, name: str) -> np.ndarray:
     B = np.asarray(B, dtype=float)
@@ -323,24 +339,34 @@ def solve_generator_equation(plant: LinearPlant) -> tuple[np.ndarray, np.ndarray
     Returns the least-norm solution.  Every exact solution makes
     ``Gd = I + MU G0`` anti-Hurwitz with smallest eigenvalue 1 (see the
     module docstring), so the solution set is not searched.  Raises
-    :class:`SynthesisError`, with the failed check as ``check``, on the first
-    of :func:`verify_controller`'s ``generator_equation``, ``generator_kernel``,
+    :class:`SynthesisError` when the least-norm solve finds the system
+    inconsistent, and, with the failed check as ``check``, on the first of
+    :func:`verify_controller`'s ``generator_equation``, ``generator_kernel``,
     ``generator_shift_invertible`` and ``closed_loop_nilpotent`` that fails;
     the last names ``|A0^n|`` and ``cond(G0 - I)``.
     """
+    return _generator_step(plant)[:2]
+
+
+def _generator_step(plant: LinearPlant) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`solve_generator_equation` with the ``K0, A0`` of its nilpotency check: ``(G0, Y0, K0, A0)``."""
     A, B = plant.A, plant.B
     n, m = plant.n, plant.m
-    u = linalg.least_norm_solve(_generator_operator(A, B), np.concatenate([A.ravel(), np.zeros(n * m)]))
+    try:
+        u = linalg.least_norm_solve(_generator_operator(A, B), np.concatenate([A.ravel(), np.zeros(n * m)]))
+    except np.linalg.LinAlgError as exc:
+        raise SynthesisError(f"generator equation: {exc}") from exc
     G0, Y0 = u[: n * n].reshape(n, n), u[n * n :].reshape(m, n)
     for check in _generator_checks(A, B, G0, Y0):
         if not check.passed:
             raise SynthesisError(f"generator equation: {check}", check)
     # an ill-conditioned G0 - I can cost A0 its nilpotency, which no feasibility step repairs
-    check = _nilpotency_check(A, _closed_loop(A, B, G0, Y0)[1])
+    K0, A0 = _closed_loop(A, B, G0, Y0)
+    check = _nilpotency_check(A, A0)
     if not check.passed:
         raise SynthesisError(f"generator equation: A0 = A + B K0 is not nilpotent (|A0^{n}| = {check.value:.3e} > "
                              f"{check.threshold:.3e}, cond(G0 - I) = {np.linalg.cond(G0 - np.eye(n)):.3e})", check)
-    return G0, Y0
+    return G0, Y0, K0, A0
 
 
 def _closed_loop(A: np.ndarray, B: np.ndarray, G0: np.ndarray, Y0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -451,9 +477,8 @@ def synthesize(plant: LinearPlant, config: SynthesisConfig) -> SynthesizedContro
     """
     A, B = plant.A, plant.B
     n = plant.n
-    G0, Y0 = solve_generator_equation(plant)
+    G0, Y0, K0, A0 = _generator_step(plant)
     Gd = np.eye(n) + MU * G0
-    K0, A0 = _closed_loop(A, B, G0, Y0)
     first_error = None
     for weight in (0.0, _RICCATI_STATE_WEIGHT):
         if weight:
@@ -560,17 +585,8 @@ def _nilpotency_check(A, A0) -> CheckResult:
                      _IDENTITY_TOL * (1.0 + np.linalg.norm(A)) ** len(A))
 
 
-def verify_controller(controller: SynthesizedController, plant: LinearPlant | None = None) -> VerificationReport:
-    """Re-check every algebraic invariant of a controller record.
-
-    Residual checks (value must stay below the threshold) cover the
-    generator equation, the commutation identities, the feasibility equality
-    and the gain definitions; margin checks (value must exceed the
-    threshold) cover anti-Hurwitzness, positive definiteness and the strict
-    monotonicity of the induced norm.  Optionally also checks the record
-    against a plant.
-    """
-    c = controller
+def _record_checks(c: SynthesizedController) -> tuple[CheckResult, ...]:
+    """The 15 plant-independent checks of a record, in report order (:attr:`SynthesizedController.checks`)."""
     I = np.eye(c.n)
     equation, kernel, shift = _generator_checks(c.A, c.B, c.G0, c.Y0)
     lmi = c.A0 @ c.X + c.X @ c.A0.T + c.B @ c.Y + c.Y.T @ c.B.T + c.Gd @ c.X + c.X @ c.Gd.T
@@ -578,7 +594,7 @@ def verify_controller(controller: SynthesizedController, plant: LinearPlant | No
     # P inverts X, so without a positive-definite X the check fails unevaluated
     lam_p = linalg.min_eig_sym(c.P @ c.Gd + c.Gd.T @ c.P) if x_pd.passed else math.nan
     ok_p = x_pd.passed and check_strict_monotonicity(c.dilation)
-    checks = [
+    return (
         equation, kernel,
         _residual("dilation_generator_definition", np.linalg.norm(c.Gd - (I + c.mu * c.G0))),
         _margin("dilation_generator_anti_hurwitz", np.min(np.real(linalg.eigenvalues(c.Gd))), _ANTI_HURWITZ_MARGIN),
@@ -593,12 +609,27 @@ def verify_controller(controller: SynthesizedController, plant: LinearPlant | No
         _positive_definite("dilation_lyapunov_pd", c.Gd @ c.X + c.X @ c.Gd.T),
         _residual("gain_K_definition", np.linalg.norm(c.K @ c.X - c.Y), _tol(c.Y)),
         CheckResult("norm_strict_monotonicity", lam_p, 0.0, ok_p, "margin"),
-    ]
-    if plant is not None:
-        checks.append(_residual("plant_A_match", np.linalg.norm(c.A - plant.A), 1e-12 * (1.0 + np.linalg.norm(c.A))))
-        checks.append(_residual("plant_B_match", np.linalg.norm(c.B - plant.B), 1e-12 * (1.0 + np.linalg.norm(plant.B))))
+    )
 
-    report = VerificationReport(tuple(checks))
+
+def verify_controller(controller: SynthesizedController, plant: LinearPlant | None = None) -> VerificationReport:
+    """Re-check every algebraic invariant of a controller record.
+
+    Residual checks (value must stay below the threshold) cover the
+    generator equation, the commutation identities, the feasibility equality
+    and the gain definitions; margin checks (value must exceed the
+    threshold) cover anti-Hurwitzness, positive definiteness and the strict
+    monotonicity of the induced norm.  Optionally also checks the record
+    against a plant.  The record's own checks are its cached
+    :attr:`SynthesizedController.checks`, so only the plant checks are
+    evaluated again on a record verified before.
+    """
+    c = controller
+    checks = c.checks
+    if plant is not None:
+        checks += (_residual("plant_A_match", np.linalg.norm(c.A - plant.A), 1e-12 * (1.0 + np.linalg.norm(c.A))),
+                   _residual("plant_B_match", np.linalg.norm(c.B - plant.B), 1e-12 * (1.0 + np.linalg.norm(plant.B))))
+    report = VerificationReport(checks)
     if not report.all_passed:
         log.info("verification failed: %s", ", ".join(c.name for c in report.failed))
     return report
@@ -644,8 +675,13 @@ def controller_from_dict(data: dict) -> SynthesizedController:
 
 
 def save_controller(controller: SynthesizedController, path) -> None:
-    """Write a controller record to ``path`` as JSON (atomic replace)."""
-    atomic.write_text(path, json.dumps(controller_to_dict(controller), indent=2) + "\n")
+    """Write a controller record to ``path`` as JSON, one field per line (atomic replace).
+
+    Each field is one ``json.dumps`` call, which takes the C encoder; the
+    numbers are the same shortest ``repr`` an indented ``json.dumps`` writes.
+    """
+    fields = (f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in controller_to_dict(controller).items())
+    atomic.write_text(path, "{\n" + ",\n".join(fields) + "\n}\n")
 
 
 def load_controller(path) -> SynthesizedController:

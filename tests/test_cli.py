@@ -195,6 +195,16 @@ def test_exit_code_census_plant_with_failed_riccati_branch_is_infeasible(tmp_pat
     assert not out.exists()
 
 
+def test_exit_code_inconsistent_generator_solve_is_infeasible(tmp_path, capsys):
+    # a controllable pair whose generator system the least-norm solve finds inconsistent
+    plant = tmp_path / "wide_b.ini"
+    plant.write_text("[plant]\nA = 0 1; 0 0\nB = 1e4; 1\n")
+    out = tmp_path / "c.json"
+    assert main(["synth", "--plant", str(plant), "--T", "1", "--out", str(out)]) == EXIT_INFEASIBLE
+    assert "generator equation: least_norm_solve: system is inconsistent" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_code_verification_failure(tmp_path, plant_file, capsys):
     ctrl_path = tmp_path / "ctrl.json"
     assert main(["synth", "--plant", str(plant_file), "--T", "1", "--out", str(ctrl_path)]) == EXIT_OK

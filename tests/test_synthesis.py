@@ -2,6 +2,8 @@
 serialization.  The harmonic-oscillator record with T=1 has a closed-form
 solution used as the exact oracle throughout."""
 
+import dataclasses
+import json
 import math
 import os
 import re
@@ -459,6 +461,36 @@ def test_feasibility_step_fails_on_the_verification_check(plant, ctrl, monkeypat
     assert str(info.value) == f"no positive-definite solution found ({label} = {check.value:.3e})"
 
 
+def test_inconsistent_generator_solve_is_a_synthesis_error():
+    # controllable, but the least-norm solve finds the generator system inconsistent
+    plant = LinearPlant([[0.0, 1.0], [0.0, 0.0]], [[1e4], [1.0]])
+    for step in (solve_generator_equation, lambda p: synthesize(p, SynthesisConfig(T=1.0))):
+        with pytest.raises(SynthesisError, match="^generator equation: least_norm_solve: system is inconsistent$") as info:
+            step(plant)
+        assert info.value.check is None and isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls of ``homctl.synthesis.<name>``: one list entry per call."""
+    fn, calls = getattr(homctl.synthesis, name), []
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(homctl.synthesis, name, counted)
+    return calls
+
+
+def test_synthesize_inverts_the_generator_shift_once(plant, monkeypatch):
+    calls = _count_calls(monkeypatch, "_closed_loop")
+    ctrl = synthesize(plant, SynthesisConfig(T=1.0))
+    assert len(calls) == 1
+    # the public step still returns the pair, the record's own G0 and Y0
+    G0, Y0 = solve_generator_equation(plant)
+    assert G0.tobytes() == ctrl.G0.tobytes() and Y0.tobytes() == ctrl.Y0.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # full synthesis
 
@@ -548,10 +580,29 @@ def test_verification_catches_wrong_gain(ctrl):
     assert not report["gain_K_definition"].passed
 
 
-def test_verification_catches_wrong_plant(ctrl):
+def test_verification_catches_wrong_plant(ctrl, plant):
+    # the first verify caches the record's checks; the plant checks run on every call
+    assert verify_controller(ctrl, plant).all_passed and "checks" in vars(ctrl)
     other = LinearPlant([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]])
-    report = verify_controller(ctrl, other)
-    assert not report["plant_A_match"].passed
+    assert [c.name for c in verify_controller(ctrl, other).failed] == ["plant_A_match"]
+
+
+def test_synthesize_then_verify_evaluates_the_record_checks_once(plant, monkeypatch):
+    calls = _count_calls(monkeypatch, "_record_checks")
+    ctrl = synthesize(plant, SynthesisConfig(T=1.0))
+    report = verify_controller(ctrl, plant)
+    assert len(calls) == 1 and report.all_passed
+    assert report.checks[:15] == ctrl.checks
+    assert [c.name for c in report.checks[15:]] == ["plant_A_match", "plant_B_match"]
+    # a copy of the record evaluates the same checks afresh
+    assert dataclasses.replace(ctrl).checks == ctrl.checks and len(calls) == 2
+
+
+def test_replaced_record_is_checked_afresh(ctrl):
+    assert verify_controller(ctrl).all_passed
+    report = verify_controller(dataclasses.replace(ctrl, X=-ctrl.X))
+    assert not report["X_positive_definite"].passed
+    assert verify_controller(ctrl).all_passed
 
 
 def test_verification_report_formatting(ctrl):
@@ -570,15 +621,43 @@ def test_controller_dict_round_trip_is_exact(ctrl):
     assert clone.T == ctrl.T and clone.mu == ctrl.mu
 
 
+_FIELDS = ("A", "B", "T", "mu", "G0", "Y0", "Gd", "A0", "X", "Y", "K0", "K")
+
+
+def _assert_bit_identical(a, b):
+    for name in _FIELDS:
+        assert np.asarray(getattr(a, name)).tobytes() == np.asarray(getattr(b, name)).tobytes(), name
+
+
 def test_controller_json_round_trip_is_exact(tmp_path, plant):
-    # synthesized values exercise non-representable decimals through the file
+    # synthesized values exercise non-representable decimals through the file;
+    # -0.0, the smallest subnormal and the largest double keep their bits too
     ctrl = synthesize(plant, SynthesisConfig(T=1.0))
-    path = tmp_path / "controller.json"
+    for record in (ctrl, dataclasses.replace(ctrl, Y0=[[-0.0, 5e-324]], K0=[[1.7976931348623157e308, 0.1]])):
+        path = tmp_path / "controller.json"
+        save_controller(record, path)
+        _assert_bit_identical(load_controller(path), record)
+
+
+def test_controller_file_has_one_field_per_line(tmp_path, ctrl):
+    path = tmp_path / "c.json"
     save_controller(ctrl, path)
-    clone = load_controller(path)
-    for name in ("A", "B", "G0", "Y0", "Gd", "A0", "X", "Y", "K0", "K"):
-        np.testing.assert_array_equal(getattr(clone, name), getattr(ctrl, name))
-    assert clone.T == ctrl.T and clone.mu == ctrl.mu
+    lines = path.read_text().split("\n")
+    data = controller_to_dict(ctrl)
+    assert lines[0] == "{" and lines[-2:] == ["}", ""] and len(lines) == len(data) + 3
+    for line, (name, value) in zip(lines[1:-2], data.items()):
+        assert line.startswith(f'  "{name}": ') and json.loads("{" + line.rstrip(",") + "}") == {name: value}
+
+
+def test_controller_file_in_indented_layout_loads_bit_identically(tmp_path, plant):
+    # records written with json.dumps(indent=2), one number per line, still load
+    ctrl = synthesize(plant, SynthesisConfig(T=1.0))
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text(json.dumps(controller_to_dict(ctrl), indent=2) + "\n")
+    save_controller(ctrl, new)
+    assert len(old.read_text().splitlines()) > len(new.read_text().splitlines())
+    _assert_bit_identical(load_controller(old), load_controller(new))
+    _assert_bit_identical(load_controller(old), ctrl)
 
 
 def test_save_controller_failed_write_leaves_no_file(tmp_path, ctrl, monkeypatch):
