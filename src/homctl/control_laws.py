@@ -18,9 +18,10 @@ in how ``s`` is formed:
   settling time ``T`` for ``|x0| >= 1`` and ``T ||x0||_d <= T`` below.
 * ``linear``                  — the plain linear law, for comparison runs.
 
-The dispatch at the degenerate points (zero state, zero reference) follows
-the closed-loop solution concept: ``u(0) = 0``, and a zero reference selects
-the linear (respectively ``K0``) branch.
+:attr:`ControlContext.fixed_c` decides once which law runs: the fixed law
+``u = K0 x + c KT x``, with ``c = 1`` for the linear kind and a clamped kind
+with a zero reference and ``c = 0`` for prescribed_time with a zero
+reference, or else the homogeneous law, with ``u(0) = 0``.
 
 The calibrated gain ``K d(-ln T)`` is the controller record's ``KT``.  The
 per-sample step is the pair :meth:`ControlContext.solve`, which returns
@@ -56,14 +57,19 @@ class ControllerKind(enum.Enum):
     FIXED_TIME = "fixed_time"
     LINEAR = "linear"
 
+    def radius(self, r0: float) -> float:
+        """The normalization radius for a reference of weighted norm ``r0``: floored at 1 for fixed_time."""
+        return max(r0, 1.0) if self is ControllerKind.FIXED_TIME else r0
+
 
 @dataclass(frozen=True)
 class ControlContext:
     """Controller gains plus the frozen initial-condition reference.
 
     The context is what makes the feedback *static but initial-state
-    dependent*: it pins the normalization radius once, at ``t0``, and every
-    later evaluation is a pure function of the current state.
+    dependent*: it pins the normalization radius and the law that runs
+    (:attr:`fixed_c`) once, at ``t0``, and every later evaluation is a pure
+    function of the current state.
     """
 
     controller: SynthesizedController
@@ -90,27 +96,35 @@ class ControlContext:
     @cached_property
     def ref_norm(self) -> float:
         """Normalization radius: ``|x0|``, floored at 1 for fixed_time."""
-        if self.kind is ControllerKind.FIXED_TIME:
-            return max(self.r0, 1.0)
-        return self.r0
+        return self.kind.radius(self.r0)
 
     @cached_property
+    def fixed_c(self) -> float | None:
+        """``c`` of the fixed law ``u = K0 y + c KT y`` that runs in place of the homogeneous one, else None.
+
+        1.0 for the linear kind and a clamped kind with a zero reference;
+        0.0 (the ``K0`` branch) for prescribed_time with a zero reference.
+        """
+        if self.kind is ControllerKind.LINEAR:
+            return 1.0
+        if self.r0 == 0.0:
+            return 0.0 if self.kind is ControllerKind.PRESCRIBED_TIME else 1.0
+        return None
+
+    @property
     def reads_s(self) -> bool:
-        """Whether :meth:`feedback` reads ``s``: a homogeneous kind with a nonzero reference."""
-        return self.kind is not ControllerKind.LINEAR and self.r0 > 0.0
+        """Whether :meth:`feedback` reads ``s``: where no fixed law runs."""
+        return self.fixed_c is None
 
     def solve(self, y: np.ndarray, guess: float | None = None) -> tuple[float, np.ndarray | None]:
         """The unclamped ``s = ||y / r||_d`` and its root point ``z = d(-ln s)(y / r)``.
 
-        ``(0.0, None)`` at the origin and for a zero radius ``r``, which
-        solves nothing.  ``guess`` warm-starts the root-find.  Raises
+        ``(0.0, None)`` at the origin; called only where :attr:`reads_s`
+        holds, so ``r > 0``.  ``guess`` warm-starts the root-find.  Raises
         ``ValueError`` for a non-finite ``y / r``; the caller silences
         floating-point warnings, as orbit points far from the root overflow.
         """
-        r = self.ref_norm
-        if r == 0.0:
-            return 0.0, None
-        yr = y / r
+        yr = y / self.ref_norm
         # a finite y'y proves every entry finite without the elementwise test
         if not math.isfinite(yr.dot(yr)) and not np.isfinite(yr).all():
             raise ValueError("x has non-finite entries")
@@ -137,23 +151,15 @@ class ControlContext:
         only where :attr:`reads_s` holds.
         """
         K0, KT = self.controller.K0, self.controller.KT
-        # the clamped scheduling scalar c: 1.0 is the linear law, 0.0 the K0 branch
-        if self.kind is ControllerKind.LINEAR:
-            c = 1.0
-        elif self.r0 == 0.0:
-            # zero reference: prescribed_time degenerates to the K0 branch,
-            # the clamped kinds to the linear law
-            c = 0.0 if self.kind is ControllerKind.PRESCRIBED_TIME else 1.0
-        elif not s > 0.0:
-            # the zero state, or a subnormal one far below resolvable scale
-            if not y.any():
+        c = self.fixed_c
+        if c is None:
+            if s == 0.0 and not y.any():
                 return np.zeros(self.controller.m)
-            c = 0.0
-        else:
+            # the clamped scheduling scalar; a nonzero state far below resolvable scale (s = 0) gets c = 0
             c = s if self.kind is ControllerKind.PRESCRIBED_TIME else min(1.0, s)
         if c == 1.0:
-            # clamp active (or exactly on the reference sphere): linear law,
-            # evaluated without the identity dilation so the equality is exact
+            # the linear law (a fixed law, or the clamp active), evaluated
+            # without the identity dilation so the equality is exact
             return K0.dot(y) + KT.dot(y)
         if c == 0.0:
             return K0.dot(y)

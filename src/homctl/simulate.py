@@ -14,24 +14,23 @@ the exact rate ``-1/T`` in continuous time, an unperturbed sampled run snaps
 the state to exactly zero one sample after ``s`` first drops below ``2h/T``
 (the zero crossing happens within that band and zero is invariant; two ideal
 decay steps of margin keep sampling wobble from hopping the band).  The
-snap applies only to the homogeneous controller kinds.  Under a *matched*
-disturbance it stays sound — and stays enabled — as long as the disturbance
-is strictly inside the rejection envelope ``|q2|_P < r * lam / (2T)``
-(the supremum of the rejectable-magnitude bound over its free parameter):
-there the continuous closed loop still reaches exactly zero and zero stays
-invariant, the feedback absorbing the disturbance.  Outside the envelope,
+snap applies only where the context reads ``s``
+(:attr:`~homctl.control_laws.ControlContext.reads_s`), never where its fixed
+law runs.  Under a *matched* disturbance it stays enabled as long as the
+disturbance is strictly inside the rejection envelope ``|q2|_P < r lam /
+(2T)``, the supremum of :func:`disturbance_bound` over ``rho``: there the
+continuous closed loop still reaches exactly zero.  Outside the envelope,
 for unmatched disturbances, and under measurement noise the snap is
 disabled and the trace keeps its raw floor.
 
 Each sample of the loop takes the controller's point (the state or the
-predictor state, plus any measurement noise), solves its norm only where
-the feedback or the snap reads it, evaluates the feedback and takes the one
-plant step.  From the capture on, the plant runs out the ``N`` inputs in
-flight behind a delay of ``N`` samples, and the loop ends; later rows stay
-the zeros the trace arrays are allocated as.  The linear kind, a zero
-reference and every noisy run fill the trace's ``s`` column after the loop
-in one batched root-find, as does the dense mode, whose feedback reads the
-``(s, z)`` of its closed form.  The trace's norm column is
+predictor state, plus any measurement noise), solves its norm where the
+context reads ``s``, evaluates the feedback and takes the one plant step.
+From the capture on, the plant runs out the ``N`` inputs in flight behind a
+delay of ``N`` samples, and the loop ends; later rows stay the zeros the
+trace arrays are allocated as.  Runs that solve no norm in the loop, every
+noisy run and the dense mode fill the trace's ``s`` column in one batched
+root-find.  The trace's norm column is
 :meth:`~homctl.dilation.Dilation.norm` of all its states at once, and
 :func:`simulate` measures settling on it for either mode.
 """
@@ -272,16 +271,18 @@ def _matched_sup_norm(C: np.ndarray, B: np.ndarray, P: np.ndarray) -> float | No
     return math.sqrt(np.linalg.eigvalsh(C.T @ P @ C)[-1])
 
 
-def _snap_enabled(config: ScenarioConfig, ref_norm: float, exo) -> bool:
-    if config.kind is ControllerKind.LINEAR or ref_norm <= 0.0 or config.noise.active:
+def _envelope(controller: SynthesizedController, radius: float, rho: float = 1.0) -> float:
+    """The rejectable matched-disturbance magnitude ``radius * lam / (2 rho T)``; ``rho = 1`` is its supremum."""
+    return radius * controller.rejection_rate / (2.0 * rho * controller.T)
+
+
+def _snap_enabled(config: ScenarioConfig, ctx: ControlContext, exo) -> bool:
+    if not ctx.reads_s or config.noise.active:
         return False
     if exo is None:
         return True
     sup = _matched_sup_norm(exo[0], config.plant.B, config.controller.P)
-    if sup is None:
-        return False
-    envelope = ref_norm * config.controller.rejection_rate / (2.0 * config.controller.T)
-    return sup < envelope
+    return sup is not None and sup < _envelope(config.controller, ctx.ref_norm)
 
 
 def _simulate_zoh(config: ScenarioConfig) -> SimulationTrace:
@@ -318,7 +319,11 @@ def _simulate_zoh(config: ScenarioConfig) -> SimulationTrace:
     if N:
         x0_ctx = predict(tables, x0_ctx, U[:N])
     ctx = ControlContext(ctrl, config.kind, x0_ctx)
-    snap_enabled = _snap_enabled(config, ctx.ref_norm, exo)
+    # the point is solved only where the feedback reads its norm, the only
+    # runs that may snap; the trace's s column is that solve only without
+    # noise, other runs refill it after the loop in one batched solve
+    solve = ctx.reads_s
+    snap_enabled = _snap_enabled(config, ctx, exo)
     # two ideal decay steps: s shrinks by h/T per sample along the exact
     # trajectory, so a band of one step has no margin against sampling
     # wobble and trajectories can hop across it
@@ -331,11 +336,6 @@ def _simulate_zoh(config: ScenarioConfig) -> SimulationTrace:
     ss = np.zeros(K)
     events: list = []
     U_flat = U.reshape(-1)  # the inputs in flight at sample k are U_flat[k m:(k + N) m]
-
-    # the controller's point is solved only where the feedback or the snap
-    # reads its norm; the trace's s column is that solve only without noise,
-    # other runs refill it after the loop in one batched solve
-    solve = ctx.reads_s or snap_enabled
 
     x = config.x0.copy()
     # K (past the last sample) while no snap is scheduled
@@ -391,16 +391,16 @@ def _simulate_dense(config: ScenarioConfig) -> SimulationTrace:
     ``z0 = d(-ln s0) x0/r``.  (``d(p) A0 = e^p A0 d(p)`` and ``d(p) B = e^p
     B`` give ``dz/dsigma = H z`` for ``z = d(-ln s) x/r``, and ``H`` is skew
     in ``P``.)  The run stops where ``s`` reaches 0.02 (event ``dense_stop``)
-    or at ``t_end``; the linear kind is ``e^{(A0 + B K d(-ln T)) t} x0`` up
-    to ``t_end``.  The feedback reads the flow's own ``s`` and root point
-    ``z = e^{H sigma} z0``; the recorded ``s`` is solved from the states in
-    one batched root-find, an independent check on ``s0 - t/T``.
-    :func:`simulate`, the only caller, measures the trace's settling.
+    or at ``t_end``; where the context's fixed law ``u = K0 x + c KT x`` runs,
+    it is ``e^{(A0 + c B KT) t} x0`` up to ``t_end``.  The feedback reads the
+    flow's own ``s`` and root point ``z = e^{H sigma} z0``; the recorded ``s``
+    is one batched root-find over the states, an independent check on
+    ``s0 - t/T``.  :func:`simulate`, the only caller, measures settling.
 
     Raises ``ValueError`` where the formula does not hold: a delay, noise or
-    a disturbance, a record that fails :func:`verify_controller`, a zero
-    reference for a nonzero state, or a clamped kind started outside its
-    reference sphere (``s0 > 1``, which only ``x0_noise`` can cause).
+    a disturbance, a record that fails :func:`verify_controller`, or a
+    clamped kind started outside its reference sphere (``s0 > 1``, which
+    only ``x0_noise`` can cause).
     """
     plant, ctrl = config.plant, config.controller
     if plant.delay > 0:
@@ -412,25 +412,15 @@ def _simulate_dense(config: ScenarioConfig) -> SimulationTrace:
     failed = [c.name for c in verify_controller(ctrl, plant).failed]
     if failed:
         raise ValueError(f"the dense mode needs a controller that passes verification (failed: {', '.join(failed)})")
-    n, m = plant.n, plant.m
     x0 = config.x0
-
     ctx = make_context(ctrl, config.kind, x0, config.x0_noise)
-    dil = ctx.dilation
-    r = ctx.ref_norm
-
-    if not np.any(x0):
-        times = _sample_times(config.h, config.t_end)
-        return SimulationTrace(t=times, x=np.zeros((len(times), n)), u=np.zeros((len(times), m)),
-                               s=np.zeros(len(times)), x_norm=np.zeros(len(times)))
-    if r == 0.0:
-        raise ValueError("the dense mode needs a nonzero reference for a nonzero state")
-
     T = ctrl.T
-    L = ctrl.A0 + ctrl.B @ ctrl.KT
+    BKT = ctrl.B @ ctrl.KT
     events = []
-    if config.kind is ControllerKind.LINEAR:
+    if not ctx.reads_s:
         t_last, s0, z0 = config.t_end, 0.0, None
+        # c * BKT is BKT bit for bit at c = 1
+        L = ctrl.A0 + ctx.fixed_c * BKT
 
         def flow(t):
             return linalg.expm(t * L) @ x0, 0.0, None
@@ -443,19 +433,19 @@ def _simulate_dense(config: ScenarioConfig) -> SimulationTrace:
         t_last = min(t_stop, config.t_end)
         if t_stop <= config.t_end:
             events.append((t_stop, "dense_stop"))
-        H = L + ctrl.Gd / T
+        H = ctrl.A0 + BKT + ctrl.Gd / T
 
         def flow(t):
             s, sigma = s0 - t / T, -T * math.log1p(-t / (T * s0))
             z = linalg.expm(sigma * H) @ z0
-            return r * dilate(dil, math.log(s), z), s, z
+            return ctx.ref_norm * dilate(ctx.dilation, math.log(s), z), s, z
     grid = np.linspace(0.0, t_last, max(int(round(t_last / config.h)) * 4, 200)) if t_last > 0.0 else np.zeros(1)
     rows = [(x0, s0, z0), *map(flow, grid[1:])]
     xs = np.array([x for x, _, _ in rows])
     us = np.array([ctx.feedback(x, s, z) for x, s, z in rows])
     with np.errstate(over="ignore", invalid="ignore"):
         ss = ctx.solve_rows(xs)
-    return SimulationTrace(t=grid, x=xs, u=us, s=ss, x_norm=dil.norm(xs), events=events)
+    return SimulationTrace(t=grid, x=xs, u=us, s=ss, x_norm=ctx.dilation.norm(xs), events=events)
 
 
 def disturbance_bound(controller: SynthesizedController, x0_norm: float, rho: float,
@@ -465,16 +455,18 @@ def disturbance_bound(controller: SynthesizedController, x0_norm: float, rho: fl
     For the clamped feedback started at ``|x0| = x0_norm``, disturbances
     with ``|B gamma(t)| <= x0_norm * lmin(X^{-1/2} Gd X^{1/2} + X^{1/2} Gd'
     X^{-1/2}) / (2 rho T)`` (``rho > 1``) still settle, no later than
-    ``rho T / (rho - 1)``.  For the fixed_time kind the radius is floored at
-    one, mirroring its normalization.
+    ``rho T / (rho - 1)``.  The radius is :meth:`ControllerKind.radius`
+    (floored at one for fixed_time).  Raises ``ValueError`` for ``rho <= 1``,
+    a bad ``x0_norm``, or a ``kind`` that is not a homogeneous
+    :class:`ControllerKind`: the linear law certifies no settling time.
     """
+    if not isinstance(kind, ControllerKind) or kind is ControllerKind.LINEAR:
+        raise ValueError(f"kind must be a homogeneous ControllerKind, got {kind!r}")
     if not rho > 1:
         raise ValueError(f"rho must exceed 1, got {rho}")
     if not (math.isfinite(x0_norm) and x0_norm >= 0):
         raise ValueError(f"x0_norm must be finite and >= 0, got {x0_norm}")
-    lam = controller.rejection_rate
-    radius = max(1.0, x0_norm) if kind is ControllerKind.FIXED_TIME else x0_norm
-    return radius * lam / (2.0 * rho * controller.T)
+    return _envelope(controller, kind.radius(x0_norm), rho)
 
 
 # ---------------------------------------------------------------------------

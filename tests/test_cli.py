@@ -161,6 +161,19 @@ def test_exit_code_unknown_scenario_key(tmp_path, capsys, typo):
     assert "unknown" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    (SCENARIO.replace("x0 = 0.2 0", "x0 = 0.2 zero"), "x0: cannot parse '0.2 zero' as a vector"),
+    (SCENARIO.replace("[controller]\nbuiltin = oscillator\n", ""), "missing [controller] section"),
+    (SCENARIO + "[perturbations]\ndisturbance = matched_sin 0.1\n", "disturbance 'matched_sin' needs amplitude and omega"),
+    (SCENARIO + "[perturbations]\ndisturbance = constant\n", "disturbance 'constant' needs vector entries"),
+], ids=["unparseable-vector", "missing-controller", "matched-sin-arity", "empty-constant"])
+def test_exit_code_malformed_scenario_names_the_key(tmp_path, capsys, text, message):
+    scenario = tmp_path / "scenario.ini"
+    scenario.write_text(text)
+    assert main(["simulate", "--scenario", str(scenario)]) == EXIT_INPUT
+    assert message in capsys.readouterr().err
+
+
 def test_exit_code_missing_file(tmp_path, capsys):
     assert main(["simulate", "--scenario", str(tmp_path / "none.ini")]) == EXIT_INPUT
     capsys.readouterr()
@@ -305,6 +318,22 @@ def test_simulate_constant_disturbance_of_wrong_length_is_input_error(tmp_path, 
     path.write_text(SCENARIO + f"integrator = {integrator}\n[perturbations]\ndisturbance = constant 0.05\n")
     assert main(["simulate", "--scenario", str(path)]) == EXIT_INPUT
     assert "disturbance vector has size 1, expected 2" in capsys.readouterr().err
+
+
+def test_simulate_fixed_time_zero_reference_reports_no_false_settle(tmp_path, capsys):
+    # x0_noise = -x0 zeroes the reference: the sampled run follows the
+    # linear law and reports not settled, and the dense run follows it too
+    text = (SCENARIO.replace("[controller]\n", "[controller]\nkind = fixed_time\n").replace("t_end = 2.0", "t_end = 6")
+            + "[perturbations]\nx0_noise = -0.2 0\n")
+    path = tmp_path / "zero_ref.ini"
+    path.write_text(text)
+    assert main(["simulate", "--scenario", str(path)]) == EXIT_OK
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["settled"] is False and summary["events"] == []
+    path.write_text(text.replace("kind = fixed_time", "kind = prescribed_time_robust")
+                    .replace("t_end = 6", "t_end = 6\nintegrator = dense_rk"))
+    assert main(["simulate", "--scenario", str(path)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["events"] == []
 
 
 def test_simulate_dense_with_disturbance_is_input_error(tmp_path, capsys):

@@ -114,6 +114,37 @@ def test_zero_reference_clamped_kinds_fall_back_to_linear(ctrl):
         np.testing.assert_array_equal(eval_control(ctx, x), (ctrl.K0 + ctrl.K) @ x)
 
 
+_PT, _ROBUST, _FIXED, _LINEAR = KINDS
+
+
+@pytest.mark.parametrize("kind, x0, c", [
+    (_PT, [0.2, 0.0], None), (_ROBUST, [0.2, 0.0], None), (_FIXED, [0.2, 0.0], None), (_LINEAR, [0.2, 0.0], 1.0),
+    (_PT, [0.0, 0.0], 0.0), (_ROBUST, [0.0, 0.0], 1.0), (_FIXED, [0.0, 0.0], 1.0), (_LINEAR, [0.0, 0.0], 1.0),
+])
+def test_context_decides_once_which_law_runs(ctrl, kind, x0, c):
+    # the fixed law u = K0 x + c KT x runs where the feedback reads no s;
+    # fixed_time's floor gives a zero reference the radius 1, but a zero
+    # reference still runs the fixed law
+    ctx = make_context(ctrl, kind, x0)
+    assert ctx.fixed_c == c and ctx.reads_s == (c is None)
+    assert ctx.ref_norm == (max(ctx.r0, 1.0) if kind is _FIXED else ctx.r0)
+    if c is not None:
+        x = np.array([0.3, -0.1])
+        np.testing.assert_array_equal(eval_control(ctx, x), ctrl.K0.dot(x) + c * ctrl.KT.dot(x))
+
+
+@pytest.mark.parametrize("kind", [_PT, _ROBUST, _FIXED])
+def test_subnormal_state_gets_the_k0_branch(ctrl, kind):
+    # a nonzero state far below resolvable scale has the norm s = 0 and no
+    # root point: the law is u = K0 x, never the zero input
+    ctx = make_context(ctrl, kind, [0.2, 0.0])
+    x = np.array([5e-324, 1e-320])
+    assert ctx.solve(x) == (0.0, None)
+    u = eval_control(ctx, x)
+    np.testing.assert_array_equal(u, ctrl.K0.dot(x))
+    assert u.any()
+
+
 def test_reference_noise_shifts_normalization(ctrl):
     ctx_clean = make_context(ctrl, ControllerKind.PRESCRIBED_TIME_ROBUST, [0.2, 0.0])
     ctx_noisy = make_context(ctrl, ControllerKind.PRESCRIBED_TIME_ROBUST, [0.2, 0.0], x0_noise=[0.05, 0.0])
@@ -203,6 +234,16 @@ def test_control_is_continuous_across_clamp_boundary(ctrl):
 def test_eval_control_validates_dimensions(ctx):
     with pytest.raises(ValueError):
         eval_control(ctx, [1.0, 2.0, 3.0])
+
+
+def test_solve_rejects_a_non_finite_state(ctx):
+    with pytest.raises(ValueError, match="x has non-finite entries"):
+        ctx.solve(np.array([np.inf, 0.0]))
+
+
+def test_context_rejects_a_kind_spelt_as_a_string(ctrl):
+    with pytest.raises(ValueError, match="kind must be a ControllerKind, got 'linear'"):
+        make_context(ctrl, "linear", [0.2, 0.0])
 
 
 def test_context_requires_matching_reference_dimension(ctrl):

@@ -8,6 +8,7 @@ import pytest
 from homctl import (LinearPlant, ScenarioConfig, build_tables, invert, oscillator_controller,
                     predict, simulate)
 from homctl.linalg import expm, solve_linear, zoh_integral
+from homctl.predictor import _steps_in_delay
 
 
 def _osc(delay):
@@ -126,6 +127,19 @@ def test_tables_kernel_sum_is_delay_integral():
 def test_tables_off_grid_delay_raises():
     with pytest.raises(ValueError):
         build_tables(_osc(0.505), h=0.01)
+
+
+@pytest.mark.parametrize("h", [0.0, -0.01, float("nan")])
+def test_tables_reject_a_non_positive_sample_period(h):
+    with pytest.raises(ValueError, match="sample period h must be positive"):
+        build_tables(_osc(0.5), h=h)
+
+
+@pytest.mark.parametrize("tau", [-0.01, float("inf"), float("nan")])
+def test_steps_in_delay_rejects_a_negative_or_non_finite_delay(tau):
+    # LinearPlant refuses these delays first; the helper keeps its own guard
+    with pytest.raises(ValueError, match="delay must be finite and >= 0"):
+        _steps_in_delay(tau, 0.01)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Scenario/plant file parsing and the bundled experiment presets."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,9 @@ from homctl import (
     parse_vector,
     run_preset,
     save_controller,
+    simulate,
 )
+from homctl.presets import never_settles, residual_rms_below, settles_within
 
 PLANT = """
 [plant]
@@ -268,6 +272,19 @@ def test_run_preset_seed_override_changes_noisy_run():
     assert r1["summary"]["final_norm"] != r2["summary"]["final_norm"]
     # expectations hold across seeds, not only for the default
     assert r1["passed"] and r2["passed"]
+
+
+def test_expectations_name_their_failures():
+    # a run cut at t = 0.5 has not settled and has no samples past T = 1;
+    # the full run settles, so never_settles fails on it
+    config = PRESETS["fig1"].build(None)
+    short = simulate(dataclasses.replace(config, t_end=0.5))
+    full = simulate(config)
+    cases = [(settles_within(0.98, 1.02), short, "never settled below 1e-09"),
+             (never_settles(), full, f"unexpectedly settled at t={full.settling_time:.6g}"),
+             (residual_rms_below(1e-6), short, "no samples after t=1")]
+    for expectation, trace, detail in cases:
+        assert expectation.evaluate(trace, config) == {"name": expectation.name, "passed": False, "detail": detail}
 
 
 def test_all_presets_pass_their_expectations():

@@ -242,12 +242,29 @@ def test_dense_mode_reports_its_settling():
     assert not any(hasattr(m, "simulate_dense") for m in (homctl, importlib.import_module("homctl.simulate")))
 
 
-def test_dense_mode_rejects_zero_reference_with_nonzero_state():
-    config = ScenarioConfig(plant=oscillator_plant(), controller=oscillator_controller(),
-                            x0=np.array([0.2, 0.0]), h=H, t_end=1.0,
-                            integrator="dense_rk", x0_noise=np.array([-0.2, 0.0]))
-    with pytest.raises(ValueError, match="the dense mode needs a nonzero reference"):
-        simulate(config)
+@pytest.mark.parametrize("kind", [k for k in ControllerKind if k is not ControllerKind.LINEAR])
+def test_dense_mode_zero_reference_runs_the_fixed_law(kind):
+    # x0_noise = -x0 zeroes the reference: the context's fixed law
+    # u = K0 x + c KT x runs (c = 0 for prescribed_time, 1 for the clamped
+    # kinds), and the dense run is its closed loop e^{t (A0 + c B KT)} x0
+    ctrl = oscillator_controller()
+    x0 = np.array([0.2, -0.1])
+    trace = simulate(_nominal(x0, kind=kind, integrator="dense_rk", x0_noise=-x0))
+    c = 0.0 if kind is ControllerKind.PRESCRIBED_TIME else 1.0
+    np.testing.assert_array_equal(trace.u, [ctrl.K0.dot(x) + c * ctrl.KT.dot(x) for x in trace.x])
+    ref = np.array([scipy.linalg.expm(t * (ctrl.A0 + c * ctrl.B @ ctrl.KT)) @ x0 for t in trace.t])
+    assert np.all(np.linalg.norm(trace.x - ref, axis=1) <= 1e-12 * np.linalg.norm(ref, axis=1))
+    assert trace.t[-1] == 2.0 and not trace.events
+
+
+def test_dense_mode_rejects_a_delay_and_noise():
+    x0 = np.array([0.2, 0.0])
+    delayed = ScenarioConfig(plant=oscillator_plant(delay=0.5), controller=oscillator_controller(), x0=x0,
+                             h=H, t_end=2.0, integrator="dense_rk")
+    with pytest.raises(ValueError, match="delay-free plants only"):
+        simulate(delayed)
+    with pytest.raises(ValueError, match="measurement noise"):
+        simulate(_nominal(x0, integrator="dense_rk", noise=NoiseSpec(amplitude=0.01, seed=1)))
 
 
 @pytest.mark.parametrize("T", [0.5, 2.0])
@@ -377,6 +394,8 @@ def test_disturbance_spec_validation():
     # there is no table field either
     with pytest.raises(TypeError):
         DisturbanceSpec(kind="table", table=np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="matched_sin needs finite amplitude and omega"):
+        DisturbanceSpec(kind="matched_sin", amplitude=math.inf, omega=1.0)
 
 
 def test_constant_disturbance_length_must_match_the_plant():
@@ -421,6 +440,8 @@ def test_noise_spec_requires_seed():
     with pytest.raises(ValueError):
         NoiseSpec(amplitude=0.01)
     assert not NoiseSpec().active
+    with pytest.raises(ValueError, match="noise amplitude must be >= 0"):
+        NoiseSpec(amplitude=-0.01, seed=1)
 
 
 def test_disturbance_bound_reference_value(ctrl):
@@ -442,6 +463,21 @@ def test_disturbance_bound_scaling_properties(ctrl):
     assert bf == pytest.approx(b1 / r, rel=1e-12)
     with pytest.raises(ValueError):
         disturbance_bound(ctrl, r, rho=1.0)
+
+
+@pytest.mark.parametrize("x0_norm, kind, message", [
+    # a string used to fall through to the clamped bound (0.1356 for the
+    # fixed-time 0.2713); the linear law certifies no settling time
+    (0.5, "fixed_time", "kind must be a homogeneous ControllerKind"),
+    (0.5, None, "kind must be a homogeneous ControllerKind"),
+    (0.5, ControllerKind.LINEAR, "kind must be a homogeneous ControllerKind"),
+    (-0.1, ControllerKind.FIXED_TIME, "x0_norm must be finite and >= 0"),
+    (math.inf, ControllerKind.FIXED_TIME, "x0_norm must be finite and >= 0"),
+    (math.nan, ControllerKind.FIXED_TIME, "x0_norm must be finite and >= 0"),
+])
+def test_disturbance_bound_rejects_bad_arguments(ctrl, x0_norm, kind, message):
+    with pytest.raises(ValueError, match=message):
+        disturbance_bound(ctrl, x0_norm, rho=2.0, kind=kind)
 
 
 def test_constant_disturbance_inside_bound_settles():
@@ -479,6 +515,24 @@ def test_matched_sinusoid_keeps_trajectory_bounded():
 
 # ---------------------------------------------------------------------------
 # measurement noise
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5])
+def test_fixed_time_zero_reference_runs_the_linear_law_and_never_snaps(tau):
+    # x0_noise = -x0 zeroes the reference, so the context runs the linear
+    # law: the run must not snap to zero, nor report a settle, while its
+    # state still decays exponentially (|x| is 3.1e-5 at t = 6)
+    def run(kind, x0_noise=None):
+        return simulate(ScenarioConfig(plant=oscillator_plant(delay=tau), controller=oscillator_controller(),
+                                       x0=np.array([0.2, 0.0]), h=H, t_end=6.0 + tau, kind=kind,
+                                       x0_noise=x0_noise))
+
+    trace = run(ControllerKind.FIXED_TIME, np.array([-0.2, 0.0]))
+    linear = run(ControllerKind.LINEAR)
+    assert not trace.settled and trace.settling_time is None and not trace.events
+    np.testing.assert_array_equal(trace.x, linear.x)
+    np.testing.assert_array_equal(trace.u, linear.u)
+    assert trace.x_norm[-1] > 1e-5
 
 
 def test_noise_requires_seed_through_config():
@@ -524,6 +578,9 @@ def test_config_rejects_dimension_mismatch():
     with pytest.raises(ValueError):
         ScenarioConfig(plant=oscillator_plant(), controller=oscillator_controller(),
                        x0=np.array([0.2, 0.0, 0.0]), h=H, t_end=1.0)
+    with pytest.raises(ValueError, match="plant and controller dimensions differ"):
+        ScenarioConfig(plant=LinearPlant(np.eye(3, k=1), np.eye(3)[:, -1:]), controller=oscillator_controller(),
+                       x0=np.zeros(3), h=H, t_end=1.0)
 
 
 def test_config_rejects_bad_integrator_and_steps():
@@ -532,6 +589,10 @@ def test_config_rejects_bad_integrator_and_steps():
     with pytest.raises(ValueError):
         ScenarioConfig(plant=oscillator_plant(), controller=oscillator_controller(),
                        x0=np.array([0.2, 0.0]), h=0.0, t_end=1.0)
+    with pytest.raises(ValueError, match="t_end must be positive"):
+        _nominal([0.2, 0.0], t_end=0.0)
+    with pytest.raises(ValueError, match="settle_epsilon must be positive"):
+        _nominal([0.2, 0.0], settle_epsilon=0.0)
 
 
 def test_config_rejects_string_kind():
