@@ -133,12 +133,13 @@ class ControlContext:
     def solve_rows(self, Y: np.ndarray) -> np.ndarray:
         """The unclamped ``s = ||y / r||_d`` for every row ``y`` of ``Y``, in one batched root-find.
 
-        Zeros for a zero radius ``r``; otherwise as :meth:`solve`, row by
+        For a zero radius ``r``, the limit as ``r -> 0+``: ``inf`` for a
+        nonzero row and 0 for a zero row.  Otherwise as :meth:`solve`, row by
         row, from the cold start and without the root points.
         """
         r = self.ref_norm
         if r == 0.0:
-            return np.zeros(len(Y))
+            return np.where(Y.any(axis=1), math.inf, 0.0)
         Yr = Y / r
         if not np.isfinite(Yr).all():
             raise ValueError("x has non-finite entries")

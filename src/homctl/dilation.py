@@ -178,7 +178,7 @@ def _orbit(D: Dilation, x: np.ndarray):
     eig = D._eig
     if eig is None:
         G = D.generator
-        return lambda s: (np.column_stack([linalg.expm(-si * G) @ c for si, c in zip(s.ravel().tolist(), x.T)])
+        return lambda s: (np.column_stack([linalg.expm(-si * G) @ c for si, c in zip(s[:, 0], x.T * np.ones_like(s))])
                           if np.ndim(s) else linalg.expm(-s * G) @ x)
     w, V, Vinv = eig
     # transposed, a block's eigen-coordinates broadcast against exp(-s w)

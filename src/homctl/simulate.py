@@ -6,8 +6,8 @@ recomputed once per sample — from the measured state, or from the predictor
 state when the input delay is active — and held.  A disturbance is the
 output ``q2 = C v`` of a small exosystem ``v' = S v``, so its per-sample
 term is one block of a single augmented matrix exponential.  The dense mode
-is the closed-form solution of the continuous closed loop, for decay-rate
-property checks; nothing is integrated numerically.
+is the closed-form solution of the continuous closed loop over a whole grid
+at once, for decay-rate property checks; nothing is integrated numerically.
 
 Because the homogeneous feedback contracts the scheduling scalar ``s`` at
 the exact rate ``-1/T`` in continuous time, an unperturbed sampled run snaps
@@ -46,7 +46,7 @@ import numpy as np
 
 from . import atomic, linalg
 from .control_laws import ControlContext, ControllerKind, make_context
-from .dilation import dilate
+from .dilation import Dilation, _orbit
 from .predictor import _shift, _steps_in_delay, build_tables, predict
 from .synthesis import LinearPlant, SynthesizedController, verify_controller
 
@@ -176,8 +176,8 @@ class ScenarioConfig:
             object.__setattr__(self, "phi", phi)
         if not (math.isfinite(self.t_end) and self.t_end > 0):
             raise ValueError(f"t_end must be positive, got {self.t_end}")
-        if self.integrator not in ("zoh_exact", "dense_rk"):
-            raise ValueError(f"unknown integrator {self.integrator!r}")
+        if self.integrator not in ("zoh_exact", "dense"):
+            raise ValueError(f"unknown integrator {self.integrator!r} (known: zoh_exact, dense)")
         if self.settle_epsilon is not None and not self.settle_epsilon > 0:
             raise ValueError("settle_epsilon must be positive")
         if not isinstance(self.kind, ControllerKind):
@@ -241,10 +241,10 @@ def simulate(config: ScenarioConfig) -> SimulationTrace:
 
     The one entry point of both modes: the exact-ZOH sampled loop (the
     default) handles delays, disturbances, noise and snap-to-zero, and
-    ``integrator = "dense_rk"`` runs the closed-form dense mode.  Settling is
+    ``integrator = "dense"`` runs the closed-form dense mode.  Settling is
     measured on either trace, in the controller's weighted norm.
     """
-    trace = _simulate_dense(config) if config.integrator == "dense_rk" else _simulate_zoh(config)
+    trace = _simulate_dense(config) if config.integrator == "dense" else _simulate_zoh(config)
     eps = config.effective_settle_epsilon
     st = measure_settling(trace, eps)
     trace.settle_epsilon = eps
@@ -392,10 +392,12 @@ def _simulate_dense(config: ScenarioConfig) -> SimulationTrace:
     B`` give ``dz/dsigma = H z`` for ``z = d(-ln s) x/r``, and ``H`` is skew
     in ``P``.)  The run stops where ``s`` reaches 0.02 (event ``dense_stop``)
     or at ``t_end``; where the context's fixed law ``u = K0 x + c KT x`` runs,
-    it is ``e^{(A0 + c B KT) t} x0`` up to ``t_end``.  The feedback reads the
-    flow's own ``s`` and root point ``z = e^{H sigma} z0``; the recorded ``s``
-    is one batched root-find over the states, an independent check on
-    ``s0 - t/T``.  :func:`simulate`, the only caller, measures settling.
+    it is ``e^{(A0 + c B KT) t} x0`` up to ``t_end``.  Each flow is one
+    orbit map over the grid from one eigenbasis (``expm`` per point only where
+    that basis is ill-conditioned).  The feedback reads the flow's own ``s``
+    and root point ``z = e^{H sigma} z0``; the recorded ``s`` is one batched
+    root-find over the states, an independent check on ``s0 - t/T``.
+    :func:`simulate`, the only caller, measures settling.
 
     Raises ``ValueError`` where the formula does not hold: a delay, noise or
     a disturbance, a record that fails :func:`verify_controller`, or a
@@ -415,15 +417,8 @@ def _simulate_dense(config: ScenarioConfig) -> SimulationTrace:
     x0 = config.x0
     ctx = make_context(ctrl, config.kind, x0, config.x0_noise)
     T = ctrl.T
-    BKT = ctrl.B @ ctrl.KT
-    events = []
     if not ctx.reads_s:
-        t_last, s0, z0 = config.t_end, 0.0, None
-        # c * BKT is BKT bit for bit at c = 1
-        L = ctrl.A0 + ctx.fixed_c * BKT
-
-        def flow(t):
-            return linalg.expm(t * L) @ x0, 0.0, None
+        t_last, s0, z0, events = config.t_end, 0.0, None, []
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             s0, z0 = ctx.solve(x0)
@@ -431,18 +426,20 @@ def _simulate_dense(config: ScenarioConfig) -> SimulationTrace:
             raise ValueError(f"the dense mode: {config.kind.value} starts clamped (s0 = {s0:.6g} > 1)")
         t_stop = T * max(s0 - _DENSE_STOP_S, 0.0)
         t_last = min(t_stop, config.t_end)
-        if t_stop <= config.t_end:
-            events.append((t_stop, "dense_stop"))
-        H = ctrl.A0 + BKT + ctrl.Gd / T
-
-        def flow(t):
-            s, sigma = s0 - t / T, -T * math.log1p(-t / (T * s0))
-            z = linalg.expm(sigma * H) @ z0
-            return ctx.ref_norm * dilate(ctx.dilation, math.log(s), z), s, z
+        events = [(t_stop, "dense_stop")] if t_stop <= config.t_end else []
     grid = np.linspace(0.0, t_last, max(int(round(t_last / config.h)) * 4, 200)) if t_last > 0.0 else np.zeros(1)
-    rows = [(x0, s0, z0), *map(flow, grid[1:])]
-    xs = np.array([x for x, _, _ in rows])
-    us = np.array([ctx.feedback(x, s, z) for x, s, z in rows])
+    # the flows map the grid past row 0 at once, each point under its own
+    # parameter; a start inside the stop band has no such point
+    t, X, s_flow, zs = grid[1:, None], np.zeros((len(x0), 0)), np.full(len(grid), s0), [z0] * len(grid)
+    if not ctx.reads_s:
+        X = _orbit(Dilation(-(ctrl.A0 + ctx.fixed_c * (ctrl.B @ ctrl.KT)), ctrl.P), x0)(t)
+    elif len(t):
+        s_flow = s0 - grid / T
+        Z = _orbit(Dilation(-(ctrl.A0 + ctrl.B @ ctrl.KT + ctrl.Gd / T), ctrl.P), z0)(-T * np.log1p(-t / (T * s0)))
+        X = ctx.ref_norm * _orbit(ctx.dilation, Z)(-np.log(s_flow[1:, None]))
+        zs[1:] = Z.T
+    xs = np.vstack([x0, X.T])
+    us = np.array([ctx.feedback(x, s, z) for x, s, z in zip(xs, s_flow, zs)])
     with np.errstate(over="ignore", invalid="ignore"):
         ss = ctx.solve_rows(xs)
     return SimulationTrace(t=grid, x=xs, u=us, s=ss, x_norm=ctx.dilation.norm(xs), events=events)

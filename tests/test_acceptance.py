@@ -158,7 +158,7 @@ def test_criterion_4_dense_mode_linear_decay(announce):
     for _ in range(5):
         direction = rng.normal(size=2)
         x0 = direction / np.linalg.norm(direction) * 10.0 ** rng.uniform(-2, 2)
-        trace = _run(x0, integrator="dense_rk", t_end=1.5)
+        trace = _run(x0, integrator="dense", t_end=1.5)
         worst = max(worst, float(np.max(np.abs(trace.s - (1.0 - trace.t)))))
     elapsed = time.perf_counter() - t0
 

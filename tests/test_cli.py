@@ -312,7 +312,7 @@ def test_simulate_overflowing_initial_state_is_input_error(tmp_path, capsys):
     assert "overflows" in captured.err and "settled" not in captured.out
 
 
-@pytest.mark.parametrize("integrator", ["zoh_exact", "dense_rk"])
+@pytest.mark.parametrize("integrator", ["zoh_exact", "dense"])
 def test_simulate_constant_disturbance_of_wrong_length_is_input_error(tmp_path, capsys, integrator):
     path = tmp_path / "short.ini"
     path.write_text(SCENARIO + f"integrator = {integrator}\n[perturbations]\ndisturbance = constant 0.05\n")
@@ -331,15 +331,23 @@ def test_simulate_fixed_time_zero_reference_reports_no_false_settle(tmp_path, ca
     summary = json.loads(capsys.readouterr().out)
     assert summary["settled"] is False and summary["events"] == []
     path.write_text(text.replace("kind = fixed_time", "kind = prescribed_time_robust")
-                    .replace("t_end = 6", "t_end = 6\nintegrator = dense_rk"))
+                    .replace("t_end = 6", "t_end = 6\nintegrator = dense"))
     assert main(["simulate", "--scenario", str(path)]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["events"] == []
+
+
+def test_simulate_former_dense_spelling_is_input_error(tmp_path, capsys):
+    # the dense mode is spelt "dense"; a scenario with the former "dense_rk" is refused
+    path = tmp_path / "dense_rk.ini"
+    path.write_text(SCENARIO + "integrator = dense_rk\n")
+    assert main(["simulate", "--scenario", str(path)]) == EXIT_INPUT
+    assert "unknown integrator 'dense_rk' (known: zoh_exact, dense)" in capsys.readouterr().err
 
 
 def test_simulate_dense_with_disturbance_is_input_error(tmp_path, capsys):
     # the closed-form dense run has no disturbed counterpart
     path = tmp_path / "dense.ini"
-    path.write_text(SCENARIO + "integrator = dense_rk\n[perturbations]\ndisturbance = constant 0 0.05\n")
+    path.write_text(SCENARIO + "integrator = dense\n[perturbations]\ndisturbance = constant 0 0.05\n")
     assert main(["simulate", "--scenario", str(path)]) == EXIT_INPUT
     assert "disturbance" in capsys.readouterr().err
 

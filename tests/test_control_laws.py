@@ -114,6 +114,17 @@ def test_zero_reference_clamped_kinds_fall_back_to_linear(ctrl):
         np.testing.assert_array_equal(eval_control(ctx, x), (ctrl.K0 + ctrl.K) @ x)
 
 
+@pytest.mark.parametrize("kind", [ControllerKind.PRESCRIBED_TIME, ControllerKind.PRESCRIBED_TIME_ROBUST,
+                                  ControllerKind.LINEAR])
+def test_zero_radius_solve_rows_is_the_limit_of_the_norm(ctrl, kind):
+    # ||y / r||_d -> inf as r -> 0+ for every nonzero y, the subnormal one
+    # included; only a zero row reads 0, the value of a captured sample
+    ctx = make_context(ctrl, kind, [0.2, 0.0], x0_noise=[-0.2, 0.0])
+    assert ctx.ref_norm == 0.0
+    Y = np.array([[0.0, 0.0], [0.2, 0.0], [5e-324, 0.0], [0.0, -3.0]])
+    np.testing.assert_array_equal(ctx.solve_rows(Y), [0.0, math.inf, math.inf, math.inf])
+
+
 _PT, _ROBUST, _FIXED, _LINEAR = KINDS
 
 

@@ -59,6 +59,19 @@ def test_dilation_matrix_defective_generator_uses_expm():
     np.testing.assert_allclose(dilation_matrix(D, s), expected, rtol=1e-12)
 
 
+def test_orbit_fallback_maps_a_vector_under_a_column_of_parameters():
+    # without a usable eigenbasis each parameter of the column takes its own
+    # expm, applied to the one vector: column k is e^{-s_k G} x
+    G = np.array([[1.0, 1.0], [0.0, 1.0]])
+    D = Dilation(G, np.eye(2))
+    assert D._eig is None
+    x, s = np.array([0.3, -0.7]), np.array([[-1.0], [0.0], [0.5], [2.0], [0.5]])
+    got = homctl.dilation._orbit(D, x)(s)
+    assert got.shape == (2, len(s))
+    for k, sk in enumerate(s[:, 0]):
+        np.testing.assert_array_equal(got[:, k], homctl.linalg.expm(-sk * G) @ x)
+
+
 def test_dilation_group_property_200_cases(rng):
     family = _monotone_family()
     for _ in range(200):

@@ -34,7 +34,7 @@ def _load_variant(tmp_path, block, pattern, line):
 def test_readme_scenario_block_loads_every_documented_integrator(tmp_path):
     block = _scenario_block()
     values = re.search(r"^# integrator = (.+?)\s+\(optional\)$", block, re.M).group(1).split(" | ")
-    assert "dense_rk" in values
+    assert "dense" in values
     for value in values:
         config = _load_variant(tmp_path, block, r"^# integrator = .*$", f"integrator = {value}")
         assert config.integrator == value

@@ -129,10 +129,10 @@ def test_scenario_controller_override(tmp_path):
 
 def test_scenario_sim_options(tmp_path):
     text = (PLANT + "[controller]\nbuiltin = oscillator\n"
-            + "[sim]\nx0 = 0.2 0\nh = 0.01\nt_end = 1.0\nintegrator = dense_rk\n"
+            + "[sim]\nx0 = 0.2 0\nh = 0.01\nt_end = 1.0\nintegrator = dense\n"
             + "settle_epsilon = 1e-7\n")
     config = load_scenario(_write(tmp_path, text))
-    assert config.integrator == "dense_rk"
+    assert config.integrator == "dense"
     assert config.settle_epsilon == 1e-7
 
 

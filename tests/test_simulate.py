@@ -192,7 +192,7 @@ def test_delay_prehistory_changes_transient():
 
 
 def test_dense_mode_homogeneous_norm_decays_linearly():
-    config = _nominal([0.2, 0.0], integrator="dense_rk", t_end=1.5)
+    config = _nominal([0.2, 0.0], integrator="dense", t_end=1.5)
     trace = simulate(config)
     assert trace.s[0] == pytest.approx(1.0, abs=1e-12)
     err = np.max(np.abs(trace.s - (1.0 - trace.t)))
@@ -217,14 +217,14 @@ def test_dense_mode_decays_linearly_beyond_two_states(name, T):
         plant, x0 = _random_plant_3x2(), [1.0, -0.5, 0.3]
     ctrl = synthesize(plant, SynthesisConfig(T=T))
     trace = simulate(ScenarioConfig(plant=plant, controller=ctrl, x0=np.array(x0), h=H,
-                                    t_end=1.5 * T, integrator="dense_rk"))
+                                    t_end=1.5 * T, integrator="dense"))
     assert trace.s[0] == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(trace.s - (1.0 - trace.t / T))) <= 1e-3
     assert trace.t[-1] < T
 
 
 def test_dense_mode_zero_state():
-    trace = simulate(_nominal([0.0, 0.0], integrator="dense_rk"))
+    trace = simulate(_nominal([0.0, 0.0], integrator="dense"))
     assert trace.settled and trace.settling_time == 0.0
 
 
@@ -232,10 +232,10 @@ def test_dense_mode_reports_its_settling():
     # a dense run's trace is measured like a sampled one: at epsilon 0.1 the
     # oscillator from (0.7, 0) enters the band for good at t = 0.897; at the
     # default 1e-9 it stops at s = 0.02 first and does not settle
-    trace = simulate(_nominal([0.7, 0.0], integrator="dense_rk", settle_epsilon=0.1))
+    trace = simulate(_nominal([0.7, 0.0], integrator="dense", settle_epsilon=0.1))
     assert trace.settled and trace.settle_epsilon == 0.1
     assert trace.settling_time == measure_settling(trace, 0.1) == pytest.approx(0.897, abs=1e-3)
-    trace = simulate(_nominal([0.7, 0.0], integrator="dense_rk"))
+    trace = simulate(_nominal([0.7, 0.0], integrator="dense"))
     assert not trace.settled and trace.settling_time is None and trace.settle_epsilon == 1e-9
     # simulate is the dense mode's one entry point: the dense function's own
     # trace had no settling fields, so it is not exported
@@ -249,7 +249,7 @@ def test_dense_mode_zero_reference_runs_the_fixed_law(kind):
     # kinds), and the dense run is its closed loop e^{t (A0 + c B KT)} x0
     ctrl = oscillator_controller()
     x0 = np.array([0.2, -0.1])
-    trace = simulate(_nominal(x0, kind=kind, integrator="dense_rk", x0_noise=-x0))
+    trace = simulate(_nominal(x0, kind=kind, integrator="dense", x0_noise=-x0))
     c = 0.0 if kind is ControllerKind.PRESCRIBED_TIME else 1.0
     np.testing.assert_array_equal(trace.u, [ctrl.K0.dot(x) + c * ctrl.KT.dot(x) for x in trace.x])
     ref = np.array([scipy.linalg.expm(t * (ctrl.A0 + c * ctrl.B @ ctrl.KT)) @ x0 for t in trace.t])
@@ -257,14 +257,49 @@ def test_dense_mode_zero_reference_runs_the_fixed_law(kind):
     assert trace.t[-1] == 2.0 and not trace.events
 
 
+@pytest.mark.parametrize("kind", [ControllerKind.PRESCRIBED_TIME_ROBUST, ControllerKind.LINEAR])
+@pytest.mark.parametrize("name", ["oscillator", "chain3"])
+def test_dense_run_does_no_expm_per_point(name, kind, monkeypatch):
+    # each flow is one orbit map over the whole grid, from one eigenbasis:
+    # the run's only matrix exponential is the record's d(-ln T), formed on
+    # first use.  The per-point expm of an ill-conditioned eigenbasis runs in
+    # test_dense_mode_zero_reference_runs_the_fixed_law[PRESCRIBED_TIME],
+    # whose flow A0 is nilpotent
+    if name == "oscillator":
+        ctrl, x0 = oscillator_controller(), np.array([0.7, 0.0])
+        assert homctl.dilation.Dilation(-ctrl.A0, ctrl.P)._eig is None
+    else:
+        ctrl, x0 = load_controller(os.path.join(_RECORDS, "chain3.json")), np.array([0.6, -0.8, 0.0])
+    expm, calls = homctl.linalg.expm, []
+    monkeypatch.setattr(homctl.linalg, "expm", lambda M: calls.append(M) or expm(M))
+    trace = simulate(ScenarioConfig(plant=LinearPlant(ctrl.A, ctrl.B), controller=ctrl, x0=x0, h=H,
+                                    t_end=2 * ctrl.T, kind=kind, integrator="dense"))
+    assert len(trace.t) >= 200
+    assert len(calls) <= 1 and all(np.array_equal(M, -math.log(ctrl.T) * ctrl.Gd) for M in calls)
+
+
+@pytest.mark.parametrize("integrator", ["zoh_exact", "dense"])
+@pytest.mark.parametrize("kind", [ControllerKind.PRESCRIBED_TIME, ControllerKind.PRESCRIBED_TIME_ROBUST,
+                                  ControllerKind.LINEAR])
+def test_zero_reference_s_column_reads_inf_at_nonzero_states(kind, integrator):
+    # with a zero radius r the recorded s is the limit of ||x / r||_d as
+    # r -> 0+: inf at every nonzero state, never the 0 of a captured sample
+    x0 = np.array([0.2, 0.0])
+    trace = simulate(_nominal(x0, kind=kind, integrator=integrator, x0_noise=-x0))
+    assert trace.x.any(axis=1).all() and np.all(trace.s == math.inf)
+    # from the origin the fixed law holds the state at zero, and s reads 0
+    trace = simulate(_nominal([0.0, 0.0], kind=kind, integrator=integrator))
+    assert not trace.x.any() and not trace.s.any()
+
+
 def test_dense_mode_rejects_a_delay_and_noise():
     x0 = np.array([0.2, 0.0])
     delayed = ScenarioConfig(plant=oscillator_plant(delay=0.5), controller=oscillator_controller(), x0=x0,
-                             h=H, t_end=2.0, integrator="dense_rk")
+                             h=H, t_end=2.0, integrator="dense")
     with pytest.raises(ValueError, match="delay-free plants only"):
         simulate(delayed)
     with pytest.raises(ValueError, match="measurement noise"):
-        simulate(_nominal(x0, integrator="dense_rk", noise=NoiseSpec(amplitude=0.01, seed=1)))
+        simulate(_nominal(x0, integrator="dense", noise=NoiseSpec(amplitude=0.01, seed=1)))
 
 
 @pytest.mark.parametrize("T", [0.5, 2.0])
@@ -303,7 +338,7 @@ def _check_dense_against_ode(name, T, kind, noise_scale):
     ctrl = synthesize(plant, SynthesisConfig(T=T))
     x0_noise = None if noise_scale is None else noise_scale * x0
     config = ScenarioConfig(plant=plant, controller=ctrl, x0=x0, h=T / 50, t_end=1.5 * T, kind=kind,
-                            integrator="dense_rk", x0_noise=x0_noise)
+                            integrator="dense", x0_noise=x0_noise)
     trace = simulate(config)
     ctx = make_context(ctrl, kind, x0, x0_noise)
     # the run's feedback reads the closed form's (s, z); eval_control solves
@@ -334,15 +369,21 @@ def _check_dense_against_ode(name, T, kind, noise_scale):
 def test_dense_mode_starting_inside_stop_band_returns_at_once():
     # fixed_time floors the radius at 1, so from |x0| << 1 the run starts
     # below the stop level s = 0.02: one sample and the stop event at t = 0
-    trace = simulate(_nominal([1e-4, 0.0], kind=ControllerKind.FIXED_TIME, integrator="dense_rk"))
+    trace = simulate(_nominal([1e-4, 0.0], kind=ControllerKind.FIXED_TIME, integrator="dense"))
     assert trace.s[0] < 0.02
     np.testing.assert_array_equal(trace.t, [0.0])
     np.testing.assert_array_equal(trace.x, [[1e-4, 0.0]])
     assert trace.events == [(0.0, "dense_stop")]
+    # from the origin with a nonzero reference s0 = 0 and there is no root
+    # point: the run is row 0 alone as well
+    trace = simulate(_nominal([0.0, 0.0], integrator="dense", x0_noise=[0.2, 0.0]))
+    np.testing.assert_array_equal(trace.t, [0.0])
+    assert not trace.x.any() and not trace.u.any() and not trace.s.any()
+    assert trace.events == [(0.0, "dense_stop")]
 
 
 def test_dense_mode_rejects_a_disturbance():
-    config = _nominal([0.2, 0.0], integrator="dense_rk",
+    config = _nominal([0.2, 0.0], integrator="dense",
                       disturbance=DisturbanceSpec(kind="constant", vector=[0.0, 0.01]))
     with pytest.raises(ValueError, match="disturbance"):
         simulate(config)
@@ -352,7 +393,7 @@ def test_dense_mode_rejects_a_record_that_fails_verification():
     ctrl = oscillator_controller()
     bad = dataclasses.replace(ctrl, K=1.01 * ctrl.K)
     config = ScenarioConfig(plant=oscillator_plant(), controller=bad, x0=np.array([0.2, 0.0]), h=H,
-                            t_end=2.0, integrator="dense_rk")
+                            t_end=2.0, integrator="dense")
     with pytest.raises(ValueError, match="gain_K_definition"):
         simulate(config)
 
@@ -362,7 +403,7 @@ def test_dense_mode_rejects_a_clamped_start(kind):
     # a reference shrunk by x0_noise puts x0 outside the reference sphere,
     # where the clamped kinds run their linear phase first
     x0 = np.array([5.0, 0.0])
-    config = _nominal(x0, kind=kind, integrator="dense_rk", x0_noise=-0.2 * x0)
+    config = _nominal(x0, kind=kind, integrator="dense", x0_noise=-0.2 * x0)
     with pytest.raises(ValueError, match="clamped"):
         simulate(config)
     # the unclamped law starts there as well
@@ -586,6 +627,9 @@ def test_config_rejects_dimension_mismatch():
 def test_config_rejects_bad_integrator_and_steps():
     with pytest.raises(ValueError):
         _nominal([0.2, 0.0], integrator="euler")
+    # the dense mode's spelling is "dense"; its former name is not read
+    with pytest.raises(ValueError, match=r"unknown integrator 'dense_rk' \(known: zoh_exact, dense\)"):
+        _nominal([0.2, 0.0], integrator="dense_rk")
     with pytest.raises(ValueError):
         ScenarioConfig(plant=oscillator_plant(), controller=oscillator_controller(),
                        x0=np.array([0.2, 0.0]), h=0.0, t_end=1.0)
@@ -782,7 +826,7 @@ def test_dense_run_solves_s0_once_and_the_s_column_in_one_batch(monkeypatch, kin
     monkeypatch.setattr(ControlContext, "solve", counting_solve)
     monkeypatch.setattr(ControlContext, "solve_rows", counting_rows)
     scalar = _count_norm_solves(monkeypatch)
-    trace = simulate(_nominal([0.7, 0.0], kind=kind, integrator="dense_rk"))
+    trace = simulate(_nominal([0.7, 0.0], kind=kind, integrator="dense"))
     expected = 0 if kind is ControllerKind.LINEAR else 1
     assert calls["solve"] == len(scalar) == expected
     assert calls["solve_rows"] == [len(trace.t)]
@@ -933,8 +977,8 @@ def test_trace_norms_match_the_weighted_norm_row_by_row(name, ctrl, rng):
     # (sampled and dense runs)
     D = ctrl.dilation
     for kind in ControllerKind:
-        for tau, integrator in ((0.0, "zoh_exact"), (0.3, "zoh_exact"), (0.0, "dense_rk")):
-            if integrator == "dense_rk" and kind is not ControllerKind.PRESCRIBED_TIME:
+        for tau, integrator in ((0.0, "zoh_exact"), (0.3, "zoh_exact"), (0.0, "dense")):
+            if integrator == "dense" and kind is not ControllerKind.PRESCRIBED_TIME:
                 continue
             x0 = rng.normal(size=ctrl.n) * 10.0 ** rng.integers(-3, 4)
             config = ScenarioConfig(plant=LinearPlant(ctrl.A, ctrl.B, delay=tau), controller=ctrl, x0=x0, h=H,
@@ -992,4 +1036,4 @@ def test_overflowing_initial_state_is_rejected():
     with pytest.raises(ValueError, match="overflows"):
         simulate(_nominal([1e300, 0.0]))
     with pytest.raises(ValueError, match="overflows"):
-        simulate(_nominal([1e300, 0.0], integrator="dense_rk"))
+        simulate(_nominal([1e300, 0.0], integrator="dense"))
