@@ -156,8 +156,8 @@ class ControlContext:
         if c is None:
             if s == 0.0 and not y.any():
                 return np.zeros(self.controller.m)
-            # the clamped scheduling scalar; a nonzero state far below resolvable scale (s = 0) gets c = 0
-            c = s if self.kind is ControllerKind.PRESCRIBED_TIME else min(1.0, s)
+            # the clamped scheduling scalar min(1, s); a nonzero state far below resolvable scale (s = 0) gets c = 0
+            c = s if self.kind is ControllerKind.PRESCRIBED_TIME else s if s < 1.0 else 1.0
         if c == 1.0:
             # the linear law (a fixed law, or the clamp active), evaluated
             # without the identity dilation so the equality is exact

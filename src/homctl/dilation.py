@@ -37,8 +37,9 @@ __all__ = [
 
 #: accepted residual | |d(-s)x| - 1 | at the root
 HOM_NORM_RESIDUAL_TOL = 1e-12
-#: inputs with |x| below this are treated as exactly zero
+#: inputs with |x| below this (x'Px below its square) are treated as exactly zero
 _TINY_NORM = 1e-150
+_TINY_Q, _LN_TINY_NORM = _TINY_NORM**2, math.log(_TINY_NORM)
 #: orbit evaluations allowed per root-find
 _MAX_ITER = 100
 #: eigenbasis condition limit for the fast d(s)x evaluation path
@@ -86,10 +87,10 @@ class Dilation:
 
     @cached_property
     def _eig(self):
-        # Diagonalization for cheap e^{sG} application.  Used only when the
-        # eigenvector basis is well conditioned enough to keep evaluation
-        # noise well below the root residual tolerance; otherwise fall back
-        # to the matrix exponential.
+        # Diagonalization for cheap e^{sG} application, as (-w, V, V^{-1},
+        # whether V is real).  Used only when the eigenvector basis is well
+        # conditioned enough to keep evaluation noise well below the root
+        # residual tolerance; otherwise fall back to the matrix exponential.
         try:
             w, V = np.linalg.eig(self.generator)
             Vinv = np.linalg.inv(V)
@@ -97,7 +98,7 @@ class Dilation:
             return None
         if not np.all(np.isfinite(Vinv)) or np.linalg.cond(V) > _EIG_COND_LIMIT:
             return None
-        return w, V, Vinv
+        return -w, V, Vinv, not np.iscomplexobj(V)
 
     @cached_property
     def _forms(self) -> np.ndarray:
@@ -173,36 +174,30 @@ def _orbit(D: Dilation, x: np.ndarray):
     """The map ``s -> d(-s) x`` for a vector or an ``(n, k)`` block ``x``.
 
     ``s`` is one parameter for all of ``x``, or a ``(k, 1)`` column of them,
-    one per column of the block.  ``V^{-1} x`` is formed once.
+    one per column of the block.  ``V^{-1} x`` is formed once, and the real
+    part taken only for a complex basis.
     """
     eig = D._eig
     if eig is None:
         G = D.generator
         return lambda s: (np.column_stack([linalg.expm(-si * G) @ c for si, c in zip(s[:, 0], x.T * np.ones_like(s))])
                           if np.ndim(s) else linalg.expm(-s * G) @ x)
-    w, V, Vinv = eig
+    nw, V, Vinv, real = eig
     # transposed, a block's eigen-coordinates broadcast against exp(-s w)
     # row by row, and a column s gives each row its own; a vector's are
     # unchanged
-    cT = (Vinv @ x).T
-    return lambda s: V.dot((np.exp(-s * w) * cT).T).real
+    cT = Vinv.dot(x).T
+    point = lambda s: V.dot((np.exp(s * nw) * cT).T)
+    return point if real else lambda s: point(s).real
 
 
 def _log_base_norm(D: Dilation, x: np.ndarray) -> float:
-    """``ln|x|``, or ``-inf`` when ``x' P x`` is not positive.
-
-    Where ``x' P x`` over- or underflows it is taken as
-    ``ln m + ln|x/m|`` with ``m = max|x|``.
-    """
-    P = D.weight
-    q = float(x.dot(P).dot(x))
-    if _TINY_NORM**2 <= q < math.inf:
-        return math.log(math.sqrt(q))
+    """``ln|x| = ln m + ln|x/m|``, ``m = max|x|``, for ``x' P x`` out of range; ``-inf`` where not positive."""
     m = float(np.abs(x).max())
     if m == 0.0:
         return -math.inf
     u = x / m
-    q = float(u.dot(P).dot(u))
+    q = float(u.dot(D.weight).dot(u))
     if not q < math.inf:
         raise ValueError(f"hom_norm: the weighted norm of x overflows at its scale max|x| = {m:.6g}")
     return math.log(m) + math.log(math.sqrt(q)) if q > 0.0 else -math.inf
@@ -216,8 +211,9 @@ def _solve(D: Dilation, x: np.ndarray, guess: float | None = None) -> tuple[floa
     caller validates ``x`` and ``guess`` and silences floating-point
     warnings: orbit points far from the root may overflow.
     """
-    ln_base = _log_base_norm(D, x)
-    if ln_base < math.log(_TINY_NORM):
+    q = float(x.dot(D.weight).dot(x))
+    ln_base = math.log(math.sqrt(q)) if _TINY_Q <= q < math.inf else _log_base_norm(D, x)
+    if ln_base < _LN_TINY_NORM:
         return 0.0, None
     # ln|x|: the exact root for G = I, the natural cold start in general
     s = ln_base if guess is None else math.log(guess)
@@ -228,8 +224,8 @@ def _solve(D: Dilation, x: np.ndarray, guess: float | None = None) -> tuple[floa
         z = orbit(s)
         q, g, hq = forms.dot(z).reshape(3, n).dot(z).tolist()
         # NaN or -inf (an overflowed orbit point) reads NaN
-        zn = math.sqrt(max(q, 0.0)) if q > -math.inf else math.nan
-        if abs(zn - 1.0) <= HOM_NORM_RESIDUAL_TOL:
+        zn = math.sqrt(q) if q > 0.0 else 0.0 if q > -math.inf else math.nan
+        if -HOM_NORM_RESIDUAL_TOL <= zn - 1.0 <= HOM_NORM_RESIDUAL_TOL:
             return math.exp(s), z
         # an overflowed orbit point (zn inf or NaN) lies outside the sphere
         outside = not zn <= 1.0
@@ -273,12 +269,12 @@ def _solve_rows(D: Dilation, X: np.ndarray) -> np.ndarray:
     out = np.zeros(k)
     q = np.einsum("ij,jl,il->i", X, D.weight, X)
     ln_base = np.full(k, -math.inf)
-    ok = (_TINY_NORM**2 <= q) & (q < math.inf)
+    ok = (_TINY_Q <= q) & (q < math.inf)
     ln_base[ok] = np.log(np.sqrt(q[ok]))
     # a nonzero row whose x'Px over- or underflowed: the rescaled form
     for i in np.nonzero(~ok & X.any(axis=1))[0]:
         ln_base[i] = _log_base_norm(D, X[i])
-    rows = np.nonzero(ln_base >= math.log(_TINY_NORM))[0]
+    rows = np.nonzero(ln_base >= _LN_TINY_NORM)[0]
     s = ln_base[rows]
     orbit = _orbit(D, X[rows].T)
     forms = D._forms

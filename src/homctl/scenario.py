@@ -89,10 +89,18 @@ def _require(cp, section: str, key: str, path) -> str:
     return cp.get(section, key)
 
 
+def _scalar(text: str, path, section: str, key: str, kind=float):
+    """``kind(text)`` for the value of ``key`` in ``[section]``; a malformed one names the file, section and key."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{path}: key {key!r} in [{section}]: cannot parse {text!r} as {kind.__name__}") from None
+
+
 def _plant_from(cp, path) -> LinearPlant:
     A = parse_matrix(_require(cp, "plant", "A", path), "A")
     B = parse_matrix(_require(cp, "plant", "B", path), "B")
-    delay = cp.getfloat("plant", "delay", fallback=0.0)
+    delay = _scalar(cp.get("plant", "delay", fallback="0"), path, "plant", "delay")
     return LinearPlant(A, B, delay=delay)
 
 
@@ -136,11 +144,11 @@ def _disturbance_from(text: str, path) -> DisturbanceSpec:
     if parts[0] == "matched_sin":
         if len(parts) != 3:
             raise ValueError(f"{path}: disturbance 'matched_sin' needs amplitude and omega")
-        return DisturbanceSpec(kind="matched_sin", amplitude=float(parts[1]), omega=float(parts[2]))
+        return DisturbanceSpec("matched_sin", *(_scalar(v, path, "perturbations", "disturbance") for v in parts[1:]))
     if parts[0] == "constant":
         if len(parts) < 2:
             raise ValueError(f"{path}: disturbance 'constant' needs vector entries")
-        return DisturbanceSpec(kind="constant", vector=[float(v) for v in parts[1:]])
+        return DisturbanceSpec(kind="constant", vector=parse_vector(" ".join(parts[1:]), "disturbance"))
     raise ValueError(f"{path}: unknown disturbance {parts[0]!r}")
 
 
@@ -161,13 +169,13 @@ def load_scenario(path, controller_override=None, seed_override: int | None = No
         controller = _controller_from(cp, path)
 
     x0 = parse_vector(_require(cp, "sim", "x0", path), "x0")
-    h = float(_require(cp, "sim", "h", path))
-    t_end = float(_require(cp, "sim", "t_end", path))
+    h = _scalar(_require(cp, "sim", "h", path), path, "sim", "h")
+    t_end = _scalar(_require(cp, "sim", "t_end", path), path, "sim", "t_end")
     kwargs = {}
     if cp.has_option("sim", "integrator"):
         kwargs["integrator"] = cp.get("sim", "integrator")
     if cp.has_option("sim", "settle_epsilon"):
-        kwargs["settle_epsilon"] = cp.getfloat("sim", "settle_epsilon")
+        kwargs["settle_epsilon"] = _scalar(cp.get("sim", "settle_epsilon"), path, "sim", "settle_epsilon")
 
     disturbance = DisturbanceSpec()
     noise = NoiseSpec()
@@ -175,9 +183,10 @@ def load_scenario(path, controller_override=None, seed_override: int | None = No
         if cp.has_option("perturbations", "disturbance"):
             disturbance = _disturbance_from(cp.get("perturbations", "disturbance"), path)
         if cp.has_option("perturbations", "noise"):
-            amplitude = cp.getfloat("perturbations", "noise")
-            seed = seed_override if seed_override is not None else cp.getint("perturbations", "seed", fallback=None)
-            noise = NoiseSpec(amplitude=amplitude, seed=seed)
+            amplitude = _scalar(cp.get("perturbations", "noise"), path, "perturbations", "noise")
+            if seed_override is None and cp.has_option("perturbations", "seed"):
+                seed_override = _scalar(cp.get("perturbations", "seed"), path, "perturbations", "seed", int)
+            noise = NoiseSpec(amplitude=amplitude, seed=seed_override)
         if cp.has_option("perturbations", "x0_noise"):
             kwargs["x0_noise"] = parse_vector(cp.get("perturbations", "x0_noise"), "x0_noise")
         if cp.has_option("perturbations", "phi"):

@@ -166,12 +166,32 @@ def test_exit_code_unknown_scenario_key(tmp_path, capsys, typo):
     (SCENARIO.replace("[controller]\nbuiltin = oscillator\n", ""), "missing [controller] section"),
     (SCENARIO + "[perturbations]\ndisturbance = matched_sin 0.1\n", "disturbance 'matched_sin' needs amplitude and omega"),
     (SCENARIO + "[perturbations]\ndisturbance = constant\n", "disturbance 'constant' needs vector entries"),
-], ids=["unparseable-vector", "missing-controller", "matched-sin-arity", "empty-constant"])
+    (SCENARIO.replace("h = 0.01", "h = abc"), "key 'h' in [sim]: cannot parse 'abc' as float"),
+    (SCENARIO.replace("t_end = 2.0", "t_end = 1x"), "key 't_end' in [sim]: cannot parse '1x' as float"),
+    (SCENARIO.replace("B = 0; 1\n", "B = 0; 1\ndelay = abc\n"),
+     "key 'delay' in [plant]: cannot parse 'abc' as float"),
+    (SCENARIO + "settle_epsilon = x\n", "key 'settle_epsilon' in [sim]: cannot parse 'x' as float"),
+    (SCENARIO + "[perturbations]\nnoise = abc\nseed = 1\n",
+     "key 'noise' in [perturbations]: cannot parse 'abc' as float"),
+    (SCENARIO + "[perturbations]\nnoise = 0.01\nseed = 1.5\n",
+     "key 'seed' in [perturbations]: cannot parse '1.5' as int"),
+    (SCENARIO + "[perturbations]\ndisturbance = matched_sin abc 5\n",
+     "key 'disturbance' in [perturbations]: cannot parse 'abc' as float"),
+], ids=["unparseable-vector", "missing-controller", "matched-sin-arity", "empty-constant", "h", "t_end", "delay",
+        "settle_epsilon", "noise", "seed", "matched-sin-amplitude"])
 def test_exit_code_malformed_scenario_names_the_key(tmp_path, capsys, text, message):
     scenario = tmp_path / "scenario.ini"
     scenario.write_text(text)
     assert main(["simulate", "--scenario", str(scenario)]) == EXIT_INPUT
     assert message in capsys.readouterr().err
+
+
+def test_exit_code_malformed_plant_delay_names_the_key(tmp_path, capsys):
+    plant = tmp_path / "plant.ini"
+    plant.write_text(PLANT + "delay = abc\n")
+    assert main(["synth", "--plant", str(plant), "--T", "1", "--out", str(tmp_path / "c.json")]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert str(plant) in err and "key 'delay' in [plant]: cannot parse 'abc' as float" in err
 
 
 def test_exit_code_missing_file(tmp_path, capsys):

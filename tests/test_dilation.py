@@ -72,6 +72,53 @@ def test_orbit_fallback_maps_a_vector_under_a_column_of_parameters():
         np.testing.assert_array_equal(got[:, k], homctl.linalg.expm(-sk * G) @ x)
 
 
+def _expm_closed_form(G, t):
+    """``e^{tG}`` of a diagonal ``G``, or of a 2x2 ``G`` with eigenvalues ``mu +- i w``."""
+    if not np.any(G - np.diag(np.diag(G))):
+        return np.diag(np.exp(t * np.diag(G)))
+    mu = 0.5 * np.trace(G)
+    w = math.sqrt(np.linalg.det(G) - mu * mu)
+    return math.exp(mu * t) * (math.cos(w * t) * np.eye(2) + math.sin(w * t) / w * (G - mu * np.eye(2)))
+
+
+@pytest.mark.parametrize("D", [D for D in _monotone_family() if D._eig is not None])
+def test_orbit_vector_path_matches_the_matrix_exponential(D, rng):
+    # the family's eigenbases are real, and complex for [[1.5, -0.5], [0.5, 1]];
+    # the closed form is the reference, as scipy's expm errs by up to 5e-13 here
+    for _ in range(50):
+        x, s = rng.standard_normal(D.dim), float(rng.uniform(-3, 3))
+        got = homctl.dilation._orbit(D, x)(s)
+        ref = _expm_closed_form(D.generator, -s) @ x
+        assert got.dtype == np.float64
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_orbit_family_covers_a_complex_eigenbasis():
+    real = [D._eig[3] for D in _monotone_family() if D._eig is not None]
+    assert True in real and False in real
+
+
+def test_controller_eigenbases_are_real():
+    # a real basis maps its orbit points without taking a real part
+    records = [load_controller(os.path.join(_RECORDS, name)) for name in sorted(os.listdir(_RECORDS))]
+    assert len(records) == 4
+    for ctrl in [oscillator_controller()] + records:
+        nw, V, Vinv, real = ctrl.dilation._eig
+        assert real and not np.iscomplexobj(V) and not np.iscomplexobj(nw)
+
+
+@pytest.mark.parametrize("D", _monotone_family()[2:])
+def test_orbit_maps_a_vector_under_a_column_of_parameters_column_by_column(D):
+    # a vector, or its block x[:, None], under a column s: column k is d(-s_k) x
+    x, s = np.linspace(0.3, -0.7, D.dim), np.array([[-1.0], [0.0], [0.5], [2.0], [0.5]])
+    for xb in (x, x[:, None]):
+        got = homctl.dilation._orbit(D, xb)(s)
+        assert got.shape == (D.dim, len(s))
+        for k, sk in enumerate(s[:, 0]):
+            ref = homctl.dilation._orbit(D, x)(sk)
+            assert np.linalg.norm(got[:, k] - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
 def test_dilation_group_property_200_cases(rng):
     family = _monotone_family()
     for _ in range(200):

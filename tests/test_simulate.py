@@ -782,6 +782,55 @@ def test_one_norm_solve_per_sample_and_none_after_snap(monkeypatch, kind):
         assert calls[0] is None and all(g is not None for g in calls[1:])
 
 
+def _replay_loop(config, trace):
+    """Replays the sampled loop's step on its recorded states, with the loop's own warm-start rule.
+
+    Asserts that every recorded ``u`` (and, without noise, ``s``) is the
+    context's ``solve`` and ``feedback`` of the point, bit for bit.  The
+    noise is drawn as one ``rng.uniform(-a, a, n)`` per sample.
+    """
+    N = int(round(config.plant.delay / config.h))
+    x0 = config.x0
+    if N:
+        x0 = homctl.predictor.predict(build_tables(config.plant, config.h), x0, np.zeros((N, config.plant.m)))
+    ctx = ControlContext(config.controller, config.kind, x0)
+    snaps = [t for t, label in trace.events if label in ("snap_to_zero", "predictor_snap_to_zero")]
+    K = int(round(snaps[0] / config.h)) if snaps else len(trace.t)
+    rng = np.random.default_rng(config.noise.seed) if config.noise.active else None
+    a = config.noise.amplitude
+    s = s_prev = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(K):
+            meas = trace.y[k] if N else trace.x[k]
+            if rng is not None:
+                meas = meas + rng.uniform(-a, a, config.plant.n)
+            guess = 2.0 * s - s_prev if s_prev > 0.0 and 2.0 * s > s_prev else s
+            s_prev = s if rng is None else 0.0
+            s, z = ctx.solve(meas, guess if guess > 0.0 else None)
+            if rng is None:
+                assert s == trace.s[k]
+            np.testing.assert_array_equal(trace.u[k], ctx.feedback(meas, s, z))
+    return K
+
+
+@pytest.mark.parametrize("case", ["oscillator", "chain3-delay", "oscillator-noise"])
+def test_loop_step_is_exactly_the_context_pair(case):
+    # each sample's (s, u) is ControlContext.solve and feedback of its point,
+    # bit for bit; the noisy run pins that a seed gives the per-sample
+    # stream of uniform draws
+    if case == "chain3-delay":
+        ctrl = load_controller(os.path.join(_RECORDS, "chain3.json"))
+        config = ScenarioConfig(plant=LinearPlant(ctrl.A, ctrl.B, delay=0.3), controller=ctrl,
+                                x0=np.array([0.5, -0.2, 0.1]), h=H, t_end=2 * ctrl.T + 0.3)
+    else:
+        noise = NoiseSpec(amplitude=0.01, seed=11) if case == "oscillator-noise" else NoiseSpec()
+        config = _nominal([0.7, 0.0], noise=noise)
+    trace = simulate(config)
+    K = _replay_loop(config, trace)
+    assert K > 100
+    assert (K < len(trace.t)) == (case == "oscillator")
+
+
 @pytest.mark.parametrize("tau", [0.0, 0.5])
 @pytest.mark.parametrize("kind", list(ControllerKind))
 def test_noisy_run_solves_the_measurement_once_per_sample(monkeypatch, kind, tau):
