@@ -162,7 +162,7 @@ def test_exit_code_unknown_scenario_key(tmp_path, capsys, typo):
 
 
 @pytest.mark.parametrize("text, message", [
-    (SCENARIO.replace("x0 = 0.2 0", "x0 = 0.2 zero"), "x0: cannot parse '0.2 zero' as a vector"),
+    (SCENARIO.replace("x0 = 0.2 0", "x0 = 0.2 zero"), "key 'x0' in [sim]: cannot parse '0.2 zero' as a vector"),
     (SCENARIO.replace("[controller]\nbuiltin = oscillator\n", ""), "missing [controller] section"),
     (SCENARIO + "[perturbations]\ndisturbance = matched_sin 0.1\n", "disturbance 'matched_sin' needs amplitude and omega"),
     (SCENARIO + "[perturbations]\ndisturbance = constant\n", "disturbance 'constant' needs vector entries"),
@@ -184,6 +184,41 @@ def test_exit_code_malformed_scenario_names_the_key(tmp_path, capsys, text, mess
     scenario.write_text(text)
     assert main(["simulate", "--scenario", str(scenario)]) == EXIT_INPUT
     assert message in capsys.readouterr().err
+
+
+_PERTURBED = SCENARIO + "[perturbations]\n"
+
+
+@pytest.mark.parametrize("text, section, key", [
+    (SCENARIO.replace("A = 0 1; -1 0", "A = 0 1; -1 x"), "plant", "A"),
+    (SCENARIO.replace("B = 0; 1", "B = 0; 1 2"), "plant", "B"),
+    (SCENARIO.replace("B = 0; 1\n", "B = 0; 1\ndelay = 0.1s\n"), "plant", "delay"),
+    (SCENARIO.replace("[controller]\n", "[controller]\nkind = sliding\n"), "controller", "kind"),
+    (SCENARIO.replace("x0 = 0.2 0", "x0 = 0.2 zero"), "sim", "x0"),
+    (SCENARIO.replace("h = 0.01", "h = abc"), "sim", "h"),
+    (SCENARIO.replace("t_end = 2.0", "t_end = 1x"), "sim", "t_end"),
+    (SCENARIO + "settle_epsilon = x\n", "sim", "settle_epsilon"),
+    (_PERTURBED + "disturbance = matched_sin 0.1\n", "perturbations", "disturbance"),
+    (_PERTURBED + "disturbance = matched_sin abc 5\n", "perturbations", "disturbance"),
+    (_PERTURBED + "disturbance = matched_sin nan 5\n", "perturbations", "disturbance"),
+    (_PERTURBED + "disturbance = constant\n", "perturbations", "disturbance"),
+    (_PERTURBED + "disturbance = constant 0 x\n", "perturbations", "disturbance"),
+    (_PERTURBED + "disturbance = gusts 1 2\n", "perturbations", "disturbance"),
+    (_PERTURBED + "noise = abc\nseed = 1\n", "perturbations", "noise"),
+    (_PERTURBED + "noise = 0.01\nseed = 1.5\n", "perturbations", "seed"),
+    (_PERTURBED + "seed = 1.5\n", "perturbations", "seed"),
+    (_PERTURBED + "x0_noise = 0.01 q\n", "perturbations", "x0_noise"),
+    (_PERTURBED + "phi = 0.1; x\n", "perturbations", "phi"),
+], ids=["A", "B", "delay", "kind", "x0", "h", "t_end", "settle_epsilon", "matched-sin-arity",
+        "matched-sin-amplitude", "matched-sin-nan", "constant-empty", "constant-entry", "disturbance-kind",
+        "noise", "seed", "seed-without-noise", "x0_noise", "phi"])
+def test_exit_code_malformed_value_names_file_section_and_key(tmp_path, capsys, text, section, key):
+    # every key of the reader's table reports a bad value the same way
+    scenario = tmp_path / "scenario.ini"
+    scenario.write_text(text)
+    assert main(["simulate", "--scenario", str(scenario)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"error: {scenario}: key {key!r} in [{section}]: " in err
 
 
 def test_exit_code_malformed_plant_delay_names_the_key(tmp_path, capsys):

@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 from homctl import load_scenario
+from homctl.scenario import _KEYS, _REQUIRED
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -47,3 +48,19 @@ def test_readme_scenario_block_loads_every_documented_disturbance(tmp_path):
     for spelling in spellings:
         config = _load_variant(tmp_path, block, r"^disturbance = .*$", f"disturbance = {spelling}")
         assert config.disturbance.kind == spelling.split()[0]
+
+
+def test_readme_scenario_block_lists_the_readers_keys():
+    # the documented format and the accepted one are one list; a key shown
+    # commented out is optional, so the reader must not require it
+    keys, optional, section = {}, set(), None
+    for line in _scenario_block().splitlines():
+        if match := re.match(r"\[(\w+)\]", line):
+            section = match.group(1)
+            keys[section] = set()
+        elif match := re.match(r"(#\s*)?(\w+) = ", line):
+            keys[section].add(match.group(2))
+            if match.group(1):
+                optional.add((section, match.group(2)))
+    assert keys == {section: set(table) for section, table in _KEYS.items()}
+    assert not optional & {(section, key) for section, required in _REQUIRED.items() for key in required}

@@ -7,8 +7,10 @@ import pytest
 
 from homctl import (
     ControllerKind,
+    NoiseSpec,
     PRESETS,
     SUITES,
+    ScenarioConfig,
     load_plant,
     load_scenario,
     oscillator_controller,
@@ -238,6 +240,24 @@ def test_plant_file_checks_only_the_plant_section(tmp_path):
     assert plant.delay == 0.5
     with pytest.raises(ValueError, match=r"unknown key 'dealy' in \[plant\]"):
         load_plant(_write(tmp_path, PLANT + "dealy = 0.5\n"))
+
+
+def test_scenario_absent_keys_take_the_config_defaults(tmp_path):
+    config = load_scenario(_write(tmp_path, PLANT + _CONTROLLER + SIM))
+    plain = ScenarioConfig(plant=config.plant, controller=config.controller, x0=config.x0, h=config.h,
+                           t_end=config.t_end)
+    for f in dataclasses.fields(ScenarioConfig):
+        assert repr(getattr(config, f.name)) == repr(getattr(plain, f.name)), f.name
+
+
+def test_scenario_seed_without_noise_is_parsed_and_inert(tmp_path):
+    # the seed is read like every other key, so a malformed one is refused,
+    # but with no noise there is nothing for it to seed
+    text = PLANT + _CONTROLLER + SIM + "[perturbations]\nseed = 3\n"
+    config = load_scenario(_write(tmp_path, text))
+    assert config.noise == NoiseSpec() and not config.perturbed
+    with pytest.raises(ValueError, match=r"key 'seed' in \[perturbations\]: cannot parse '1.5' as int"):
+        load_scenario(_write(tmp_path, text.replace("seed = 3", "seed = 1.5")))
 
 
 def test_scenario_missing_sim_section(tmp_path):
