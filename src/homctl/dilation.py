@@ -60,11 +60,8 @@ class Dilation:
 
     def __post_init__(self):
         G = linalg.as_square(self.generator, "generator")
-        P = linalg.as_square(self.weight, "weight")
-        if G.shape != P.shape:
-            raise ValueError(f"generator {G.shape} and weight {P.shape} differ in size")
         object.__setattr__(self, "generator", G)
-        object.__setattr__(self, "weight", P)
+        object.__setattr__(self, "weight", linalg.as_matrix(self.weight, "weight", G.shape))
 
     @property
     def dim(self) -> int:

@@ -45,15 +45,28 @@ _SOLVE_RESIDUAL_RTOL = 1e-10
 _LSTSQ_RESIDUAL_RTOL = 1e-8
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` to a 2-D float array with finite entries."""
+def as_matrix(a, name: str = "matrix", shape: tuple[int | None, int | None] | None = None) -> np.ndarray:
+    """Coerce ``a`` to a 2-D float array with finite entries (of ``shape``).
+
+    ``shape`` is the expected ``(rows, cols)``, where ``None`` leaves a
+    dimension free.  With a ``shape``, a 1-D input is read as one row where
+    the shape fixes one row and the number of columns, and as one column
+    otherwise; without one, a 1-D input is rejected.  A mismatch raises
+    ``ValueError("<name> has shape …, expected …")``, with ``*`` for a free
+    dimension.
+    """
     M = np.asarray(a, dtype=float)
+    if M.ndim == 1 and shape is not None:
+        M = M.reshape((1, -1) if shape[0] == 1 and shape[1] is not None else (-1, 1))
     if M.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {M.shape}")
     if M.size == 0:
         raise ValueError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise ValueError(f"{name} has non-finite entries")
+    if shape is not None and any(d is not None and d != s for d, s in zip(shape, M.shape)):
+        expected = ", ".join("*" if d is None else str(d) for d in shape)
+        raise ValueError(f"{name} has shape {M.shape}, expected ({expected})")
     return M
 
 
@@ -122,14 +135,13 @@ def zoh_integral(A, B, h: float) -> np.ndarray:
     ----------
     A : (n, n) array_like
     B : (n, m) array_like
+        A 1-D ``B`` is one input column.
     h : float
         Strictly positive step length.
     """
     A = as_square(A, "A")
-    B = as_matrix(B, "B")
+    B = as_matrix(B, "B", (A.shape[0], None))
     n, m = B.shape
-    if A.shape[0] != n:
-        raise ValueError(f"A and B have incompatible shapes {A.shape} / {B.shape}")
     if not h > 0:
         raise ValueError(f"step h must be positive, got {h}")
     blk = np.zeros((n + m, n + m))

@@ -15,8 +15,9 @@ Every file is read through one table, ``_KEYS``: section → key → parser.
 ``_section`` rejects a key the table does not list, reports a missing
 required key or section, and parses each given value; a value that does not
 parse raises ``ValueError`` naming the file, the section and the key.  A key
-that is absent is not passed on, so its default is the one
-:class:`LinearPlant` or :class:`ScenarioConfig` declares.
+that is absent is not passed on, so :class:`LinearPlant` or
+:class:`ScenarioConfig` owns its default, as it owns every bound: a value out
+of range raises that class's error, which names the key, after the file.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .control_laws import ControllerKind
 from .simulate import DisturbanceSpec, NoiseSpec, ScenarioConfig
-from .synthesis import LinearPlant, SynthesizedController, load_controller
+from .synthesis import ControllabilityError, LinearPlant, SynthesizedController, load_controller
 
 __all__ = ["parse_matrix", "parse_vector", "load_plant", "load_scenario"]
 
@@ -79,18 +80,15 @@ def _kind(text: str) -> ControllerKind:
 
 
 def _disturbance(text: str) -> DisturbanceSpec:
-    parts = text.split()
-    if not parts or parts[0] == "none":
+    kind, *values = text.split() or ["none"]
+    if kind == "none" and not values:
         return DisturbanceSpec()
-    if parts[0] == "matched_sin":
-        if len(parts) != 3:
-            raise ValueError("disturbance 'matched_sin' needs amplitude and omega")
-        return DisturbanceSpec("matched_sin", *map(_float, parts[1:]))
-    if parts[0] == "constant":
-        if len(parts) < 2:
-            raise ValueError("disturbance 'constant' needs vector entries")
-        return DisturbanceSpec(kind="constant", vector=parse_vector(" ".join(parts[1:])))
-    raise ValueError(f"unknown disturbance {parts[0]!r}")
+    if kind == "matched_sin" and len(values) == 2:
+        return DisturbanceSpec(kind, *map(_float, values))
+    if kind == "constant" and values:
+        return DisturbanceSpec(kind, vector=parse_vector(" ".join(values)))
+    needs = {"none": "takes no values", "matched_sin": "needs amplitude and omega", "constant": "needs vector entries"}
+    raise ValueError(f"disturbance {kind!r} {needs[kind]}" if kind in needs else f"unknown disturbance {kind!r}")
 
 
 def _phi(text: str) -> np.ndarray | None:
@@ -144,9 +142,19 @@ def _section(cp, path, section: str) -> dict:
     return parsed
 
 
+def _build(path, cls, /, **values):
+    """``cls(**values)``, naming ``path`` in its ``ValueError``; a ``ControllabilityError`` passes unchanged."""
+    try:
+        return cls(**values)
+    except ControllabilityError:
+        raise
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def load_plant(path) -> LinearPlant:
     """Read a plant description file (just the ``[plant]`` section)."""
-    return LinearPlant(**_section(_read(path), path, "plant"))
+    return _build(path, LinearPlant, **_section(_read(path), path, "plant"))
 
 
 def _controller_from(cp, path, ctrl: dict) -> SynthesizedController:
@@ -177,7 +185,7 @@ def load_scenario(path, controller_override=None, seed_override: int | None = No
     for section in cp.sections():
         if section not in _KEYS:
             raise ValueError(f"{path}: unknown section [{section}] (expected one of: {', '.join(_KEYS)})")
-    plant = LinearPlant(**_section(cp, path, "plant"))
+    plant = _build(path, LinearPlant, **_section(cp, path, "plant"))
     ctrl = _section(cp, path, "controller")
     if controller_override is not None:
         controller = load_controller(controller_override)
@@ -187,6 +195,7 @@ def load_scenario(path, controller_override=None, seed_override: int | None = No
     perturbations = _section(cp, path, "perturbations")
     seed = perturbations.pop("seed", None)
     if "noise" in perturbations:
-        perturbations["noise"] = NoiseSpec(perturbations["noise"], seed if seed_override is None else seed_override)
+        perturbations["noise"] = _build(path, NoiseSpec, amplitude=perturbations["noise"],
+                                        seed=seed if seed_override is None else seed_override)
     kind = {"kind": ctrl["kind"]} if "kind" in ctrl else {}
-    return ScenarioConfig(plant=plant, controller=controller, **kind, **sim, **perturbations)
+    return _build(path, ScenarioConfig, plant=plant, controller=controller, **kind, **sim, **perturbations)

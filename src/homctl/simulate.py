@@ -166,14 +166,7 @@ class ScenarioConfig:
         if self.phi is not None:
             if N == 0:
                 raise ValueError("phi is the input pre-history of a delayed plant; this plant has no delay")
-            phi = np.asarray(self.phi, dtype=float)
-            if phi.ndim == 1 and self.plant.m == 1:
-                phi = phi[:, None]
-            if phi.shape != (N, self.plant.m):
-                raise ValueError(f"phi has shape {phi.shape}, expected (tau/h, m) = ({N}, {self.plant.m})")
-            if not np.isfinite(phi).all():
-                raise ValueError("phi has non-finite entries")
-            object.__setattr__(self, "phi", phi)
+            object.__setattr__(self, "phi", linalg.as_matrix(self.phi, "phi", (N, self.plant.m)))
         if not (math.isfinite(self.t_end) and self.t_end > 0):
             raise ValueError(f"t_end must be positive, got {self.t_end}")
         if self.integrator not in ("zoh_exact", "dense"):

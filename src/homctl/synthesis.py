@@ -127,7 +127,7 @@ class LinearPlant:
 
     def __post_init__(self):
         A = linalg.as_square(self.A, "A")
-        B = _as_tall(self.B, A.shape[0], "B")
+        B = linalg.as_matrix(self.B, "B", (A.shape[0], None))
         if not (_is_real(self.delay) and math.isfinite(self.delay) and self.delay >= 0):
             raise ValueError(f"delay must be a finite number >= 0, got {self.delay}")
         object.__setattr__(self, "A", A)
@@ -161,6 +161,11 @@ class SynthesisConfig:
         object.__setattr__(self, "T", float(self.T))
 
 
+#: the record's matrix fields in file order, each with its shape in the plant's (n, m)
+_MATRIX_FIELDS = {"A": "nn", "B": "nm", "G0": "nn", "Y0": "mn", "Gd": "nn", "A0": "nn", "X": "nn", "Y": "mn",
+                  "K0": "mn", "K": "mn"}
+
+
 @dataclass(frozen=True)
 class SynthesizedController:
     """Full parameter set of a synthesized stabilizer.
@@ -186,19 +191,10 @@ class SynthesizedController:
     K: np.ndarray
 
     def __post_init__(self):
-        A = linalg.as_square(self.A, "A")
-        n = A.shape[0]
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", _as_tall(self.B, n, "B"))
-        for name in ("G0", "Gd", "A0", "X"):
-            M = linalg.as_square(getattr(self, name), name)
-            if M.shape[0] != n:
-                raise ValueError(f"{name} has shape {M.shape}, expected ({n}, {n})")
-            object.__setattr__(self, name, M)
-        m = self.B.shape[1]
-        for name in ("Y0", "Y", "K0", "K"):
-            M = _as_wide(getattr(self, name), m, n, name)
-            object.__setattr__(self, name, M)
+        n = linalg.as_square(self.A, "A").shape[0]
+        dims = {"n": n, "m": linalg.as_matrix(self.B, "B", (n, None)).shape[1]}
+        for name, shape in _MATRIX_FIELDS.items():
+            object.__setattr__(self, name, linalg.as_matrix(getattr(self, name), name, tuple(dims[d] for d in shape)))
         if not (math.isfinite(self.T) and self.T > 0):
             raise ValueError(f"T must be positive, got {self.T}")
         if self.mu != MU:
@@ -261,26 +257,6 @@ class SynthesizedController:
         return _record_checks(self)
 
 
-def _as_tall(B, n: int, name: str) -> np.ndarray:
-    B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B.reshape(-1, 1)
-    B = linalg.as_matrix(B, name)
-    if B.shape[0] != n:
-        raise ValueError(f"{name} has shape {B.shape}, expected ({n}, m)")
-    return B
-
-
-def _as_wide(M, m: int, n: int, name: str) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    if M.ndim == 1:
-        M = M.reshape(1, -1)
-    M = linalg.as_matrix(M, name)
-    if M.shape != (m, n):
-        raise ValueError(f"{name} has shape {M.shape}, expected ({m}, {n})")
-    return M
-
-
 # ---------------------------------------------------------------------------
 # controllability
 
@@ -288,7 +264,7 @@ def _as_wide(M, m: int, n: int, name: str) -> np.ndarray:
 def controllability_matrix(A, B) -> np.ndarray:
     """The block matrix ``[B, AB, ..., A^{n-1} B]``."""
     A = linalg.as_square(A, "A")
-    B = _as_tall(B, A.shape[0], "B")
+    B = linalg.as_matrix(B, "B", (A.shape[0], None))
     blocks = [B]
     for _ in range(A.shape[0] - 1):
         blocks.append(A @ blocks[-1])
@@ -436,7 +412,7 @@ def solve_lmi_feasibility(A0, B, Gd, weight: float = 0.0) -> tuple[np.ndarray, n
     """
     A0 = linalg.as_square(A0, "A0")
     n = A0.shape[0]
-    B = _as_tall(B, n, "B")
+    B = linalg.as_matrix(B, "B", (n, None))
     Gd = linalg.as_square(Gd, "Gd")
     W = A0 + Gd
     BBt = B @ B.T
@@ -639,29 +615,24 @@ def verify_controller(controller: SynthesizedController, plant: LinearPlant | No
 # serialization
 
 
-_FIELDS_MATRIX = ("A", "B", "G0", "Y0", "Gd", "A0", "X", "Y", "K0", "K")
 _FIELDS_SCALAR = ("T", "mu")
 
 
 def controller_to_dict(controller: SynthesizedController) -> dict:
     """Plain-dict form of a controller (row-major nested lists)."""
-    out: dict = {}
-    for name in _FIELDS_SCALAR:
-        out[name] = getattr(controller, name)
-    for name in _FIELDS_MATRIX:
-        out[name] = getattr(controller, name).tolist()
-    return out
+    return {**{name: getattr(controller, name) for name in _FIELDS_SCALAR},
+            **{name: getattr(controller, name).tolist() for name in _MATRIX_FIELDS}}
 
 
 def controller_from_dict(data: dict) -> SynthesizedController:
     """Rebuild a controller from its plain-dict form; a malformed field is a ``ValueError`` naming it."""
     if not isinstance(data, dict):
         raise ValueError(f"controller record must be a JSON object, got {type(data).__name__}")
-    missing = [k for k in _FIELDS_SCALAR + _FIELDS_MATRIX if k not in data]
+    missing = [k for k in (*_FIELDS_SCALAR, *_MATRIX_FIELDS) if k not in data]
     if missing:
         raise ValueError(f"controller record is missing fields: {', '.join(missing)}")
     kwargs = {}
-    for name in _FIELDS_SCALAR + _FIELDS_MATRIX:
+    for name in (*_FIELDS_SCALAR, *_MATRIX_FIELDS):
         scalar, value = name in _FIELDS_SCALAR, data[name]
         try:
             # a bool or a numeric string would convert silently, so every entry is checked first

@@ -204,6 +204,7 @@ _PERTURBED = SCENARIO + "[perturbations]\n"
     (_PERTURBED + "disturbance = constant\n", "perturbations", "disturbance"),
     (_PERTURBED + "disturbance = constant 0 x\n", "perturbations", "disturbance"),
     (_PERTURBED + "disturbance = gusts 1 2\n", "perturbations", "disturbance"),
+    (_PERTURBED + "disturbance = none 0.5 5\n", "perturbations", "disturbance"),
     (_PERTURBED + "noise = abc\nseed = 1\n", "perturbations", "noise"),
     (_PERTURBED + "noise = 0.01\nseed = 1.5\n", "perturbations", "seed"),
     (_PERTURBED + "seed = 1.5\n", "perturbations", "seed"),
@@ -211,7 +212,7 @@ _PERTURBED = SCENARIO + "[perturbations]\n"
     (_PERTURBED + "phi = 0.1; x\n", "perturbations", "phi"),
 ], ids=["A", "B", "delay", "kind", "x0", "h", "t_end", "settle_epsilon", "matched-sin-arity",
         "matched-sin-amplitude", "matched-sin-nan", "constant-empty", "constant-entry", "disturbance-kind",
-        "noise", "seed", "seed-without-noise", "x0_noise", "phi"])
+        "none-with-values", "noise", "seed", "seed-without-noise", "x0_noise", "phi"])
 def test_exit_code_malformed_value_names_file_section_and_key(tmp_path, capsys, text, section, key):
     # every key of the reader's table reports a bad value the same way
     scenario = tmp_path / "scenario.ini"
@@ -219,6 +220,32 @@ def test_exit_code_malformed_value_names_file_section_and_key(tmp_path, capsys, 
     assert main(["simulate", "--scenario", str(scenario)]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert f"error: {scenario}: key {key!r} in [{section}]: " in err
+
+
+@pytest.mark.parametrize("text, key", [
+    (SCENARIO.replace("h = 0.01", "h = -1"), "sample period h"),
+    (SCENARIO.replace("t_end = 2.0", "t_end = 0"), "t_end"),
+    (SCENARIO + "integrator = rk4\n", "integrator"),
+    (SCENARIO + "settle_epsilon = -1e-3\n", "settle_epsilon"),
+    (SCENARIO.replace("x0 = 0.2 0", "x0 = 0.2 0 0"), "x0"),
+    (SCENARIO.replace("B = 0; 1\n", "B = 0; 1\ndelay = 0.03\n") + "[perturbations]\nphi = 0.1; 0.2\n", "phi"),
+    (_PERTURBED + "noise = -0.5\nseed = 1\n", "noise amplitude"),
+    (SCENARIO.replace("B = 0; 1\n", "B = 0; 1\ndelay = -1\n"), "delay"),
+    (SCENARIO.replace("B = 0; 1\n", "B = 0; 1\ndelay = 0.025\n"), "delay"),
+], ids=["h", "t_end", "integrator", "settle_epsilon", "x0", "phi", "noise", "delay", "delay-off-grid"])
+def test_exit_code_value_out_of_range_names_file_and_key(tmp_path, capsys, text, key):
+    scenario = tmp_path / "bad_range.ini"
+    scenario.write_text(text)
+    assert main(["simulate", "--scenario", str(scenario)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"error: {scenario}: " in err and key in err
+
+
+def test_exit_code_plant_delay_out_of_range_names_file_and_key(tmp_path, capsys):
+    plant = tmp_path / "plant.ini"
+    plant.write_text(PLANT + "delay = -1\n")
+    assert main(["synth", "--plant", str(plant), "--T", "1", "--out", str(tmp_path / "c.json")]) == EXIT_INPUT
+    assert f"error: {plant}: delay must be a finite number >= 0" in capsys.readouterr().err
 
 
 def test_exit_code_malformed_plant_delay_names_the_key(tmp_path, capsys):

@@ -139,7 +139,7 @@ def test_dilate_matches_matrix_action_200_cases(rng):
 
 
 def test_dilation_rejects_bad_shapes_and_nonfinite():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^weight has shape \(3, 3\), expected \(2, 2\)$"):
         Dilation(np.eye(2), np.eye(3))
     with pytest.raises(ValueError):
         Dilation(np.array([[np.inf, 0.0], [0.0, 1.0]]), np.eye(2))
@@ -148,6 +148,12 @@ def test_dilation_rejects_bad_shapes_and_nonfinite():
         dilation_matrix(D, np.inf)
     with pytest.raises(ValueError):
         dilate(D, 0.5, [1.0, 2.0, 3.0])
+
+
+def test_one_dimensional_weight_of_a_scalar_dilation_is_read_as_1x1():
+    D = Dilation([[1.0]], [2.0])
+    np.testing.assert_array_equal(D.weight, [[2.0]])
+    assert D.norm([3.0]) == pytest.approx(math.sqrt(18.0))
 
 
 def test_base_norm_weighted():

@@ -29,6 +29,43 @@ def test_as_matrix_rejects_non_finite():
         linalg.as_matrix([[1.0, np.nan], [0.0, 1.0]])
 
 
+@pytest.mark.parametrize("shape", [(None, None), (2, None), (None, 3), (2, 3)])
+def test_as_matrix_free_dimensions_accept_any_size(shape):
+    M = linalg.as_matrix(np.arange(6.0).reshape(2, 3), "M", shape)
+    np.testing.assert_array_equal(M, np.arange(6.0).reshape(2, 3))
+
+
+@pytest.mark.parametrize("shape, read", [
+    ((1, 3), (1, 3)),        # one row and a fixed number of columns: a row
+    ((3, 1), (3, 1)),
+    ((3, None), (3, 1)),
+    ((None, 1), (3, 1)),
+    ((None, None), (3, 1)),
+], ids=["row", "column", "free-columns", "free-rows", "free"])
+def test_as_matrix_reads_one_dimensional_input_as_row_or_column(shape, read):
+    M = linalg.as_matrix([1.0, 2.0, 3.0], "v", shape)
+    assert M.shape == read
+    np.testing.assert_array_equal(M.ravel(), [1.0, 2.0, 3.0])
+
+
+def test_as_matrix_reads_one_dimensional_input_as_column_unless_the_row_is_fixed():
+    # (1, None) leaves the number of columns free, so the input is a column
+    with pytest.raises(ValueError, match=r"^v has shape \(3, 1\), expected \(1, \*\)$"):
+        linalg.as_matrix([1.0, 2.0, 3.0], "v", (1, None))
+
+
+@pytest.mark.parametrize("shape, expected", [((1, 2), "(1, 2)"), ((3, None), "(3, *)"), ((None, 2), "(*, 2)")])
+def test_as_matrix_mismatch_names_the_value_and_both_shapes(shape, expected):
+    with pytest.raises(ValueError) as info:
+        linalg.as_matrix(np.zeros((2, 3)), "K", shape)
+    assert str(info.value) == f"K has shape (2, 3), expected {expected}"
+
+
+def test_as_matrix_rejects_one_dimensional_input_without_shape():
+    with pytest.raises(ValueError, match=r"^B must be 2-D, got shape \(3,\)$"):
+        linalg.as_matrix([1.0, 2.0, 3.0], "B")
+
+
 def test_as_square_rejects_rectangular():
     with pytest.raises(ValueError):
         linalg.as_square(np.zeros((2, 3)))
@@ -198,6 +235,16 @@ def test_zoh_integral_matches_quadrature_200_cases(rng):
         h = float(rng.uniform(0.05, 1.0))
         direct, _ = quad_vec(lambda s: linalg.expm(A * s) @ B, 0.0, h, epsabs=1e-12, epsrel=1e-12)
         np.testing.assert_allclose(linalg.zoh_integral(A, B, h), direct, atol=1e-9)
+
+
+def test_zoh_integral_reads_one_dimensional_input_matrix_as_a_column():
+    A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    np.testing.assert_array_equal(linalg.zoh_integral(A, [0.0, 1.0], 0.1), linalg.zoh_integral(A, [[0.0], [1.0]], 0.1))
+
+
+def test_zoh_integral_rejects_input_matrix_of_other_height():
+    with pytest.raises(ValueError, match=r"^B has shape \(3, 1\), expected \(2, \*\)$"):
+        linalg.zoh_integral(np.eye(2), np.ones((3, 1)), 0.1)
 
 
 def test_zoh_integral_rejects_nonpositive_h():

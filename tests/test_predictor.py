@@ -5,8 +5,8 @@ dynamics, and exact inversion."""
 import numpy as np
 import pytest
 
-from homctl import (LinearPlant, ScenarioConfig, build_tables, invert, oscillator_controller,
-                    predict, simulate)
+from homctl import (LinearPlant, ScenarioConfig, SynthesisConfig, build_tables, invert, oscillator_controller,
+                    predict, simulate, synthesize)
 from homctl.linalg import expm, solve_linear, zoh_integral
 from homctl.predictor import _steps_in_delay
 
@@ -62,6 +62,15 @@ def test_plant_receives_each_control_n_samples_late():
 def test_config_normalizes_one_dimensional_phi_for_single_input():
     config = _config(0.03, phi=[0.1, 0.2, 0.3])
     np.testing.assert_array_equal(config.phi, [[0.1], [0.2], [0.3]])
+
+
+def test_config_reads_one_dimensional_phi_of_one_step_as_a_row():
+    # tau = h leaves one row of m = 2 inputs
+    plant = LinearPlant([[0.0, 1.0], [-1.0, 0.0]], np.eye(2), delay=0.01)
+    ctrl = synthesize(LinearPlant(plant.A, plant.B), SynthesisConfig(1.0))
+    config = ScenarioConfig(plant=plant, controller=ctrl, x0=np.array([0.2, -0.1]), h=0.01, t_end=0.5,
+                            phi=[0.1, -0.2])
+    np.testing.assert_array_equal(config.phi, [[0.1, -0.2]])
 
 
 @pytest.mark.parametrize(

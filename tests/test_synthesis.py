@@ -689,6 +689,22 @@ def test_controller_rejects_degree_other_than_minus_one(ctrl):
     assert controller_from_dict(data).mu == -1.0
 
 
+@pytest.mark.parametrize("name", ["A", "B", "G0", "Y0", "Gd", "A0", "X", "Y", "K0", "K"])
+def test_record_field_of_wrong_shape_names_the_field(ctrl, name):
+    with pytest.raises(ValueError, match=rf"^{name} (has shape \(3, 4\), expected|must be square)"):
+        dataclasses.replace(ctrl, **{name: np.ones((3, 4))})
+
+
+def test_single_state_record_reads_one_dimensional_fields():
+    # with n = 1, a 1-D n x n field is the 1 x 1 matrix and a 1-D m x n field one column
+    c = synthesize(LinearPlant([[0.5]], [[1.0, 2.0]]), SynthesisConfig(1.0))
+    fields = ("G0", "Y0", "Gd", "A0", "X", "Y", "K0", "K")
+    flat = dataclasses.replace(c, **{k: getattr(c, k).ravel() for k in fields})
+    for k in fields:
+        np.testing.assert_array_equal(getattr(flat, k), getattr(c, k))
+    assert c.Y0.shape == (2, 1)
+
+
 def test_controller_from_dict_rejects_missing_field(ctrl):
     data = controller_to_dict(ctrl)
     del data["K"]
