@@ -108,16 +108,14 @@ class Dilation:
 
 def dilation_matrix(D: Dilation, s: float) -> np.ndarray:
     """The group element ``d(s) = e^{s G}`` as a matrix: its action on ``I``."""
-    if not math.isfinite(s):
-        raise ValueError(f"dilation parameter must be finite, got {s}")
+    s = linalg.as_scalar(s, "dilation parameter s")
     with np.errstate(over="ignore"):
         return _orbit(D, np.eye(D.dim))(-s)
 
 
 def dilate(D: Dilation, s: float, x) -> np.ndarray:
     """Apply the group element: ``d(s) x``."""
-    if not math.isfinite(s):
-        raise ValueError(f"dilation parameter must be finite, got {s}")
+    s = linalg.as_scalar(s, "dilation parameter s")
     with np.errstate(over="ignore"):
         return _orbit(D, linalg.as_vector(x, "x", D.dim))(-s)
 
@@ -161,8 +159,8 @@ def hom_norm(D: Dilation, x, guess: float | None = None) -> float:
     ``ValueError`` when ``|x|`` overflows even at the scale of ``x``.
     """
     x = linalg.as_vector(x, "x", D.dim)
-    if guess is not None and not (math.isfinite(guess) and guess > 0):
-        raise ValueError(f"guess must be a positive finite number, got {guess!r}")
+    if guess is not None:
+        guess = linalg.as_scalar(guess, "guess", gt=0)
     with np.errstate(over="ignore", invalid="ignore"):
         return _solve(D, x, guess)[0]
 

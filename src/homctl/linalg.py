@@ -1,12 +1,13 @@
 """Dense matrix kernels: exponentials, ZOH integrals, eigenvalues, factorizations.
 
 Thin wrappers around numpy routines that add the validation and error
-contracts the rest of the package relies on; the matrix exponential is one
-degree-13 Pade approximant with scaling and squaring, written in numpy; no
-``homctl`` module imports scipy.  Everything here is pure,
-operates on small dense float arrays, and raises ``ValueError`` for
-malformed input and ``numpy.linalg.LinAlgError`` for rank/consistency
-failures.
+contracts the rest of the package relies on: :func:`as_scalar` decides what
+a valid number is, and :func:`as_vector` and :func:`as_matrix` sizes and
+shapes.  The matrix exponential is one degree-13 Pade approximant with
+scaling and squaring, written in numpy; no ``homctl`` module imports scipy.
+Everything here is pure, operates on small dense float arrays, and raises
+``ValueError`` for malformed input and ``numpy.linalg.LinAlgError`` for
+rank/consistency failures.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 import numpy as np
 
 __all__ = [
+    "as_scalar",
     "as_matrix",
     "as_square",
     "as_vector",
@@ -43,6 +45,22 @@ _PADE13 = tuple(c / 64764752532480000.0 for c in (
 _SOLVE_RESIDUAL_RTOL = 1e-10
 #: consistency guard for least_norm_solve, relative to ||b||
 _LSTSQ_RESIDUAL_RTOL = 1e-8
+
+
+def as_scalar(value, name: str = "value", gt: float | None = None, ge: float | None = None) -> float:
+    """``value`` as a ``float``: a finite int or float, Python or numpy, ``> gt`` or ``>= ge`` where given.
+
+    A ``bool``, a string and any other value raise ``ValueError("<name> must be a finite number …, got …")``.
+    """
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:  # an int beyond the float range
+        x = math.inf
+    if not math.isfinite(x) or (gt is not None and not x > gt) or (ge is not None and not x >= ge):
+        bound = f" > {gt:g}" if gt is not None else f" >= {ge:g}" if ge is not None else ""
+        raise ValueError(f"{name} must be a finite number{bound}, got {value if real else repr(value)}")
+    return x
 
 
 def as_matrix(a, name: str = "matrix", shape: tuple[int | None, int | None] | None = None) -> np.ndarray:
@@ -137,13 +155,12 @@ def zoh_integral(A, B, h: float) -> np.ndarray:
     B : (n, m) array_like
         A 1-D ``B`` is one input column.
     h : float
-        Strictly positive step length.
+        Strictly positive finite step length (:func:`as_scalar`).
     """
     A = as_square(A, "A")
     B = as_matrix(B, "B", (A.shape[0], None))
     n, m = B.shape
-    if not h > 0:
-        raise ValueError(f"step h must be positive, got {h}")
+    h = as_scalar(h, "step h", gt=0)
     blk = np.zeros((n + m, n + m))
     blk[:n, :n] = A
     blk[:n, n:] = B

@@ -23,7 +23,6 @@ The tables hold the kernels side by side as one ``(n, N m)`` matrix
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +37,8 @@ _GRID_RTOL = 1e-9
 
 def _steps_in_delay(tau: float, h: float) -> int:
     """The integer N with tau = N h, or raise when off the sampling grid."""
-    if not h > 0:
-        raise ValueError(f"sample period h must be positive, got {h}")
-    if not (math.isfinite(tau) and tau >= 0):
-        raise ValueError(f"delay must be finite and >= 0, got {tau}")
+    h = linalg.as_scalar(h, "sample period h", gt=0)
+    tau = linalg.as_scalar(tau, "delay", ge=0)
     N = int(round(tau / h))
     if abs(tau - N * h) > _GRID_RTOL * max(h, tau):
         raise ValueError(f"delay {tau} is not an integer multiple of the sample period {h}")

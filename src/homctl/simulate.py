@@ -91,8 +91,8 @@ class DisturbanceSpec:
         if self.kind not in ("none", "matched_sin", "constant"):
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
         if self.kind == "matched_sin":
-            if not (math.isfinite(self.amplitude) and math.isfinite(self.omega)):
-                raise ValueError("matched_sin needs finite amplitude and omega")
+            for key in ("amplitude", "omega"):
+                object.__setattr__(self, key, linalg.as_scalar(getattr(self, key), f"matched_sin {key}"))
         if self.kind == "constant":
             if self.vector is None:
                 raise ValueError("constant disturbance needs a vector")
@@ -125,8 +125,7 @@ class NoiseSpec:
     seed: int | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
-            raise ValueError(f"noise amplitude must be >= 0, got {self.amplitude}")
+        object.__setattr__(self, "amplitude", linalg.as_scalar(self.amplitude, "noise amplitude", ge=0))
         if self.amplitude > 0 and self.seed is None:
             raise ValueError("noise requires an explicit seed for reproducibility")
 
@@ -160,19 +159,17 @@ class ScenarioConfig:
             object.__setattr__(self, "x0_noise", linalg.as_vector(self.x0_noise, "x0_noise", self.plant.n))
         if self.disturbance.kind == "constant":
             linalg.as_vector(self.disturbance.vector, "disturbance vector", self.plant.n)
-        if not (math.isfinite(self.h) and self.h > 0):
-            raise ValueError(f"sample period h must be positive, got {self.h}")
+        object.__setattr__(self, "h", linalg.as_scalar(self.h, "sample period h", gt=0))
         N = _steps_in_delay(self.plant.delay, self.h)
         if self.phi is not None:
             if N == 0:
                 raise ValueError("phi is the input pre-history of a delayed plant; this plant has no delay")
             object.__setattr__(self, "phi", linalg.as_matrix(self.phi, "phi", (N, self.plant.m)))
-        if not (math.isfinite(self.t_end) and self.t_end > 0):
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
+        object.__setattr__(self, "t_end", linalg.as_scalar(self.t_end, "t_end", gt=0))
         if self.integrator not in ("zoh_exact", "dense"):
             raise ValueError(f"unknown integrator {self.integrator!r} (known: zoh_exact, dense)")
-        if self.settle_epsilon is not None and not self.settle_epsilon > 0:
-            raise ValueError("settle_epsilon must be positive")
+        if self.settle_epsilon is not None:
+            object.__setattr__(self, "settle_epsilon", linalg.as_scalar(self.settle_epsilon, "settle_epsilon", gt=0))
         if not isinstance(self.kind, ControllerKind):
             raise ValueError(f"kind must be a ControllerKind, got {self.kind!r}")
 
@@ -218,9 +215,7 @@ def measure_settling(trace: SimulationTrace, epsilon: float) -> float | None:
     in particular for merely exponentially decaying (linear-feedback) runs
     at tight thresholds.
     """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    ok = trace.x_norm <= epsilon
+    ok = trace.x_norm <= linalg.as_scalar(epsilon, "epsilon", gt=0)
     if not ok[-1]:
         return None
     if ok.all():
@@ -446,17 +441,16 @@ def disturbance_bound(controller: SynthesizedController, x0_norm: float, rho: fl
     with ``|B gamma(t)| <= x0_norm * lmin(X^{-1/2} Gd X^{1/2} + X^{1/2} Gd'
     X^{-1/2}) / (2 rho T)`` (``rho > 1``) still settle, no later than
     ``rho T / (rho - 1)``.  The radius is :meth:`ControllerKind.radius`
-    (floored at one for fixed_time).  Raises ``ValueError`` for ``rho <= 1``,
-    a bad ``x0_norm``, or a ``kind`` that is not a homogeneous
-    :class:`ControllerKind`: the linear law certifies no settling time.
+    (floored at one for fixed_time).  Raises ``ValueError`` unless ``rho``
+    is a finite number ``> 1`` and ``x0_norm`` one ``>= 0``, and for a
+    ``kind`` that is not a homogeneous :class:`ControllerKind`: the linear
+    law certifies no settling time.
     """
     if not isinstance(kind, ControllerKind) or kind is ControllerKind.LINEAR:
         raise ValueError(f"kind must be a homogeneous ControllerKind, got {kind!r}")
-    if not rho > 1:
-        raise ValueError(f"rho must exceed 1, got {rho}")
-    if not (math.isfinite(x0_norm) and x0_norm >= 0):
-        raise ValueError(f"x0_norm must be finite and >= 0, got {x0_norm}")
-    return _envelope(controller, kind.radius(x0_norm), rho)
+    rho = linalg.as_scalar(rho, "rho", gt=1)
+    radius = kind.radius(linalg.as_scalar(x0_norm, "x0_norm", ge=0))
+    return _envelope(controller, radius, rho)
 
 
 # ---------------------------------------------------------------------------

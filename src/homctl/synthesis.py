@@ -112,11 +112,6 @@ class InfeasibleError(SynthesisError):
 # plant and configuration
 
 
-def _is_real(v) -> bool:
-    """True for an int or float; a bool is not accepted as a number."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 @dataclass(frozen=True)
 class LinearPlant:
     """Controllable LTI plant ``x' = A x + B u(t - delay)``."""
@@ -128,11 +123,9 @@ class LinearPlant:
     def __post_init__(self):
         A = linalg.as_square(self.A, "A")
         B = linalg.as_matrix(self.B, "B", (A.shape[0], None))
-        if not (_is_real(self.delay) and math.isfinite(self.delay) and self.delay >= 0):
-            raise ValueError(f"delay must be a finite number >= 0, got {self.delay}")
+        object.__setattr__(self, "delay", linalg.as_scalar(self.delay, "delay", ge=0))
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
-        object.__setattr__(self, "delay", float(self.delay))
         if controllability_index(A, B) is None:
             raise ControllabilityError("the pair (A, B) is not controllable")
 
@@ -156,9 +149,7 @@ class SynthesisConfig:
     T: float
 
     def __post_init__(self):
-        if not (_is_real(self.T) and math.isfinite(self.T) and self.T > 0):
-            raise ValueError(f"settling time T must be positive, got {self.T}")
-        object.__setattr__(self, "T", float(self.T))
+        object.__setattr__(self, "T", linalg.as_scalar(self.T, "settling time T", gt=0))
 
 
 #: the record's matrix fields in file order, each with its shape in the plant's (n, m)
@@ -195,12 +186,10 @@ class SynthesizedController:
         dims = {"n": n, "m": linalg.as_matrix(self.B, "B", (n, None)).shape[1]}
         for name, shape in _MATRIX_FIELDS.items():
             object.__setattr__(self, name, linalg.as_matrix(getattr(self, name), name, tuple(dims[d] for d in shape)))
-        if not (math.isfinite(self.T) and self.T > 0):
-            raise ValueError(f"T must be positive, got {self.T}")
+        object.__setattr__(self, "T", linalg.as_scalar(self.T, "settling time T", gt=0))
         if self.mu != MU:
             raise ValueError(f"homogeneity degree mu must be {MU}, got {self.mu}")
-        object.__setattr__(self, "T", float(self.T))
-        object.__setattr__(self, "mu", float(self.mu))
+        object.__setattr__(self, "mu", MU)
 
     @property
     def n(self) -> int:
@@ -408,8 +397,10 @@ def solve_lmi_feasibility(A0, B, Gd, weight: float = 0.0) -> tuple[np.ndarray, n
     the failed check as ``check``, when ``X`` or ``Gd X + X Gd'`` fails
     :func:`verify_controller`'s ``X_positive_definite`` or
     ``dilation_lyapunov_pd``, as happens in double precision for badly
-    conditioned plants and for a ``Gd`` that is not anti-Hurwitz.
+    conditioned plants and for a ``Gd`` that is not anti-Hurwitz.  A
+    ``weight`` that is not a finite number ``>= 0`` raises ``ValueError``.
     """
+    weight = linalg.as_scalar(weight, "weight", ge=0)
     A0 = linalg.as_square(A0, "A0")
     n = A0.shape[0]
     B = linalg.as_matrix(B, "B", (n, None))
@@ -631,17 +622,12 @@ def controller_from_dict(data: dict) -> SynthesizedController:
     missing = [k for k in (*_FIELDS_SCALAR, *_MATRIX_FIELDS) if k not in data]
     if missing:
         raise ValueError(f"controller record is missing fields: {', '.join(missing)}")
-    kwargs = {}
-    for name in (*_FIELDS_SCALAR, *_MATRIX_FIELDS):
-        scalar, value = name in _FIELDS_SCALAR, data[name]
-        try:
-            # a bool or a numeric string would convert silently, so every entry is checked first
-            for entry in (value,) if scalar else np.asarray(value, dtype=object).flat:
-                if not _is_real(entry):
-                    raise TypeError(f"expected a number, got {entry!r}")
-            kwargs[name] = float(value) if scalar else np.asarray(value, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:  # an int beyond float range overflows
-            raise ValueError(f"controller record field {name}: {exc}") from None
+    kwargs = {name: linalg.as_scalar(data[name], f"controller record field {name}") for name in _FIELDS_SCALAR}
+    for name in _MATRIX_FIELDS:
+        # a bool or a numeric string would convert silently, so every entry is checked first
+        for entry in np.asarray(data[name], dtype=object).flat:
+            linalg.as_scalar(entry, f"controller record field {name}: entry")
+        kwargs[name] = np.asarray(data[name], dtype=float)
     return SynthesizedController(**kwargs)
 
 
@@ -656,6 +642,9 @@ def save_controller(controller: SynthesizedController, path) -> None:
 
 
 def load_controller(path) -> SynthesizedController:
-    """Read a controller record written by :func:`save_controller`."""
+    """Read a controller record written by :func:`save_controller`; a ``ValueError`` names ``path`` first."""
     with open(path, "r", encoding="utf-8") as fh:
-        return controller_from_dict(json.load(fh))
+        try:
+            return controller_from_dict(json.load(fh))
+        except ValueError as exc:  # a json.JSONDecodeError too
+            raise ValueError(f"{path}: {exc}") from None

@@ -227,12 +227,14 @@ def test_exit_code_malformed_value_names_file_section_and_key(tmp_path, capsys, 
     (SCENARIO.replace("t_end = 2.0", "t_end = 0"), "t_end"),
     (SCENARIO + "integrator = rk4\n", "integrator"),
     (SCENARIO + "settle_epsilon = -1e-3\n", "settle_epsilon"),
+    (SCENARIO + "settle_epsilon = inf\n", "settle_epsilon"),
     (SCENARIO.replace("x0 = 0.2 0", "x0 = 0.2 0 0"), "x0"),
     (SCENARIO.replace("B = 0; 1\n", "B = 0; 1\ndelay = 0.03\n") + "[perturbations]\nphi = 0.1; 0.2\n", "phi"),
     (_PERTURBED + "noise = -0.5\nseed = 1\n", "noise amplitude"),
     (SCENARIO.replace("B = 0; 1\n", "B = 0; 1\ndelay = -1\n"), "delay"),
     (SCENARIO.replace("B = 0; 1\n", "B = 0; 1\ndelay = 0.025\n"), "delay"),
-], ids=["h", "t_end", "integrator", "settle_epsilon", "x0", "phi", "noise", "delay", "delay-off-grid"])
+], ids=["h", "t_end", "integrator", "settle_epsilon", "settle_epsilon-inf", "x0", "phi", "noise", "delay",
+        "delay-off-grid"])
 def test_exit_code_value_out_of_range_names_file_and_key(tmp_path, capsys, text, key):
     scenario = tmp_path / "bad_range.ini"
     scenario.write_text(text)
@@ -375,6 +377,27 @@ def test_malformed_record_is_input_error(record, scenario_file, capsys, command,
     assert main(argv) == EXIT_INPUT
     err = capsys.readouterr().err
     assert named in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("content, message", [
+    ("K=[[1, 2, 3]]", "K has shape (1, 3), expected (1, 2)"),
+    ('{\n  "T": 1\n  "mu": -1\n}\n', "Expecting ',' delimiter: line 3 column 3"),
+], ids=["K-shape", "malformed-json"])
+@pytest.mark.parametrize("entry", ["verify", "scenario-file", "simulate"])
+def test_bad_record_names_its_file(record, scenario_file, tmp_path, capsys, entry, content, message):
+    bad = tmp_path / "badK.json"
+    if content.startswith("K="):
+        bad.write_text(json.dumps({**json.loads(record.read_text()), "K": json.loads(content[2:])}))
+    else:
+        bad.write_text(content)
+    referring = tmp_path / "file_scenario.ini"
+    referring.write_text(SCENARIO.replace("builtin = oscillator", "file = badK.json"))
+    argv = {"verify": ["verify", "--controller", str(bad)],
+            "scenario-file": ["simulate", "--scenario", str(referring)],
+            "simulate": ["simulate", "--scenario", str(scenario_file), "--controller", str(bad)]}[entry]
+    capsys.readouterr()
+    assert main(argv) == EXIT_INPUT
+    assert f"error: {bad}: {message}" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

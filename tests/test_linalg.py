@@ -83,6 +83,44 @@ def test_as_vector_flattens_and_validates():
 
 
 # ---------------------------------------------------------------------------
+# scalar validator
+
+
+@pytest.mark.parametrize("value", [2, 2.0, np.int64(2), np.int32(2), np.float32(2.0), np.float64(2.0)])
+def test_as_scalar_returns_a_python_float(value):
+    x = linalg.as_scalar(value, "x", gt=1)
+    assert type(x) is float and x == 2.0
+
+
+@pytest.mark.parametrize("value, bounds, message", [
+    (True, {}, "x must be a finite number, got True"),
+    (np.bool_(False), {}, "x must be a finite number, got np.False_"),
+    ("0.1", {}, "x must be a finite number, got '0.1'"),
+    (None, {}, "x must be a finite number, got None"),
+    (np.array(0.5), {}, "x must be a finite number, got array(0.5)"),
+    (1 + 0j, {}, "x must be a finite number, got (1+0j)"),
+    (math.inf, {}, "x must be a finite number, got inf"),
+    (np.float64(-np.inf), {}, "x must be a finite number, got -inf"),
+    (math.nan, {"ge": 0}, "x must be a finite number >= 0, got nan"),
+    (10**400, {}, f"x must be a finite number, got {10**400}"),
+    (0, {"gt": 0}, "x must be a finite number > 0, got 0"),
+    (-1e-300, {"ge": 0}, "x must be a finite number >= 0, got -1e-300"),
+    (np.float32(1.0), {"gt": 1}, "x must be a finite number > 1, got 1.0"),
+], ids=["bool", "numpy-bool", "string", "none", "0-d-array", "complex", "inf", "numpy-minus-inf", "nan",
+        "int-beyond-float", "zero-for-gt-0", "negative-for-ge-0", "one-for-gt-1"])
+def test_as_scalar_refuses_with_one_message(value, bounds, message):
+    with pytest.raises(ValueError) as info:
+        linalg.as_scalar(value, "x", **bounds)
+    assert str(info.value) == message
+
+
+def test_as_scalar_bounds_admit_their_edge():
+    assert linalg.as_scalar(0, "x", ge=0) == 0.0
+    assert linalg.as_scalar(-5, "x") == -5.0
+    assert linalg.as_scalar(1.0000000000000002, "x", gt=1) == 1.0000000000000002
+
+
+# ---------------------------------------------------------------------------
 # expm
 
 

@@ -140,14 +140,14 @@ def test_tables_off_grid_delay_raises():
 
 @pytest.mark.parametrize("h", [0.0, -0.01, float("nan")])
 def test_tables_reject_a_non_positive_sample_period(h):
-    with pytest.raises(ValueError, match="sample period h must be positive"):
+    with pytest.raises(ValueError, match="sample period h must be a finite number > 0"):
         build_tables(_osc(0.5), h=h)
 
 
 @pytest.mark.parametrize("tau", [-0.01, float("inf"), float("nan")])
 def test_steps_in_delay_rejects_a_negative_or_non_finite_delay(tau):
     # LinearPlant refuses these delays first; the helper keeps its own guard
-    with pytest.raises(ValueError, match="delay must be finite and >= 0"):
+    with pytest.raises(ValueError, match="delay must be a finite number >= 0"):
         _steps_in_delay(tau, 0.01)
 
 

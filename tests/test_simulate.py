@@ -435,7 +435,7 @@ def test_disturbance_spec_validation():
     # there is no table field either
     with pytest.raises(TypeError):
         DisturbanceSpec(kind="table", table=np.array([1.0, 2.0]))
-    with pytest.raises(ValueError, match="matched_sin needs finite amplitude and omega"):
+    with pytest.raises(ValueError, match="matched_sin amplitude must be a finite number, got inf"):
         DisturbanceSpec(kind="matched_sin", amplitude=math.inf, omega=1.0)
 
 
@@ -481,7 +481,7 @@ def test_noise_spec_requires_seed():
     with pytest.raises(ValueError):
         NoiseSpec(amplitude=0.01)
     assert not NoiseSpec().active
-    with pytest.raises(ValueError, match="noise amplitude must be >= 0"):
+    with pytest.raises(ValueError, match="noise amplitude must be a finite number >= 0"):
         NoiseSpec(amplitude=-0.01, seed=1)
 
 
@@ -512,9 +512,9 @@ def test_disturbance_bound_scaling_properties(ctrl):
     (0.5, "fixed_time", "kind must be a homogeneous ControllerKind"),
     (0.5, None, "kind must be a homogeneous ControllerKind"),
     (0.5, ControllerKind.LINEAR, "kind must be a homogeneous ControllerKind"),
-    (-0.1, ControllerKind.FIXED_TIME, "x0_norm must be finite and >= 0"),
-    (math.inf, ControllerKind.FIXED_TIME, "x0_norm must be finite and >= 0"),
-    (math.nan, ControllerKind.FIXED_TIME, "x0_norm must be finite and >= 0"),
+    (-0.1, ControllerKind.FIXED_TIME, "x0_norm must be a finite number >= 0"),
+    (math.inf, ControllerKind.FIXED_TIME, "x0_norm must be a finite number >= 0"),
+    (math.nan, ControllerKind.FIXED_TIME, "x0_norm must be a finite number >= 0"),
 ])
 def test_disturbance_bound_rejects_bad_arguments(ctrl, x0_norm, kind, message):
     with pytest.raises(ValueError, match=message):
@@ -633,9 +633,9 @@ def test_config_rejects_bad_integrator_and_steps():
     with pytest.raises(ValueError):
         ScenarioConfig(plant=oscillator_plant(), controller=oscillator_controller(),
                        x0=np.array([0.2, 0.0]), h=0.0, t_end=1.0)
-    with pytest.raises(ValueError, match="t_end must be positive"):
+    with pytest.raises(ValueError, match="t_end must be a finite number > 0"):
         _nominal([0.2, 0.0], t_end=0.0)
-    with pytest.raises(ValueError, match="settle_epsilon must be positive"):
+    with pytest.raises(ValueError, match="settle_epsilon must be a finite number > 0"):
         _nominal([0.2, 0.0], settle_epsilon=0.0)
 
 
