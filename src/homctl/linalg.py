@@ -186,19 +186,24 @@ def chol_pd_check(M) -> tuple[bool, np.ndarray | None]:
     """Positive-definiteness test via Cholesky with a relative pivot floor.
 
     Returns ``(True, L)`` with ``M ~ L @ L.T`` (lower triangular ``L``) when
-    the symmetrized input is positive definite with every pivot above
-    ``1e-12 * ||M||_2``, and ``(False, None)`` otherwise.  Never raises for
-    finite input.
+    the symmetrized input ``S`` is positive definite with every pivot above
+    ``1e-12 * ||S||_2``, and ``(False, None)`` otherwise; ``||S||_2`` is the
+    largest eigenvalue modulus.  Never raises for finite input.
     """
-    S = _sym_part(as_square(M))
+    return _pd_test(as_square(M))[1:]
+
+
+def _pd_test(M: np.ndarray) -> tuple[float, bool, np.ndarray | None]:
+    """``lmin`` of ``S = (M + M') / 2`` and :func:`chol_pd_check` of it, ``||S||_2`` from the same ``eigvalsh``."""
+    S = _sym_part(M)
+    w = np.linalg.eigvalsh(S)
     try:
         L = np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
-        return False, None
+        return float(w[0]), False, None
     # L[j, j]^2 is the j-th pivot of the factorization
-    if not np.all(np.diag(L) ** 2 > _CHOL_PIVOT_RTOL * np.linalg.norm(S, 2)):
-        return False, None
-    return True, L
+    ok = bool(np.all(np.diag(L) ** 2 > _CHOL_PIVOT_RTOL * max(-w[0], w[-1])))
+    return float(w[0]), ok, L if ok else None
 
 
 def solve_linear(A, b) -> np.ndarray:

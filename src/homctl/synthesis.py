@@ -30,9 +30,9 @@ a linear dilation at the constant rate ``1/T``:
 
 ``verify_controller`` re-checks every algebraic invariant of the result with
 explicit residuals, as the CLI ``verify`` prints; steps 1-2 fail on its checks.
-A record's plant-independent checks are its cached
-``SynthesizedController.checks``: ``synthesize`` verifies the record it
-returns, so verifying it again evaluates only the plant checks.
+Each check is evaluated once: steps 1-2 hand theirs to the record's cached
+``SynthesizedController.checks``, and verifying the returned record again
+evaluates only the plant checks.
 
 ``save_controller`` writes one JSON field per line, each through the C
 encoder of ``json.dumps``; ``load_controller`` reads that and the indented
@@ -50,7 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from . import atomic, linalg
-from .dilation import Dilation, check_strict_monotonicity
+from .dilation import Dilation
 
 __all__ = [
     "MU",
@@ -240,8 +240,9 @@ class SynthesizedController:
     def checks(self) -> tuple[CheckResult, ...]:
         """The record's 15 plant-independent checks of :func:`verify_controller`, evaluated once.
 
-        Like the other cached fields it assumes the matrices are not changed
-        in place; ``dataclasses.replace`` builds a new record, checked afresh.
+        :func:`synthesize` fills it with the six checks its steps evaluated on
+        these matrices.  Like the other cached fields it assumes the matrices are
+        not changed in place; ``dataclasses.replace`` builds a new record, checked afresh.
         """
         return _record_checks(self)
 
@@ -293,9 +294,14 @@ def _generator_operator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     n, m = B.shape
     I = np.eye(n)
     return np.block([
-        [np.kron(A, I) - np.kron(I, A.T), np.kron(B, I)],
-        [np.kron(I, B.T), np.zeros((n * m, m * n))],
+        [_kron(A, I) - _kron(I, A.T), _kron(B, I)],
+        [_kron(I, B.T), np.zeros((n * m, m * n))],
     ])
+
+
+def _kron(L: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """``np.kron(L, R)``, the same products, as one outer product and one reshape."""
+    return (L[:, None, :, None] * R[None, :, None, :]).reshape(L.shape[0] * R.shape[0], L.shape[1] * R.shape[1])
 
 
 def solve_generator_equation(plant: LinearPlant) -> tuple[np.ndarray, np.ndarray]:
@@ -313,16 +319,16 @@ def solve_generator_equation(plant: LinearPlant) -> tuple[np.ndarray, np.ndarray
     return _generator_step(plant)[:2]
 
 
-def _generator_step(plant: LinearPlant) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`solve_generator_equation` with the ``K0, A0`` of its nilpotency check: ``(G0, Y0, K0, A0)``."""
-    A, B = plant.A, plant.B
-    n, m = plant.n, plant.m
+def _generator_step(plant: LinearPlant) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple]:
+    """:func:`solve_generator_equation` with the ``K0, A0`` of its nilpotency check and its four checks."""
+    A, B, n, m = plant.A, plant.B, plant.n, plant.m
     try:
         u = linalg.least_norm_solve(_generator_operator(A, B), np.concatenate([A.ravel(), np.zeros(n * m)]))
     except np.linalg.LinAlgError as exc:
         raise SynthesisError(f"generator equation: {exc}") from exc
     G0, Y0 = u[: n * n].reshape(n, n), u[n * n :].reshape(m, n)
-    for check in _generator_checks(A, B, G0, Y0):
+    checks = _generator_checks(A, B, G0, Y0)
+    for check in checks:
         if not check.passed:
             raise SynthesisError(f"generator equation: {check}", check)
     # an ill-conditioned G0 - I can cost A0 its nilpotency, which no feasibility step repairs
@@ -331,7 +337,7 @@ def _generator_step(plant: LinearPlant) -> tuple[np.ndarray, np.ndarray, np.ndar
     if not check.passed:
         raise SynthesisError(f"generator equation: A0 = A + B K0 is not nilpotent (|A0^{n}| = {check.value:.3e} > "
                              f"{check.threshold:.3e}, cond(G0 - I) = {np.linalg.cond(G0 - np.eye(n)):.3e})", check)
-    return G0, Y0, K0, A0
+    return G0, Y0, K0, A0, (*checks, check)
 
 
 def _closed_loop(A: np.ndarray, B: np.ndarray, G0: np.ndarray, Y0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -351,7 +357,7 @@ def _solve_lyapunov(F: np.ndarray, Q: np.ndarray) -> np.ndarray:
     of ``F``, so it is nonsingular for an anti-Hurwitz ``F``.
     """
     I = np.eye(F.shape[0])
-    return np.linalg.solve(np.kron(F, I) + np.kron(I, F), Q.ravel()).reshape(Q.shape)
+    return np.linalg.solve(_kron(F, I) + _kron(I, F), Q.ravel()).reshape(Q.shape)
 
 
 def _solve_riccati(W: np.ndarray, B: np.ndarray, q: float) -> np.ndarray:
@@ -400,6 +406,11 @@ def solve_lmi_feasibility(A0, B, Gd, weight: float = 0.0) -> tuple[np.ndarray, n
     conditioned plants and for a ``Gd`` that is not anti-Hurwitz.  A
     ``weight`` that is not a finite number ``>= 0`` raises ``ValueError``.
     """
+    return _feasibility_step(A0, B, Gd, weight)[:2]
+
+
+def _feasibility_step(A0, B, Gd, weight: float) -> tuple[np.ndarray, np.ndarray, tuple[CheckResult, CheckResult]]:
+    """:func:`solve_lmi_feasibility` with the record's ``X_positive_definite`` and ``dilation_lyapunov_pd``."""
     weight = linalg.as_scalar(weight, "weight", ge=0)
     A0 = linalg.as_square(A0, "A0")
     n = A0.shape[0]
@@ -415,9 +426,11 @@ def solve_lmi_feasibility(A0, B, Gd, weight: float = 0.0) -> tuple[np.ndarray, n
     X = 0.5 * (X + X.T)
     lam_min = linalg.min_eig_sym(X) if np.isfinite(X).all() else math.nan
     X = X / lam_min if lam_min > 0.0 else X
-    check = _positive_definite("X_positive_definite", X, lam_min)
-    if not check.passed:
-        raise InfeasibleError(f"no positive-definite solution found (lmin(X) = {check.value:.3e})", check)
+    # the record's check reads the rescaled X; the step's reads lmin of the unscaled one
+    x_pd = _positive_definite("X_positive_definite", X) if lam_min > 0.0 else None
+    if x_pd is None or not x_pd.passed:
+        raise InfeasibleError(f"no positive-definite solution found (lmin(X) = {lam_min:.3e})",
+                              CheckResult("X_positive_definite", lam_min, 0.0, False, "margin"))
     Y = B.T @ (Pi @ X - np.eye(n) / lam_min)
     S = Gd @ X + X @ Gd.T
     check = _positive_definite("dilation_lyapunov_pd", S)
@@ -426,7 +439,7 @@ def solve_lmi_feasibility(A0, B, Gd, weight: float = 0.0) -> tuple[np.ndarray, n
     if log.isEnabledFor(logging.INFO):
         log.info("feasibility (weight %g): lmin(X)/|X| %.3e, lmin(GdX+XGd')/|.| %.3e, cond(X) %.3e", weight,
                  1.0 / np.linalg.norm(X, 2), check.value / np.linalg.norm(S, 2), np.linalg.cond(X))
-    return X, Y
+    return X, Y, (x_pd, check)
 
 
 # ---------------------------------------------------------------------------
@@ -442,24 +455,23 @@ def synthesize(plant: LinearPlant, config: SynthesisConfig) -> SynthesizedContro
     ``_RICCATI_STATE_WEIGHT``.  If both fail, the error of the first is
     raised.
     """
-    A, B = plant.A, plant.B
-    n = plant.n
-    G0, Y0, K0, A0 = _generator_step(plant)
+    A, B, n = plant.A, plant.B, plant.n
+    G0, Y0, K0, A0, generator_checks = _generator_step(plant)
     Gd = np.eye(n) + MU * G0
     first_error = None
     for weight in (0.0, _RICCATI_STATE_WEIGHT):
         if weight:
             log.info("Y = -B' failed; solving the feasibility step again with Riccati weight %g", weight)
         try:
-            X, Y = solve_lmi_feasibility(A0, B, Gd, weight)
+            X, Y, feasibility_checks = _feasibility_step(A0, B, Gd, weight)
         except InfeasibleError as exc:
             first_error = first_error or exc
             continue
         K = np.linalg.solve(X.T, Y.T).T
-        controller = SynthesizedController(
-            A=A, B=B, T=config.T, mu=MU,
-            G0=G0, Y0=Y0, Gd=Gd, A0=A0, X=X, Y=Y, K0=K0, K=K,
-        )
+        controller = SynthesizedController(A=A, B=B, T=config.T, mu=MU,
+                                           G0=G0, Y0=Y0, Gd=Gd, A0=A0, X=X, Y=Y, K0=K0, K=K)
+        # the steps evaluated these checks on the record's own matrices: they become its cached checks
+        vars(controller)["checks"] = _record_checks(controller, generator_checks, feasibility_checks)
         report = verify_controller(controller, plant)
         if report.all_passed:
             return controller
@@ -534,10 +546,10 @@ def _tol(M: np.ndarray) -> float:
     return _IDENTITY_TOL * (1.0 + np.linalg.norm(M))
 
 
-def _positive_definite(name: str, S: np.ndarray, lmin: float | None = None) -> CheckResult:
-    """``S > 0``: ``lmin(S) > 0`` (or the given ``lmin``), then the Cholesky test of :func:`linalg.chol_pd_check`."""
-    lmin = linalg.min_eig_sym(S) if lmin is None else float(lmin)
-    return CheckResult(name, lmin, 0.0, bool(lmin > 0.0 and linalg.chol_pd_check(S)[0]), "margin")
+def _positive_definite(name: str, S: np.ndarray) -> CheckResult:
+    """``S > 0``: ``lmin(S) > 0`` and the Cholesky test of :func:`linalg.chol_pd_check`, from one ``eigvalsh``."""
+    lmin, chol, _ = linalg._pd_test(S)
+    return CheckResult(name, lmin, 0.0, lmin > 0.0 and chol, "margin")
 
 
 def _generator_checks(A, B, G0, Y0) -> tuple[CheckResult, CheckResult, CheckResult]:
@@ -552,15 +564,17 @@ def _nilpotency_check(A, A0) -> CheckResult:
                      _IDENTITY_TOL * (1.0 + np.linalg.norm(A)) ** len(A))
 
 
-def _record_checks(c: SynthesizedController) -> tuple[CheckResult, ...]:
-    """The 15 plant-independent checks of a record, in report order (:attr:`SynthesizedController.checks`)."""
+def _record_checks(c: SynthesizedController, generator=None, feasibility=None) -> tuple[CheckResult, ...]:
+    """The record's 15 plant-independent checks in report order, with the steps' own checks where given."""
     I = np.eye(c.n)
-    equation, kernel, shift = _generator_checks(c.A, c.B, c.G0, c.Y0)
+    equation, kernel, shift, nilpotent = generator or (*_generator_checks(c.A, c.B, c.G0, c.Y0),
+                                                       _nilpotency_check(c.A, c.A0))
+    x_pd, lyapunov_pd = feasibility or (_positive_definite("X_positive_definite", c.X),
+                                        _positive_definite("dilation_lyapunov_pd", c.Gd @ c.X + c.X @ c.Gd.T))
     lmi = c.A0 @ c.X + c.X @ c.A0.T + c.B @ c.Y + c.Y.T @ c.B.T + c.Gd @ c.X + c.X @ c.Gd.T
-    x_pd = _positive_definite("X_positive_definite", c.X)
-    # P inverts X, so without a positive-definite X the check fails unevaluated
-    lam_p = linalg.min_eig_sym(c.P @ c.Gd + c.Gd.T @ c.P) if x_pd.passed else math.nan
-    ok_p = x_pd.passed and check_strict_monotonicity(c.dilation)
+    # check_strict_monotonicity on (Gd, P); P inverts X, so without a positive-definite X it fails unevaluated
+    lam_p, ok_m, _ = linalg._pd_test(c.P @ c.Gd + c.Gd.T @ c.P) if x_pd.passed else (math.nan, False, None)
+    ok_p = ok_m and linalg.chol_pd_check(c.P)[0]
     return (
         equation, kernel,
         _residual("dilation_generator_definition", np.linalg.norm(c.Gd - (I + c.mu * c.G0))),
@@ -568,12 +582,12 @@ def _record_checks(c: SynthesizedController) -> tuple[CheckResult, ...]:
         shift,
         _residual("gain_K0_definition", np.linalg.norm(c.K0 @ (c.G0 - I) - c.Y0), _tol(c.Y0)),
         _residual("closed_loop_definition", np.linalg.norm(c.A0 - (c.A + c.B @ c.K0)), _tol(c.A)),
-        _nilpotency_check(c.A, c.A0),
+        nilpotent,
         _residual("homogeneity_commutation", np.linalg.norm(c.A0 @ c.Gd - (c.Gd + c.mu * I) @ c.A0), _tol(c.A)),
         _residual("input_direction_invariance", np.linalg.norm(c.Gd @ c.B - c.B), _tol(c.B)),
         _residual("feasibility_equality", np.linalg.norm(lmi), _tol(c.X)),
         x_pd,
-        _positive_definite("dilation_lyapunov_pd", c.Gd @ c.X + c.X @ c.Gd.T),
+        lyapunov_pd,
         _residual("gain_K_definition", np.linalg.norm(c.K @ c.X - c.Y), _tol(c.Y)),
         CheckResult("norm_strict_monotonicity", lam_p, 0.0, ok_p, "margin"),
     )
@@ -624,10 +638,12 @@ def controller_from_dict(data: dict) -> SynthesizedController:
         raise ValueError(f"controller record is missing fields: {', '.join(missing)}")
     kwargs = {name: linalg.as_scalar(data[name], f"controller record field {name}") for name in _FIELDS_SCALAR}
     for name in _MATRIX_FIELDS:
-        # a bool or a numeric string would convert silently, so every entry is checked first
-        for entry in np.asarray(data[name], dtype=object).flat:
-            linalg.as_scalar(entry, f"controller record field {name}: entry")
-        kwargs[name] = np.asarray(data[name], dtype=float)
+        entries = np.asarray(data[name], dtype=object)
+        # only finite Python floats skip the scalar contract: a bool or a numeric string would convert silently
+        if set(map(type, entries.flat)) != {float} or not np.isfinite(entries.astype(float)).all():
+            for entry in entries.flat:
+                linalg.as_scalar(entry, f"controller record field {name}: entry")
+        kwargs[name] = entries.astype(float)
     return SynthesizedController(**kwargs)
 
 

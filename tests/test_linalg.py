@@ -345,6 +345,27 @@ def test_chol_pd_check_rejects_non_pd(M):
     assert not ok and L is None
 
 
+@pytest.mark.parametrize(("factor", "ok"), [(0.5, False), (2.0, True)])
+def test_chol_pd_check_floor_is_relative_to_the_largest_eigenvalue(factor, ok):
+    # [[2, 1], [1, 2]] has eigenvalues 1 and 3, so |S|_2 = 3 is no diagonal
+    # entry; the decoupled last pivot sits at 0.5x or 2x the floor 1e-12 |S|_2
+    S = np.zeros((3, 3))
+    S[:2, :2] = [[2.0, 1.0], [1.0, 2.0]]
+    S[2, 2] = factor * 1e-12 * 3.0
+    got, L = linalg.chol_pd_check(S)
+    assert got is ok and (L is None) is not ok
+
+
+def test_pd_test_lmin_is_min_eig_sym_bit_for_bit(rng):
+    # the one eigvalsh of the test gives the lmin the checks reported before
+    for _ in range(100):
+        n = int(rng.integers(1, 7))
+        M = rng.normal(size=(n, n))
+        M = M @ M.T * 10.0 ** rng.uniform(-3, 3) - 10.0 ** rng.uniform(-16, 0) * np.eye(n)
+        lmin, ok, L = linalg._pd_test(M)
+        assert lmin == linalg.min_eig_sym(M) and (L is not None) is ok
+
+
 def test_chol_pd_check_agrees_with_eigenvalues_200_cases(rng):
     agreed = 0
     for _ in range(200):

@@ -2,6 +2,8 @@
 predictor tables against closed-form kernels, the discrete predictor
 dynamics, and exact inversion."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -254,6 +256,23 @@ def test_predict_and_invert_reject_wrong_u_past_shape(shape):
         predict(tables, [1.0, 0.0], np.zeros(shape))
     with pytest.raises(ValueError, match="u_past has shape"):
         invert(tables, [1.0, 0.0], np.zeros(shape))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+def test_predict_and_invert_reject_non_finite_in_flight_inputs(bad):
+    # a NaN in flight came out as a NaN state, and an inf was refused under
+    # the name of solve_linear's right-hand side
+    tables = build_tables(_osc(0.02), h=0.01)
+    for call in (predict, invert):
+        with pytest.raises(ValueError, match=r"^u_past has non-finite entries$"):
+            call(tables, [0.2, 0.0], [[bad], [0.0]])
+
+
+def test_zero_delay_in_flight_inputs_keep_their_shape_check():
+    tables = build_tables(_osc(0.0), h=0.01)
+    for call in (predict, invert):
+        with pytest.raises(ValueError, match=r"^u_past has shape \(1, 1\), expected \(0, 1\)$"):
+            call(tables, [0.2, 0.0], [[0.0]])
 
 
 def test_predict_rejects_wrong_state_size():

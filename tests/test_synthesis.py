@@ -185,6 +185,16 @@ def test_generator_operator_matches_unit_vector_construction(rng):
         assert np.array_equal(_generator_operator(A, B), M)
 
 
+def test_kronecker_operators_are_np_kron_bit_for_bit(rng):
+    # the same products, signed zeros included: the generator and Lyapunov
+    # operators and hence every solve built on them are unchanged
+    for _ in range(10):
+        n, m = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+        L, R = rng.normal(size=(n, int(rng.integers(1, 5)))), rng.normal(size=(m, n))
+        for a, b in ((L, R), (np.eye(n), R), (R, np.eye(n)), (L, L.T)):
+            assert homctl.synthesis._kron(a, b).tobytes() == np.kron(a, b).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # feasibility step
 
@@ -598,6 +608,41 @@ def test_synthesize_then_verify_evaluates_the_record_checks_once(plant, monkeypa
     assert dataclasses.replace(ctrl).checks == ctrl.checks and len(calls) == 2
 
 
+def _synth_family():
+    """``(name, plant)``: the oscillator and the 16 plants of the benchmark's ``synth-family`` workload."""
+    yield "oscillator", oscillator_plant()
+    for n in range(2, 7):
+        yield f"chain{n}", chain(n)
+    for n, m in ((n, m) for n in range(3, 9) for m in (1, 2) if (n, m) != (8, 1)):
+        rng = np.random.default_rng([7, n, m])
+        yield f"rand{n}x{m}", LinearPlant(rng.standard_normal((n, n)), rng.standard_normal((n, m)))
+
+
+def _exact(check):
+    return check.name, check.value.hex(), check.threshold.hex(), check.passed, check.kind
+
+
+@pytest.mark.parametrize("plant", [p for _, p in _synth_family()], ids=[name for name, _ in _synth_family()])
+def test_synthesize_hands_over_exactly_the_checks_a_fresh_record_evaluates(plant):
+    # the six checks of the steps become the record's: name, value, threshold,
+    # verdict and kind bit for bit those a copy of the record evaluates afresh
+    c = synthesize(plant, SynthesisConfig(T=1.0))
+    fresh = homctl.synthesis._record_checks(dataclasses.replace(c))
+    assert len(c.checks) == 15
+    assert [_exact(k) for k in c.checks] == [_exact(k) for k in fresh]
+
+
+def test_synthesize_evaluates_each_step_check_once(plant, monkeypatch):
+    generator = _count_calls(monkeypatch, "_generator_checks")
+    nilpotency = _count_calls(monkeypatch, "_nilpotency_check")
+    positive = _count_calls(monkeypatch, "_positive_definite")
+    ctrl = synthesize(plant, SynthesisConfig(T=1.0))
+    assert verify_controller(ctrl, plant).all_passed
+    # X and Gd X + X Gd' in the feasibility step, and no test of the record repeats them
+    assert (len(generator), len(nilpotency), [name for name, _ in positive]) == (
+        1, 1, ["X_positive_definite", "dilation_lyapunov_pd"])
+
+
 def test_replaced_record_is_checked_afresh(ctrl):
     assert verify_controller(ctrl).all_passed
     report = verify_controller(dataclasses.replace(ctrl, X=-ctrl.X))
@@ -703,6 +748,27 @@ def test_single_state_record_reads_one_dimensional_fields():
     for k in fields:
         np.testing.assert_array_equal(getattr(flat, k), getattr(c, k))
     assert c.Y0.shape == (2, 1)
+
+
+@pytest.mark.parametrize(("entry", "shown"), [("true", "True"), ('"1.5"', "'1.5'"), ("null", "None"),
+                                              ("NaN", "nan"), ("1e400", "inf")])
+@pytest.mark.parametrize("name", ["X", "K"])
+def test_load_controller_refuses_a_bad_matrix_entry_naming_the_field(tmp_path, ctrl, name, entry, shown):
+    path = tmp_path / "c.json"
+    save_controller(ctrl, path)
+    data = json.loads(path.read_text())
+    data[name][0][-1] = "@"
+    path.write_text(json.dumps(data).replace('"@"', entry))
+    with pytest.raises(ValueError) as info:
+        load_controller(path)
+    assert str(info.value) == f"{path}: controller record field {name}: entry must be a finite number, got {shown}"
+
+
+def test_controller_from_dict_reads_ints_and_numpy_floats_as_before(ctrl):
+    data = controller_to_dict(ctrl)
+    data["A"] = [[0, 1], [-1, 0]]
+    data["K"] = [[np.float64(v) for v in row] for row in data["K"]]
+    _assert_bit_identical(controller_from_dict(data), ctrl)
 
 
 def test_controller_from_dict_rejects_missing_field(ctrl):
