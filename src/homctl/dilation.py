@@ -126,8 +126,12 @@ def check_strict_monotonicity(D: Dilation) -> bool:
     This is the algebraic certificate that ``|d(-s) x|`` is strictly
     decreasing in ``s``, i.e. that the homogeneous norm is well defined.
     """
+    ok_p, _ = linalg.chol_pd_check(D.weight)
+    if not ok_p:
+        return False
     G, P = D.generator, D.weight
-    return linalg.chol_pd_check(P)[0] and linalg.chol_pd_check(P @ G + G.T @ P)[0]
+    ok_m, _ = linalg.chol_pd_check(P @ G + G.T @ P)
+    return ok_m
 
 
 def hom_norm(D: Dilation, x, guess: float | None = None) -> float:

@@ -86,9 +86,11 @@ def _in_flight(tables: PredictorTables, u_past) -> np.ndarray:
     """The in-flight inputs, checked to be a finite ``(N, m)`` array, flattened earliest first."""
     u_past = np.asarray(u_past, dtype=float)
     shape = (tables.N, tables.gamma.shape[1])
-    if u_past.shape != shape:  # as_matrix would read a 1-D array as a column, and refuses an empty one
+    if u_past.shape != shape:
         raise ValueError(f"u_past has shape {u_past.shape}, expected {shape}")
-    return (linalg.as_matrix(u_past, "u_past", shape) if shape[0] else u_past).reshape(-1)
+    if not np.isfinite(u_past).all():
+        raise ValueError("u_past has non-finite entries")
+    return u_past.reshape(-1)
 
 
 def _shift(tables: PredictorTables, x: np.ndarray, u: np.ndarray) -> np.ndarray:

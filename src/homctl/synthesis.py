@@ -321,7 +321,8 @@ def solve_generator_equation(plant: LinearPlant) -> tuple[np.ndarray, np.ndarray
 
 def _generator_step(plant: LinearPlant) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple]:
     """:func:`solve_generator_equation` with the ``K0, A0`` of its nilpotency check and its four checks."""
-    A, B, n, m = plant.A, plant.B, plant.n, plant.m
+    A, B = plant.A, plant.B
+    n, m = plant.n, plant.m
     try:
         u = linalg.least_norm_solve(_generator_operator(A, B), np.concatenate([A.ravel(), np.zeros(n * m)]))
     except np.linalg.LinAlgError as exc:
@@ -455,7 +456,8 @@ def synthesize(plant: LinearPlant, config: SynthesisConfig) -> SynthesizedContro
     ``_RICCATI_STATE_WEIGHT``.  If both fail, the error of the first is
     raised.
     """
-    A, B, n = plant.A, plant.B, plant.n
+    A, B = plant.A, plant.B
+    n = plant.n
     G0, Y0, K0, A0, generator_checks = _generator_step(plant)
     Gd = np.eye(n) + MU * G0
     first_error = None
@@ -468,8 +470,10 @@ def synthesize(plant: LinearPlant, config: SynthesisConfig) -> SynthesizedContro
             first_error = first_error or exc
             continue
         K = np.linalg.solve(X.T, Y.T).T
-        controller = SynthesizedController(A=A, B=B, T=config.T, mu=MU,
-                                           G0=G0, Y0=Y0, Gd=Gd, A0=A0, X=X, Y=Y, K0=K0, K=K)
+        controller = SynthesizedController(
+            A=A, B=B, T=config.T, mu=MU,
+            G0=G0, Y0=Y0, Gd=Gd, A0=A0, X=X, Y=Y, K0=K0, K=K,
+        )
         # the steps evaluated these checks on the record's own matrices: they become its cached checks
         vars(controller)["checks"] = _record_checks(controller, generator_checks, feasibility_checks)
         report = verify_controller(controller, plant)

@@ -20,19 +20,18 @@ Each row holds
   headroom from below, and it is defined for an indefinite ``S`` too;
 - ``cond_X``: ``cond(X)`` of the last record built (``None`` without one).
 
-A row's digests and numbers are bit-exact only on the platform that wrote
-the table: another numpy or BLAS rounds differently.  :func:`compare`
-therefore holds every field to the table where the platform matches and
-the outcome and failed checks elsewhere.  A case within 10x of the pivot
-floor (``|headroom| < 10`` in the table or the run) may take either outcome
-anywhere: rounding alone can move it across the floor.  Where it keeps its
-outcome, its other fields are held to the table like any case's.
+A run is bit-deterministic on the platform that wrote the table (numpy,
+machine and Python), so there :func:`compare` holds every field of every
+case to the table, the outcome included: only a change to the code can move
+a row.  Another numpy or BLAS rounds differently, so elsewhere it holds the
+outcome and the failed checks, and a case the table puts within 10x of the
+pivot floor (``|headroom| < 10``) may take the other outcome: rounding alone
+can move it across the floor.
 
-Run from the repository root::
+Run from the repository root; it imports ``homctl`` from this tree's ``src``::
 
     python tests/census.py --compare            # diff a run against tests/data/census.json
     python tests/census.py --write              # rewrite the table from this tree
-    python tests/census.py --src ../parent/src --write --table parent.json
 """
 
 from __future__ import annotations
@@ -49,7 +48,10 @@ import sys
 
 import numpy as np
 
-TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "census.json")
+HERE = os.path.dirname(os.path.abspath(__file__))
+TABLE = os.path.join(HERE, "data", "census.json")
+#: the source tree the census runs
+SRC = os.path.join(os.path.dirname(HERE), "src")
 #: settling times of every plant
 TIMES = (0.3, 1.0, 3.0)
 #: relative pivot floor of the positive-definiteness tests (linalg._CHOL_PIVOT_RTOL)
@@ -160,18 +162,18 @@ def census(homctl) -> list[dict]:
     return [run_case(homctl, name, A, B, T) for name, A, B in plants() for T in TIMES]
 
 
-def near_floor(*rows) -> bool:
-    """Whether any of the rows' headroom lies within 10x of the pivot floor."""
-    return any(r["headroom"] is not None and abs(r["headroom"]) < NEAR_FLOOR for r in rows)
+def near_floor(row: dict) -> bool:
+    """Whether the row's headroom lies within 10x of the pivot floor."""
+    return row["headroom"] is not None and abs(row["headroom"]) < NEAR_FLOOR
 
 
 def compare(rows: list[dict], table: dict) -> tuple[list[str], list[str]]:
     """``(differences, flips)`` of ``rows`` against ``table``, one line per case.
 
-    A case near the floor that takes the other outcome is a flip, not a
-    difference.  Otherwise every field must match where the table was
-    written on this platform, and the outcome and the failed checks
-    elsewhere.  The census reproduces when ``differences`` is empty.
+    Where the table was written on this platform every field must match.
+    Elsewhere the outcome and the failed checks must, except that a case
+    the table puts near the floor may take the other outcome: a flip, not
+    a difference.  The census reproduces when ``differences`` is empty.
     """
     exact = table["platform"] == platform_key()
     fields = ("outcome", "failed", "message", "record", "checks", "headroom", "cond_X") if exact \
@@ -186,20 +188,20 @@ def compare(rows: list[dict], table: dict) -> tuple[list[str], list[str]]:
             continue
         line = f"{got['case']}: " + "; ".join(f"{f} {ref[f]!r} -> {got[f]!r}" for f in bad)
         flipped = got["outcome"] != ref["outcome"] or got["failed"] != ref["failed"]
-        (flips if flipped and near_floor(got, ref) else diffs).append(line)
+        (flips if flipped and not exact and near_floor(ref) else diffs).append(line)
     return diffs, flips
 
 
-def load_table(path: str = TABLE) -> dict:
-    with open(path, encoding="utf-8") as fh:
+def load_table() -> dict:
+    with open(TABLE, encoding="utf-8") as fh:
         return json.load(fh)
 
 
-def write_table(rows: list[dict], path: str = TABLE) -> None:
+def write_table(rows: list[dict]) -> None:
     """The table as JSON, one row per line."""
     head = json.dumps({"platform": platform_key(), "cases": len(rows)})[:-1]
     body = ",\n".join(json.dumps(r) for r in rows)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(TABLE, "w", encoding="utf-8") as fh:
         fh.write(f'{head}, "rows": [\n{body}\n]}}\n')
 
 
@@ -212,26 +214,23 @@ def summary(rows: list[dict]) -> str:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--src", default=os.path.join(os.path.dirname(TABLE), "..", "..", "src"),
-                    help="import homctl from this source directory (default: this tree's src)")
-    ap.add_argument("--table", default=TABLE, help="the table to write or compare against")
     mode = ap.add_mutually_exclusive_group(required=True)
     mode.add_argument("--write", action="store_true", help="write the table")
     mode.add_argument("--compare", action="store_true", help="diff a run against the table case by case")
     args = ap.parse_args(argv)
-    sys.path.insert(0, os.path.abspath(args.src))
+    sys.path.insert(0, SRC)
     import homctl
     import homctl.synthesis
 
     rows = census(homctl)
     print(summary(rows))
     if args.write:
-        write_table(rows, args.table)
+        write_table(rows)
         return 0
-    table = load_table(args.table)
+    table = load_table()
     diffs, flips = compare(rows, table)
     exact = "every field" if table["platform"] == platform_key() else "outcomes only (another platform)"
-    print(f"compared with {args.table}, {exact}: {len(diffs)} case(s) differ, "
+    print(f"compared with {TABLE}, {exact}: {len(diffs)} case(s) differ, "
           f"{len(flips)} near the floor took the other outcome")
     for line in diffs + [f"near the floor: {f}" for f in flips]:
         print(line)
