@@ -202,9 +202,11 @@ def _solve(D: Dilation, x: np.ndarray, guess: float | None = None) -> tuple[floa
     """``(||x||_d, z)`` for a finite vector ``x``, with ``z = d(-ln ||x||_d) x``.
 
     ``z`` is the unit-sphere point at which the root-find stopped; it is
-    None at (or numerically below) the origin, where the norm is 0.  The
-    caller validates ``x`` and ``guess`` and silences floating-point
-    warnings: orbit points far from the root may overflow.
+    None at (or numerically below) the origin, where the norm is 0.  Every
+    rule beyond the plain step lives here alone: :func:`_solve_rows` hands
+    over each row it cannot step.  The caller validates ``x`` and ``guess``
+    and silences floating-point warnings: orbit points far from the root
+    may overflow.
     """
     q = float(x.dot(D.weight).dot(x))
     ln_base = math.log(math.sqrt(q)) if _TINY_Q <= q < math.inf else _log_base_norm(D, x)
@@ -254,40 +256,34 @@ def _solve(D: Dilation, x: np.ndarray, guess: float | None = None) -> tuple[floa
 def _solve_rows(D: Dilation, X: np.ndarray) -> np.ndarray:
     """``||x||_d`` for every row ``x`` of a finite ``(k, n)`` block.
 
-    The rule of :func:`_solve` from its cold start, row by row, with every
-    row's orbit point, residual and step formed at once; rows leave the
-    batch as they converge, and the orbit map of :func:`_orbit` is rebuilt
-    on the rows that remain.  Raises what :func:`_solve` raises; the caller
-    silences floating-point warnings.
+    The plain step of :func:`_solve` from its cold start, with every row's
+    orbit point, residual and step formed at once; rows leave the batch as
+    they converge, and the orbit map of :func:`_orbit` is rebuilt on the
+    rows that remain.  A row the plain step cannot solve (``x'Px`` out of
+    range, a step unusable or out of its bracket, or ``_MAX_ITER`` steps
+    spent) is solved by :func:`_solve` itself, so the batch raises what it
+    raises.  The caller silences floating-point warnings.
     """
     k, n = X.shape
     out = np.zeros(k)
     q = np.einsum("ij,jl,il->i", X, D.weight, X)
-    ln_base = np.full(k, -math.inf)
     ok = (_TINY_Q <= q) & (q < math.inf)
-    ln_base[ok] = np.log(np.sqrt(q[ok]))
-    # a nonzero row whose x'Px over- or underflowed: the rescaled form
-    for i in np.nonzero(~ok & X.any(axis=1))[0]:
-        ln_base[i] = _log_base_norm(D, X[i])
-    rows = np.nonzero(ln_base >= _LN_TINY_NORM)[0]
-    s = ln_base[rows]
+    # a nonzero row whose x'Px over- or underflowed goes to _solve
+    handed = ~ok & X.any(axis=1)
+    rows = np.nonzero(ok)[0]
+    s = np.log(np.sqrt(q[rows]))
     orbit = _orbit(D, X[rows].T)
     forms = D._forms
-    lo, hi, step = np.full(len(rows), -math.inf), np.full(len(rows), math.inf), np.ones(len(rows))
+    lo, hi = np.full(len(rows), -math.inf), np.full(len(rows), math.inf)
     for _ in range(_MAX_ITER):
         if not len(rows):
-            return out
+            break
         Z = orbit(s[:, None]).T
         q, g, hq = np.einsum("kjl,kl->jk", Z.dot(forms.T).reshape(len(rows), 3, n), Z)
         # NaN or -inf (an overflowed orbit point) reads NaN
         zn = np.where(q > -math.inf, np.sqrt(np.maximum(q, 0.0)), math.nan)
         done = np.abs(zn - 1.0) <= HOM_NORM_RESIDUAL_TOL
         out[rows[done]] = np.exp(s[done])
-        if done.any():
-            keep = ~done
-            rows, s, lo, hi, step = rows[keep], s[keep], lo[keep], hi[keep], step[keep]
-            q, g, hq, zn = q[keep], g[keep], hq[keep], zn[keep]
-            orbit = _orbit(D, X[rows].T)
         # an overflowed orbit point (zn inf or NaN) lies outside the sphere
         outside = ~(zn <= 1.0)
         lo = np.where(outside, s, lo)
@@ -303,18 +299,18 @@ def _solve_rows(D: Dilation, X: np.ndarray) -> np.ndarray:
         fd2 = f * (hq / qs - 2.0 * d1sq)
         halley = fd2 <= d1sq
         delta = np.where(halley, 2.0 * f * d1 / np.where(halley, 2.0 * d1sq - fd2, 1.0), f / d1)
-        s_next = np.where(usable, s - delta, math.nan)
-        inside = (lo < s_next) & (s_next < hi)
-        closed = np.isfinite(lo) & np.isfinite(hi)
-        # no usable slope and the root's side is open: double outward
-        widen = ~inside & ~closed
-        if (widen & (step > 1e6)).any():
-            raise RuntimeError("hom_norm: no unit-sphere crossing found (dilation not strictly monotone?)")
-        s = np.where(inside, s_next, np.where(closed, 0.5 * (lo + hi), s + np.where(outside, step, -step)))
-        step = np.where(widen, 2.0 * step, step)
-    if not len(rows):
-        return out
-    raise RuntimeError("hom_norm: root refinement did not converge (dilation not strictly monotone?)")
+        s = np.where(usable, s - delta, math.nan)
+        # a row whose step is NaN or leaves its bracket is not plain
+        stepped = (lo < s) & (s < hi)
+        handed[rows[~done & ~stepped]] = True
+        keep = ~done & stepped
+        if not keep.all():
+            rows, s, lo, hi = rows[keep], s[keep], lo[keep], hi[keep]
+            orbit = _orbit(D, X[rows].T)
+    handed[rows] = True
+    for i in np.nonzero(handed)[0]:
+        out[i] = _solve(D, X[i])[0]
+    return out
 
 
 def hom_norm_gradient(D: Dilation, x) -> np.ndarray:

@@ -73,18 +73,11 @@ def oscillator_controller() -> SynthesizedController:
     )
 
 
-_BUILTIN_CONTROLLERS: dict[str, Callable[[], SynthesizedController]] = {
-    "oscillator": oscillator_controller,
-}
-
-
 def builtin_controller(name: str) -> SynthesizedController:
-    """Look up a named built-in controller (for scenario files)."""
-    try:
-        return _BUILTIN_CONTROLLERS[name]()
-    except KeyError:
-        known = ", ".join(sorted(_BUILTIN_CONTROLLERS))
-        raise ValueError(f"unknown builtin controller {name!r} (known: {known})") from None
+    """Look up a named built-in controller (for scenario files); only ``oscillator`` is built in."""
+    if name != "oscillator":
+        raise ValueError(f"unknown builtin controller {name!r} (known: oscillator)")
+    return oscillator_controller()
 
 
 @dataclass(frozen=True)

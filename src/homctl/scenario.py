@@ -179,7 +179,8 @@ def load_scenario(path, controller_override=None, seed_override: int | None = No
 
     ``controller_override`` (a path to a controller JSON) replaces the
     scenario's controller reference; ``seed_override`` replaces the noise
-    seed.  A ``seed`` is parsed even without ``noise``, and is then inert.
+    seed.  A ``seed`` is parsed even without ``noise``, and is then inert;
+    with ``noise`` it must be a non-negative integer.
     """
     cp = _read(path)
     for section in cp.sections():

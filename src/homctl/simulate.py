@@ -119,14 +119,17 @@ class DisturbanceSpec:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Uniform measurement noise on the state fed to the controller."""
+    """Uniform measurement noise on the state fed to the controller; ``seed`` is None or an int >= 0."""
 
     amplitude: float = 0.0
     seed: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "amplitude", linalg.as_scalar(self.amplitude, "noise amplitude", ge=0))
-        if self.amplitude > 0 and self.seed is None:
+        seed = self.seed
+        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0):
+            raise ValueError(f"noise seed must be a non-negative integer, got {seed!r}")
+        if self.amplitude > 0 and seed is None:
             raise ValueError("noise requires an explicit seed for reproducibility")
 
     @property

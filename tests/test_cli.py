@@ -115,6 +115,15 @@ def test_simulate_seed_flag_overrides_file_seed(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_negative_seed_flag_names_the_scenario_file(tmp_path, capsys):
+    scenario = tmp_path / "noisy.ini"
+    scenario.write_text(SCENARIO + "[perturbations]\nnoise = 0.01\nseed = 5\n")
+    out = tmp_path / "a.csv"
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(out), "--seed", "-1"]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {scenario}: noise seed must be a non-negative integer, got -1\n"
+    assert not out.exists()
+
+
 def _strict_json(text: str):
     """``json.loads`` that rejects ``NaN`` and ``Infinity``, which are not JSON."""
     def reject(constant):
@@ -231,10 +240,11 @@ def test_exit_code_malformed_value_names_file_section_and_key(tmp_path, capsys, 
     (SCENARIO.replace("x0 = 0.2 0", "x0 = 0.2 0 0"), "x0"),
     (SCENARIO.replace("B = 0; 1\n", "B = 0; 1\ndelay = 0.03\n") + "[perturbations]\nphi = 0.1; 0.2\n", "phi"),
     (_PERTURBED + "noise = -0.5\nseed = 1\n", "noise amplitude"),
+    (_PERTURBED + "noise = 0.01\nseed = -1\n", "noise seed must be a non-negative integer, got -1"),
     (SCENARIO.replace("B = 0; 1\n", "B = 0; 1\ndelay = -1\n"), "delay"),
     (SCENARIO.replace("B = 0; 1\n", "B = 0; 1\ndelay = 0.025\n"), "delay"),
-], ids=["h", "t_end", "integrator", "settle_epsilon", "settle_epsilon-inf", "x0", "phi", "noise", "delay",
-        "delay-off-grid"])
+], ids=["h", "t_end", "integrator", "settle_epsilon", "settle_epsilon-inf", "x0", "phi", "noise", "noise-seed",
+        "delay", "delay-off-grid"])
 def test_exit_code_value_out_of_range_names_file_and_key(tmp_path, capsys, text, key):
     scenario = tmp_path / "bad_range.ini"
     scenario.write_text(text)

@@ -2,6 +2,7 @@
 
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -546,3 +547,47 @@ def test_solve_rows_raises_the_scalar_solver_messages(monkeypatch):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match=r"overflows at its scale max\|x\| = 1e\+10"):
             homctl.dilation._solve_rows(D, np.array([[1.0, 0.0], [1e10, 1e10]]))
+
+
+@pytest.fixture
+def handoff(monkeypatch):
+    """Records the rows ``_solve_rows`` hands to ``_solve``; ``solve`` is the unrecorded ``_solve``."""
+    solve = homctl.dilation._solve
+    rec = SimpleNamespace(rows=[], solve=solve)
+
+    def recording(D, x, guess=None):
+        rec.rows.append(x.copy())
+        return solve(D, x, guess)
+
+    monkeypatch.setattr(homctl.dilation, "_solve", recording)
+    return rec
+
+
+@pytest.mark.filterwarnings("error")
+def test_solve_rows_hands_a_row_without_a_usable_step_to_the_scalar_solve(handoff):
+    # ln|x| puts the cold orbit point of (0, 1e100) at e^(-50 ln 1e100) 1e100,
+    # which underflows to q = 0; (1e-3, 1e100) takes one step, to an orbit
+    # point that overflows.  Neither has a usable step there, so _solve's
+    # outward search takes over; the plain row stays in the batch
+    D = Dilation(np.diag([1.0, 50.0]), np.eye(2))
+    X = np.array([[0.0, 1e100], [0.3, 0.2], [1e-3, 1e100], [0.0, 0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = homctl.dilation._solve_rows(D, X)
+        np.testing.assert_array_equal(handoff.rows, X[[0, 2]])
+        for i in (0, 2):
+            assert got[i] == handoff.solve(D, X[i])[0]
+    assert got[1] == pytest.approx(hom_norm(D, X[1]), rel=1e-12)
+    assert got[3] == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name,D", _warm_start_dilations())
+def test_solve_rows_hands_a_row_whose_base_norm_overflows_to_the_scalar_solve(name, D, rng, handoff):
+    X = _rows_block(D, rng)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = homctl.dilation._solve_rows(D, X)
+        # the three rows near 1e200, in the order of the block
+        big = np.flatnonzero(np.abs(X).max(axis=1) > 1e100)
+        np.testing.assert_array_equal(handoff.rows, X[big])
+        for i in big:
+            assert got[i] == handoff.solve(D, X[i])[0]

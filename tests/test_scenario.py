@@ -11,6 +11,7 @@ from homctl import (
     PRESETS,
     SUITES,
     ScenarioConfig,
+    builtin_controller,
     load_plant,
     load_scenario,
     oscillator_controller,
@@ -188,6 +189,13 @@ def test_scenario_controller_errors(tmp_path, controller_block, message):
         load_scenario(_write(tmp_path, text))
 
 
+def test_unknown_builtin_controller_names_the_known_one():
+    with pytest.raises(ValueError) as info:
+        builtin_controller("x")
+    assert str(info.value) == "unknown builtin controller 'x' (known: oscillator)"
+    np.testing.assert_array_equal(builtin_controller("oscillator").K, oscillator_controller().K)
+
+
 @pytest.mark.parametrize("controller_block", ["", "[controller]\nkind = linear\n"])
 def test_scenario_controller_override_keeps_kind(tmp_path, controller_block):
     override = tmp_path / "override.json"
@@ -258,6 +266,19 @@ def test_scenario_seed_without_noise_is_parsed_and_inert(tmp_path):
     assert config.noise == NoiseSpec() and not config.perturbed
     with pytest.raises(ValueError, match=r"key 'seed' in \[perturbations\]: cannot parse '1.5' as int"):
         load_scenario(_write(tmp_path, text.replace("seed = 3", "seed = 1.5")))
+
+
+@pytest.mark.parametrize("noise, seed, override", [("0.01", "-1", None), ("0", "-1", None), ("0.01", "3", -1)],
+                         ids=["noisy", "zero-noise", "override"])
+def test_scenario_noise_seed_out_of_range_names_the_file(tmp_path, noise, seed, override):
+    # refused when the config is built, not by numpy once the run starts
+    path = _write(tmp_path, PLANT + _CONTROLLER + SIM + f"[perturbations]\nnoise = {noise}\nseed = {seed}\n")
+    with pytest.raises(ValueError) as info:
+        load_scenario(path, seed_override=override)
+    assert str(info.value) == f"{path}: noise seed must be a non-negative integer, got -1"
+    # without noise the seed seeds nothing, and stays inert
+    assert load_scenario(_write(tmp_path, PLANT + _CONTROLLER + SIM + "[perturbations]\nseed = -1\n"),
+                         seed_override=override).noise == NoiseSpec()
 
 
 def test_scenario_missing_sim_section(tmp_path):

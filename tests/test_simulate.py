@@ -6,6 +6,7 @@ import importlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -483,6 +484,24 @@ def test_noise_spec_requires_seed():
     assert not NoiseSpec().active
     with pytest.raises(ValueError, match="noise amplitude must be a finite number >= 0"):
         NoiseSpec(amplitude=-0.01, seed=1)
+
+
+@pytest.mark.parametrize("seed, shown", [
+    (-1, "-1"), (np.int64(-3), "np.int64(-3)"), (1.5, "1.5"), (7.0, "7.0"), ("7", "'7'"),
+    (True, "True"), (np.True_, "np.True_"), (np.float64(2.0), "np.float64(2.0)"), ([1], "[1]"),
+])
+@pytest.mark.parametrize("amplitude", [0.0, 0.01])
+def test_noise_spec_refuses_a_seed_that_is_not_a_non_negative_integer(seed, shown, amplitude):
+    # refused when the spec is built, before a run hands the seed to numpy
+    with pytest.raises(ValueError, match=rf"^noise seed must be a non-negative integer, got {re.escape(shown)}$"):
+        NoiseSpec(amplitude=amplitude, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [None, 0, 7, np.int64(7), np.uint8(3), 2**70])
+def test_noise_spec_keeps_a_non_negative_integer_seed(seed):
+    assert NoiseSpec(amplitude=0.0, seed=seed).seed is seed
+    if seed is not None:
+        np.random.default_rng(NoiseSpec(amplitude=0.01, seed=seed).seed)
 
 
 def test_disturbance_bound_reference_value(ctrl):
