@@ -27,7 +27,8 @@ The calibrated gain ``K d(-ln T)`` is the controller record's ``KT``.  The
 per-sample step is the pair :meth:`ControlContext.solve`, which returns
 ``s`` and the unit-sphere point ``z = d(-ln s)(x / r)`` of its root-find,
 and :meth:`ControlContext.feedback`, whose homogeneous term ``r KT z`` needs
-no dilation.  :func:`eval_control` and the sampled loop of
+no dilation; the context binds its dilation and ``r KT`` once.
+:func:`eval_control` and the sampled loop of
 :mod:`homctl.simulate` solve where :attr:`ControlContext.reads_s` holds; the
 dense mode feeds its closed-form ``(s, z)``.  A run that does not solve its
 states takes their ``s`` from :meth:`ControlContext.solve_rows`, in one batch.
@@ -84,7 +85,7 @@ class ControlContext:
         if not isinstance(self.kind, ControllerKind):
             raise ValueError(f"kind must be a ControllerKind, got {self.kind!r}")
 
-    @property
+    @cached_property
     def dilation(self) -> Dilation:
         return self.controller.dilation
 
@@ -97,6 +98,11 @@ class ControlContext:
     def ref_norm(self) -> float:
         """Normalization radius: ``|x0|``, floored at 1 for fixed_time."""
         return self.kind.radius(self.r0)
+
+    @cached_property
+    def _rKT(self) -> np.ndarray:
+        """``r KT``: the homogeneous term of :meth:`feedback` is ``r KT z``."""
+        return self.ref_norm * self.controller.KT
 
     @cached_property
     def fixed_c(self) -> float | None:
@@ -164,7 +170,7 @@ class ControlContext:
             return K0.dot(y) + KT.dot(y)
         if c == 0.0:
             return K0.dot(y)
-        return K0.dot(y) + self.ref_norm * KT.dot(z)
+        return K0.dot(y) + self._rKT.dot(z)
 
 
 def make_context(controller: SynthesizedController, kind: ControllerKind, x0, x0_noise=None) -> ControlContext:

@@ -9,9 +9,12 @@ orbit exactly once.  The crossing parameter defines the homogeneous norm
 ``||x||_d = e^{s_x}`` with ``|d(-s_x) x| = 1``, the scalar the feedback laws
 in :mod:`homctl.control_laws` are built on.
 
-One map, :func:`_orbit`, forms every orbit point ``d(-s) x``: of a vector,
-of a block under one ``s`` (:func:`dilation_matrix`), and of each column of
-a block under its own ``s`` (the batched root-find).  One method,
+One map, :func:`_orbit`, forms every orbit point ``d(-s) x``: of a vector
+(the scalar root-find and :func:`dilate`), of a block under one ``s``
+(:func:`dilation_matrix`), and of each column of a block under its own
+``s`` (the batched root-find).  On a real eigenbasis a vector's map folds
+``V^{-1} x`` into ``Vc = V diag(V^{-1} x)`` once, so each of its points is
+the one product ``Vc e^{-s w}``.  One method,
 :meth:`Dilation.norm`, forms the weighted norm of a state or of each row of
 a block, the simulation traces' norms included.
 """
@@ -170,7 +173,9 @@ def _orbit(D: Dilation, x: np.ndarray):
 
     ``s`` is one parameter for all of ``x``, or a ``(k, 1)`` column of them,
     one per column of the block.  ``V^{-1} x`` is formed once, and the real
-    part taken only for a complex basis.
+    part taken only for a complex basis; on a real basis a vector's is
+    folded into ``Vc = V diag(V^{-1} x)``, so that each point of the scalar
+    root-find is the one product ``Vc e^{-s w}``.
     """
     eig = D._eig
     if eig is None:
@@ -178,9 +183,13 @@ def _orbit(D: Dilation, x: np.ndarray):
         return lambda s: (np.column_stack([linalg.expm(-si * G) @ c for si, c in zip(s[:, 0], x.T * np.ones_like(s))])
                           if np.ndim(s) else linalg.expm(-s * G) @ x)
     nw, V, Vinv, real = eig
+    if real and x.ndim == 1:
+        # a column s gives one column of the result per parameter
+        Vc = V * Vinv.dot(x)
+        return lambda s: Vc.dot(np.exp(s * nw).T)
     # transposed, a block's eigen-coordinates broadcast against exp(-s w)
-    # row by row, and a column s gives each row its own; a vector's are
-    # unchanged
+    # row by row, and a column s gives each row its own; a complex basis's
+    # vector is unchanged
     cT = Vinv.dot(x).T
     point = lambda s: V.dot((np.exp(s * nw) * cT).T)
     return point if real else lambda s: point(s).real
@@ -204,9 +213,11 @@ def _solve(D: Dilation, x: np.ndarray, guess: float | None = None) -> tuple[floa
     ``z`` is the unit-sphere point at which the root-find stopped; it is
     None at (or numerically below) the origin, where the norm is 0.  Every
     rule beyond the plain step lives here alone: :func:`_solve_rows` hands
-    over each row it cannot step.  The caller validates ``x`` and ``guess``
-    and silences floating-point warnings: orbit points far from the root
-    may overflow.
+    over each row it cannot step.  Each orbit point is a call of
+    :func:`_orbit`'s map, built once per solve, and the residual is ``z'Pz``
+    of that point in the plant's coordinates.  The caller validates ``x``
+    and ``guess`` and silences floating-point warnings: orbit points far
+    from the root may overflow.
     """
     q = float(x.dot(D.weight).dot(x))
     ln_base = math.log(math.sqrt(q)) if _TINY_Q <= q < math.inf else _log_base_norm(D, x)

@@ -142,12 +142,13 @@ def _pade13(A: np.ndarray) -> np.ndarray:
     return np.linalg.solve(V - U, V + U)
 
 
-def zoh_integral(A, B, h: float) -> np.ndarray:
-    """Exact zero-order-hold input integral ``int_0^h e^{A s} B ds``.
+def zoh_integral(A, B, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact zero-order-hold discretization ``(e^{A h}, int_0^h e^{A s} B ds)``.
 
-    Computed as the top-right block of ``expm(h * [[A, B], [0, 0]])``, which
-    is exact up to the accuracy of the matrix exponential and valid for
-    singular ``A``.
+    Both are top blocks of the one exponential ``expm(h * [[A, B], [0, 0]])``
+    (Van Loan, IEEE TAC 1978): the one-step transition on the left, the
+    hold's input integral on the right.  Each is exact up to the accuracy of
+    the matrix exponential, and the integral is valid for singular ``A``.
 
     Parameters
     ----------
@@ -164,7 +165,8 @@ def zoh_integral(A, B, h: float) -> np.ndarray:
     blk = np.zeros((n + m, n + m))
     blk[:n, :n] = A
     blk[:n, n:] = B
-    return expm(h * blk)[:n, n:]
+    E = expm(h * blk)
+    return E[:n, :n], E[:n, n:]
 
 
 def eigenvalues(M) -> np.ndarray:

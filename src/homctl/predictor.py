@@ -66,19 +66,26 @@ class PredictorTables:
 def build_tables(plant, h: float) -> PredictorTables:
     """Exact predictor tables for ``plant`` sampled with period ``h``.
 
-    Requires the plant delay to sit on the sampling grid.  A zero delay
-    yields the identity transform (``E = I``, no kernels), so the predictor
-    degenerates to ``y = x``.
+    ``F = e^{A h}`` and ``gamma`` are the top blocks of the one exponential
+    of ``h [[A, B], [0, 0]]``, both from :func:`~homctl.linalg.zoh_integral`.
+    The ``N`` kernels and ``E = F^N`` follow by doubling: from
+    ``[Phi_j, ..., Phi_1]`` and ``F^j``, one step prepends ``F^j`` times the
+    whole block, giving ``[Phi_2j, ..., Phi_1]`` and ``F^2j``, and a set bit
+    of ``N`` prepends ``Phi_{j+1} = F^j gamma``, about ``2 log2 N`` products
+    in all.  Requires the plant delay to sit on the sampling grid.  A zero
+    delay yields the identity transform (``E = I``, no kernels), so the
+    predictor degenerates to ``y = x``.
     """
     A, B = plant.A, plant.B
     N = _steps_in_delay(plant.delay, h)
-    F = linalg.expm(A * h)
-    gamma = linalg.zoh_integral(A, B, h)
-    kernels = [gamma]
-    for _ in range(1, N):
-        kernels.append(F @ kernels[-1])
-    Phi = np.hstack(kernels[::-1]) if N else np.zeros((B.shape[0], 0))
-    E = np.linalg.matrix_power(F, N) if N else np.eye(B.shape[0])
+    F, gamma = linalg.zoh_integral(A, B, h)
+    # Phi = [Phi_j, ..., Phi_1] and E = F^j, from j = 0 along the bits of N;
+    # the products with E = I are exact
+    Phi, E = np.zeros((B.shape[0], 0)), np.eye(B.shape[0])
+    for bit in bin(N)[2:]:
+        Phi, E = np.hstack([E @ Phi, Phi]), E @ E
+        if bit == "1":
+            Phi, E = np.hstack([E @ gamma, Phi]), E @ F
     return PredictorTables(E=E, Phi=Phi, F=F, gamma=gamma)
 
 

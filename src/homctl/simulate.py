@@ -298,7 +298,10 @@ def _simulate_zoh(config: ScenarioConfig) -> SimulationTrace:
         C, S, v = exo
         E = linalg.expm(h * np.block([[A, C], [np.zeros((len(v), n)), S]]))
         Ed, Ev = E[:n, n:], E[n:, n:]
-    rng = np.random.default_rng(config.noise.seed) if config.noise.active else None
+    # the measurement noise of every sample, drawn at once: the same stream as
+    # one draw of n per sample
+    a = config.noise.amplitude
+    noise = np.random.default_rng(config.noise.seed).uniform(-a, a, (K, n)) if config.noise.active else None
 
     # the loop's only record of inputs: rows 0..N-1 hold the pre-history,
     # row k + N the control computed at sample k; the plant holds U[k] over
@@ -343,13 +346,13 @@ def _simulate_zoh(config: ScenarioConfig) -> SimulationTrace:
             # from the capture on the plant runs out the N inputs in flight
             if k < snap_at:
                 y = x if N == 0 else _shift(tables, x, U_flat[k * m:(k + N) * m])
-                meas = y if rng is None else y + rng.uniform(-config.noise.amplitude, config.noise.amplitude, n)
+                meas = y if noise is None else y + noise[k]
                 if solve:
                     # warm-started from the linear extrapolation of the last
                     # two roots, else the last (alone under noise), else cold;
                     # the feedback reuses s and the root point z = d(-ln s)(meas/r)
                     guess = 2.0 * s - s_prev if s_prev > 0.0 and 2.0 * s > s_prev else s
-                    s_prev = s if rng is None else 0.0
+                    s_prev = s if noise is None else 0.0
                     s, z = ctx.solve(meas, guess if guess > 0.0 else None)
                     ss[k] = s
                 U[k + N] = ctx.feedback(meas, s, z)
@@ -366,7 +369,7 @@ def _simulate_zoh(config: ScenarioConfig) -> SimulationTrace:
                 if exo is not None:
                     x = x + Ed.dot(v)
                     v = Ev.dot(v)
-        if rng is not None or not solve:
+        if noise is not None or not solve:
             ss[:] = ctx.solve_rows(ys)
 
     return SimulationTrace(t=times, x=xs, u=U[N:], s=ss, x_norm=ctx.dilation.norm(xs), y=ys if N else None,

@@ -253,7 +253,7 @@ def test_expm_rejects_non_finite_non_square_and_overflowing_norm(bad):
 
 def test_zoh_integral_zero_dynamics():
     B = np.array([[1.0], [2.0]])
-    np.testing.assert_allclose(linalg.zoh_integral(np.zeros((2, 2)), B, 0.3), 0.3 * B, rtol=1e-14)
+    np.testing.assert_allclose(linalg.zoh_integral(np.zeros((2, 2)), B, 0.3)[1], 0.3 * B, rtol=1e-14)
 
 
 def test_zoh_integral_invertible_closed_form():
@@ -261,7 +261,7 @@ def test_zoh_integral_invertible_closed_form():
     B = np.array([[0.0], [1.0]])
     h = 0.7
     expected = np.linalg.solve(A, linalg.expm(A * h) - np.eye(2)) @ B
-    np.testing.assert_allclose(linalg.zoh_integral(A, B, h), expected, atol=1e-14)
+    np.testing.assert_allclose(linalg.zoh_integral(A, B, h)[1], expected, atol=1e-14)
 
 
 def test_zoh_integral_matches_quadrature_200_cases(rng):
@@ -272,12 +272,25 @@ def test_zoh_integral_matches_quadrature_200_cases(rng):
         B = rng.normal(size=(n, m))
         h = float(rng.uniform(0.05, 1.0))
         direct, _ = quad_vec(lambda s: linalg.expm(A * s) @ B, 0.0, h, epsabs=1e-12, epsrel=1e-12)
-        np.testing.assert_allclose(linalg.zoh_integral(A, B, h), direct, atol=1e-9)
+        np.testing.assert_allclose(linalg.zoh_integral(A, B, h)[1], direct, atol=1e-9)
 
 
 def test_zoh_integral_reads_one_dimensional_input_matrix_as_a_column():
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    np.testing.assert_array_equal(linalg.zoh_integral(A, [0.0, 1.0], 0.1), linalg.zoh_integral(A, [[0.0], [1.0]], 0.1))
+    for flat, column in zip(linalg.zoh_integral(A, [0.0, 1.0], 0.1), linalg.zoh_integral(A, [[0.0], [1.0]], 0.1)):
+        np.testing.assert_array_equal(flat, column)
+
+
+def test_zoh_integral_transition_block_is_the_exponential(rng):
+    # the top-left block of the one exponential is e^{A h}
+    for _ in range(50):
+        n, m = int(rng.integers(1, 6)), int(rng.integers(1, 3))
+        A = rng.normal(size=(n, n))
+        h = float(rng.uniform(0.01, 1.0))
+        F, Gamma = linalg.zoh_integral(A, rng.normal(size=(n, m)), h)
+        assert F.shape == (n, n) and Gamma.shape == (n, m)
+        expected = linalg.expm(A * h)
+        assert np.linalg.norm(F - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
 def test_zoh_integral_rejects_input_matrix_of_other_height():

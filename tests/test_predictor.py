@@ -3,12 +3,13 @@ predictor tables against closed-form kernels, the discrete predictor
 dynamics, and exact inversion."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
-from homctl import (LinearPlant, ScenarioConfig, SynthesisConfig, build_tables, invert, oscillator_controller,
-                    predict, simulate, synthesize)
+from homctl import (LinearPlant, ScenarioConfig, SynthesisConfig, build_tables, invert, load_controller,
+                    oscillator_controller, predict, simulate, synthesize)
 from homctl.linalg import expm, solve_linear, zoh_integral
 from homctl.predictor import _steps_in_delay
 
@@ -39,7 +40,7 @@ def test_prehistory_rows_reach_the_plant_earliest_first():
     phi = np.array([[1.0], [-2.0], [3.0]])
     trace = simulate(_config(0.03, phi=phi))
     plant = _osc(0.03)
-    F, Gamma = expm(plant.A * 0.01), zoh_integral(plant.A, plant.B, 0.01)
+    F, Gamma = expm(plant.A * 0.01), zoh_integral(plant.A, plant.B, 0.01)[1]
     for k in range(3):
         np.testing.assert_allclose(trace.x[k + 1], F @ trace.x[k] + Gamma @ phi[k], rtol=1e-14, atol=1e-15)
 
@@ -52,7 +53,7 @@ def test_plant_receives_each_control_n_samples_late():
     trace = simulate(_config(0.03, phi=phi))
     plant = _osc(0.03)
     tables = build_tables(plant, 0.01)
-    F, Gamma = expm(plant.A * 0.01), zoh_integral(plant.A, plant.B, 0.01)
+    F, Gamma = expm(plant.A * 0.01), zoh_integral(plant.A, plant.B, 0.01)[1]
     U = np.vstack([phi, trace.u])
     for k in range(N, len(trace.t) - 1):
         np.testing.assert_allclose(trace.x[k + 1], F @ trace.x[k] + Gamma @ trace.u[k - N], rtol=1e-14, atol=1e-15)
@@ -127,12 +128,40 @@ def test_tables_kernels_match_closed_form():
     np.testing.assert_allclose(tables.E, expm(A * 0.5), atol=1e-13)
 
 
+def _table_plants():
+    records = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "records")
+    plants = [("oscillator", _osc(0.0))]
+    for name in ("chain3", "rand3x2", "rand5x2"):
+        ctrl = load_controller(os.path.join(records, f"{name}.json"))
+        plants.append((name, LinearPlant(ctrl.A, ctrl.B)))
+    return plants
+
+
+@pytest.mark.parametrize("name,plant", _table_plants())
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 50, 100])
+def test_tables_doubled_kernels_match_the_sequential_products(name, plant, N):
+    # F is the one-step block of the ZOH exponential, the kernels and E = F^N
+    # are filled by doubling: each matches F^{j-1} gamma (and F^N) formed one
+    # product at a time from that F, and F matches expm(A h)
+    h = 0.01
+    tables = build_tables(LinearPlant(plant.A, plant.B, delay=N * h), h)
+    assert tables.N == N and tables.Phi.shape == (plant.n, N * plant.m)
+    F = expm(plant.A * h)
+    assert np.linalg.norm(tables.F - F) <= 1e-14 * np.linalg.norm(F)
+    np.testing.assert_array_equal(tables.gamma, zoh_integral(plant.A, plant.B, h)[1])
+    kernel, power = tables.gamma, np.eye(plant.n)
+    for j in range(1, N + 1):
+        assert np.linalg.norm(_kernel(tables, j) - kernel) <= 1e-14 * np.linalg.norm(kernel)
+        kernel, power = tables.F @ kernel, tables.F @ power
+    assert np.linalg.norm(tables.E - power) <= 1e-14 * np.linalg.norm(power)
+
+
 def test_tables_kernel_sum_is_delay_integral():
     # sum_j Phi_j = int_0^tau e^{A s} B ds
     plant = _osc(0.5)
     tables = build_tables(plant, h=0.01)
     total = sum(_kernel(tables, j) for j in range(1, tables.N + 1))
-    np.testing.assert_allclose(total, zoh_integral(plant.A, plant.B, 0.5), atol=1e-10)
+    np.testing.assert_allclose(total, zoh_integral(plant.A, plant.B, 0.5)[1], atol=1e-10)
 
 
 def test_tables_off_grid_delay_raises():
@@ -160,7 +189,7 @@ def test_steps_in_delay_rejects_a_negative_or_non_finite_delay(tau):
 def _propagate(plant, h, x0, inputs):
     """Raw delayed dynamics x_{k+1} = F x_k + Gamma u_{k-N} with zero prehistory."""
     F = expm(plant.A * h)
-    Gamma = zoh_integral(plant.A, plant.B, h)
+    Gamma = zoh_integral(plant.A, plant.B, h)[1]
     N = int(round(plant.delay / h))
     xs = [np.asarray(x0, dtype=float)]
     for k in range(len(inputs)):
@@ -176,7 +205,7 @@ def test_predictor_discrete_dynamics_and_shift_identity(rng):
     N = 5
     tables = build_tables(plant, h)
     F = expm(plant.A * h)
-    Gamma = zoh_integral(plant.A, plant.B, h)
+    Gamma = zoh_integral(plant.A, plant.B, h)[1]
 
     inputs = rng.normal(size=(30, 1))
     xs = _propagate(plant, h, [0.3, -0.2], inputs)
@@ -199,7 +228,7 @@ def test_predict_constant_history_closed_form(rng):
     for _ in range(20):
         x = rng.normal(size=2)
         ubar = rng.normal(size=1)
-        expected = expm(plant.A * 0.4) @ x + zoh_integral(plant.A, plant.B, 0.4) @ ubar
+        expected = expm(plant.A * 0.4) @ x + zoh_integral(plant.A, plant.B, 0.4)[1] @ ubar
         np.testing.assert_allclose(predict(tables, x, np.tile(ubar, (tables.N, 1))), expected, atol=1e-10)
 
 
@@ -225,7 +254,7 @@ def test_stacked_predict_and_invert_match_the_kernel_sum(rng):
     plant = LinearPlant(rng.normal(size=(3, 3)), rng.normal(size=(3, 2)), delay=N * h)
     tables = build_tables(plant, h)
     assert (tables.N, tables.Phi.shape) == (N, (3, N * 2))
-    F, Gamma = expm(plant.A * h), zoh_integral(plant.A, plant.B, h)
+    F, Gamma = expm(plant.A * h), zoh_integral(plant.A, plant.B, h)[1]
     kernels = [Gamma]
     for _ in range(N - 1):
         kernels.append(F @ kernels[-1])

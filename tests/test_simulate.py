@@ -1086,17 +1086,21 @@ def test_delay_free_trace_has_no_predictor_state():
 @pytest.mark.parametrize("kind", [ControllerKind.PRESCRIBED_TIME_ROBUST, ControllerKind.LINEAR])
 def test_warm_started_trace_keeps_the_root_tolerance(kind, noise, tau):
     # s is per-sample and warm-started (nominal homogeneous runs) or batched
-    # (linear and noisy runs); every row meets the root tolerance either way
-    config = ScenarioConfig(plant=oscillator_plant(delay=tau), controller=oscillator_controller(),
-                            x0=np.array([0.7, 0.0]), h=H, t_end=2.0 + tau, kind=kind, noise=noise)
-    trace = simulate(config)
-    Y = trace.y if tau else trace.x
-    D = config.controller.dilation
-    r = D.norm(Y[0])
-    assert np.count_nonzero(trace.s) > 90
-    for y, s in zip(Y, trace.s):
-        if s > 0:
-            assert abs(D.norm(dilate(D, -math.log(s), y / r)) - 1.0) <= 1e-12
+    # (linear and noisy runs); every row meets the root tolerance either way,
+    # re-evaluated through dilate, on the oscillator and the bench records
+    for name, ctrl in _norm_cases():
+        x0 = np.zeros(ctrl.n)
+        x0[0] = 0.7
+        config = ScenarioConfig(plant=LinearPlant(ctrl.A, ctrl.B, delay=tau), controller=ctrl,
+                                x0=x0, h=H, t_end=2.0 * ctrl.T + tau, kind=kind, noise=noise)
+        trace = simulate(config)
+        Y = trace.y if tau else trace.x
+        D = ctrl.dilation
+        r = D.norm(Y[0])
+        assert np.count_nonzero(trace.s) > 90, name
+        for y, s in zip(Y, trace.s):
+            if s > 0:
+                assert abs(D.norm(dilate(D, -math.log(s), y / r)) - 1.0) <= 1e-12, name
 
 
 def test_overflowing_initial_state_is_rejected():
