@@ -158,6 +158,8 @@ def load_plant(path) -> LinearPlant:
 
 
 def _controller_from(cp, path, ctrl: dict) -> SynthesizedController:
+    if "file" in ctrl and "builtin" in ctrl:
+        raise ValueError(f"{path}: [controller] takes either 'file' or 'builtin', not both")
     if "file" in ctrl:
         ref = ctrl["file"]
         full = ref if os.path.isabs(ref) else os.path.join(os.path.dirname(os.path.abspath(path)), ref)

@@ -7,7 +7,7 @@ state when the input delay is active — and held.  A disturbance is the
 output ``q2 = C v`` of a small exosystem ``v' = S v``, so its per-sample
 term is one block of a single augmented matrix exponential.  The dense mode
 is the closed-form solution of the continuous closed loop over a whole grid
-at once, for decay-rate property checks; nothing is integrated numerically.
+at once, the exact reference of its settle at ``T s0``; nothing is integrated.
 
 Because the homogeneous feedback contracts the scheduling scalar ``s`` at
 the exact rate ``-1/T`` in continuous time, an unperturbed sampled run snaps
@@ -67,8 +67,6 @@ log = logging.getLogger(__name__)
 #: default settling thresholds (weighted norm)
 _SETTLE_EPS_NOMINAL = 1e-9
 _SETTLE_EPS_PERTURBED = 1e-6
-#: the dense mode stops where s reaches this level
-_DENSE_STOP_S = 0.02
 #: rounding slack on s0 <= 1 before a clamped kind leaves the closed form
 _DENSE_CLAMP_TOL = 1e-9
 
@@ -384,14 +382,15 @@ def _simulate_dense(config: ScenarioConfig) -> SimulationTrace:
     ``sigma = -T ln(1 - t/(T s0))``, ``H = A0 + B K d(-ln T) + Gd/T`` and
     ``z0 = d(-ln s0) x0/r``.  (``d(p) A0 = e^p A0 d(p)`` and ``d(p) B = e^p
     B`` give ``dz/dsigma = H z`` for ``z = d(-ln s) x/r``, and ``H`` is skew
-    in ``P``.)  The run stops where ``s`` reaches 0.02 (event ``dense_stop``)
-    or at ``t_end``; where the context's fixed law ``u = K0 x + c KT x`` runs,
-    it is ``e^{(A0 + c B KT) t} x0`` up to ``t_end``.  Each flow is one
-    orbit map over the grid from one eigenbasis (``expm`` per point only where
-    that basis is ill-conditioned).  The feedback reads the flow's own ``s``
-    and root point ``z = e^{H sigma} z0``; the recorded ``s`` is one batched
-    root-find over the states, an independent check on ``s0 - t/T``.
-    :func:`simulate`, the only caller, measures settling.
+    in ``P``.)  The state reaches the origin, an equilibrium, at ``T s0``:
+    the grid up to ``t_end`` gets that point, and the rows from it on are
+    ``x = 0``, ``u = 0``, ``s = 0``.  Where the context's fixed law ``u = K0 x
+    + c KT x`` runs, the run is ``e^{(A0 + c B KT) t} x0`` up to ``t_end``.
+    Each flow is one orbit map over the grid from one eigenbasis (``expm``
+    per point only where that basis is ill-conditioned).  The feedback reads
+    the flow's own ``s`` and root point ``z = e^{H sigma} z0``; the recorded
+    ``s`` is one batched root-find over the states, an independent check on
+    ``s0 - t/T``.  :func:`simulate`, the only caller, measures settling.
 
     Raises ``ValueError`` where the formula does not hold: a delay, noise or
     a disturbance, a record that fails :func:`verify_controller`, or a
@@ -411,32 +410,31 @@ def _simulate_dense(config: ScenarioConfig) -> SimulationTrace:
     x0 = config.x0
     ctx = make_context(ctrl, config.kind, x0, config.x0_noise)
     T = ctrl.T
+    grid = np.linspace(0.0, config.t_end, max(int(round(config.t_end / config.h)) * 4, 200))
     if not ctx.reads_s:
-        t_last, s0, z0, events = config.t_end, 0.0, None, []
+        X = _orbit(Dilation(-(ctrl.A0 + ctx.fixed_c * (ctrl.B @ ctrl.KT)), ctrl.P), x0)(grid[1:, None])
+        xs = np.vstack([x0, X.T])
+        us = np.array([ctx.feedback(x, 0.0, None) for x in xs])
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             s0, z0 = ctx.solve(x0)
         if s0 > 1.0 + _DENSE_CLAMP_TOL and config.kind is not ControllerKind.PRESCRIBED_TIME:
             raise ValueError(f"the dense mode: {config.kind.value} starts clamped (s0 = {s0:.6g} > 1)")
-        t_stop = T * max(s0 - _DENSE_STOP_S, 0.0)
-        t_last = min(t_stop, config.t_end)
-        events = [(t_stop, "dense_stop")] if t_stop <= config.t_end else []
-    grid = np.linspace(0.0, t_last, max(int(round(t_last / config.h)) * 4, 200)) if t_last > 0.0 else np.zeros(1)
-    # the flows map the grid past row 0 at once, each point under its own
-    # parameter; a start inside the stop band has no such point
-    t, X, s_flow, zs = grid[1:, None], np.zeros((len(x0), 0)), np.full(len(grid), s0), [z0] * len(grid)
-    if not ctx.reads_s:
-        X = _orbit(Dilation(-(ctrl.A0 + ctx.fixed_c * (ctrl.B @ ctrl.KT)), ctrl.P), x0)(t)
-    elif len(t):
-        s_flow = s0 - grid / T
-        Z = _orbit(Dilation(-(ctrl.A0 + ctrl.B @ ctrl.KT + ctrl.Gd / T), ctrl.P), z0)(-T * np.log1p(-t / (T * s0)))
-        X = ctx.ref_norm * _orbit(ctx.dilation, Z)(-np.log(s_flow[1:, None]))
-        zs[1:] = Z.T
-    xs = np.vstack([x0, X.T])
-    us = np.array([ctx.feedback(x, s, z) for x, s, z in zip(xs, s_flow, zs)])
+        if T * s0 < config.t_end:
+            grid = np.union1d(grid, T * s0)
+        k = int(np.searchsorted(grid, T * s0))
+        xs, us = np.zeros((len(grid), len(x0))), np.zeros((len(grid), ctrl.m))
+        xs[0], us[0] = x0, ctx.feedback(x0, s0, z0)
+        if k > 1:
+            # the flows map the rows strictly inside (0, T s0) at once, each
+            # point under its own parameter
+            s_flow = s0 - grid[1:k, None] / T
+            Z = _orbit(Dilation(-(ctrl.A0 + ctrl.B @ ctrl.KT + ctrl.Gd / T), ctrl.P), z0)(-T * np.log(s_flow / s0))
+            xs[1:k] = ctx.ref_norm * _orbit(ctx.dilation, Z)(-np.log(s_flow)).T
+            us[1:k] = [ctx.feedback(x, s, z) for x, s, z in zip(xs[1:k], s_flow[:, 0], Z.T)]
     with np.errstate(over="ignore", invalid="ignore"):
         ss = ctx.solve_rows(xs)
-    return SimulationTrace(t=grid, x=xs, u=us, s=ss, x_norm=ctx.dilation.norm(xs), events=events)
+    return SimulationTrace(t=grid, x=xs, u=us, s=ss, x_norm=ctx.dilation.norm(xs))
 
 
 def disturbance_bound(controller: SynthesizedController, x0_norm: float, rho: float,
