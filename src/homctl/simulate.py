@@ -37,7 +37,6 @@ root-find.  The trace's norm column is
 
 from __future__ import annotations
 
-import io
 import logging
 import math
 from dataclasses import dataclass, field
@@ -476,9 +475,8 @@ def trace_to_csv(trace: SimulationTrace, path) -> None:
         cols += [f"y{i+1}" for i in range(n)]
         blocks.append(trace.y)
         fmt += ["%.17g"] * n
-    buf = io.StringIO()
-    np.savetxt(buf, np.hstack(blocks), fmt=fmt, delimiter=",", header=",".join(cols), comments="")
-    text = buf.getvalue()
+    table = np.hstack(blocks)
+    text = ",".join(cols) + "\n" + ((",".join(fmt) + "\n") * len(table)) % tuple(table.ravel().tolist())
     if hasattr(path, "write"):
         path.write(text)
     else:

@@ -1,0 +1,151 @@
+"""The homogeneous norm against an exact reference (ROADMAP item 13).
+
+:class:`ExactNorm` solves ``|d(-s) y|_P = 1`` in mpmath at 40 digits from a
+record's stored ``Gd``, ``X`` and ``T``, with ``P = d(-ln T)' X^{-1} d(-ln T)``
+formed in that precision rather than taken from the float ``P`` that the
+program solves with.  The orbit ``d(-s) y = V e^{-s w} V^{-1} y`` comes from
+one mpmath eigenbasis of ``Gd`` per record, so no point needs a matrix
+exponential.
+
+The program may differ from the reference in two ways: its root-find stops
+at the residual ``| |z|_P - 1 | <= 1e-12``, which moves ``s`` by up to
+``1e-12 / |slope|`` with ``slope = z'P Gd z`` at the root, and its ``P`` is
+rounded, which moves the root by the first-order amount ``u kappa(y)^2``
+(unit roundoff ``u``, ``kappa(y)^2 = |y|_2^2 ||P|| / |y|_P^2``).  The
+tolerance is the first plus :data:`C_KAPPA` times the second.  On the
+oscillator, ``chain3``, ``rand3x2`` and ``rand5x2`` the first term alone
+holds every gap; on ``rand6x1``'s state after one sample the gap is
+``1.2 u kappa(y)^2``.
+"""
+
+import functools
+import os
+
+import mpmath
+import numpy as np
+import pytest
+
+from homctl import LinearPlant, ScenarioConfig, load_controller, oscillator_controller, simulate
+from homctl.dilation import _solve, _solve_rows
+
+_RECORDS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "records")
+DPS = 40
+U = 2.0**-53
+#: the multiple of u kappa(y)^2 that the rounded P may move the root by
+C_KAPPA = 4.0
+
+
+class ExactNorm:
+    """``ln ||y||_d`` of a controller record, in mpmath at :data:`DPS` digits."""
+
+    def __init__(self, ctrl):
+        with mpmath.workdps(DPS):
+            Gd = mpmath.matrix(ctrl.Gd.tolist())
+            w, V = mpmath.eig(Gd)
+            Vinv = mpmath.inverse(V)
+            recon = V * mpmath.diag(w) * Vinv - Gd
+            assert max(abs(v) for v in recon) < mpmath.mpf(10) ** (8 - DPS), "Gd is not diagonalizable in 40 digits"
+            self.w, self.V, self.Vinv = w, V, Vinv
+            DT = self._orbit(mpmath.log(mpmath.mpf(ctrl.T)), Vinv)
+            self.P = DT.T * mpmath.inverse(mpmath.matrix(ctrl.X.tolist())) * DT
+            self.PG = self.P * Gd
+            self.P_norm = float(max(mpmath.eigsy(self.P, eigvals_only=True)))
+
+    def _orbit(self, s, c):
+        """``d(-s)`` applied through the eigenbasis to the eigen-coordinates ``c`` (a vector or a matrix)."""
+        e = mpmath.diag([mpmath.exp(-s * wi) for wi in self.w])
+        return (self.V * e * c).apply(mpmath.re)
+
+    def root(self, y) -> tuple[mpmath.mpf, float, float]:
+        """``(s, slope, kappa^2)``: ``s = ln ||y||_d`` for a nonzero float ``y``, Newton's method on ``ln|d(-s)y|_P``."""
+        with mpmath.workdps(DPS):
+            y = mpmath.matrix([float(v) for v in y])
+            c = self.Vinv * y
+            qy = (y.T * self.P * y)[0]
+            s = mpmath.log(qy) / 2
+            for _ in range(100):
+                z = self._orbit(s, c)
+                q, g = (z.T * self.P * z)[0], (z.T * self.PG * z)[0]
+                step = mpmath.log(q) / 2 * q / g
+                s += step
+                if abs(step) < mpmath.mpf(10) ** (5 - DPS):
+                    break
+            else:
+                raise AssertionError("the exact root-find did not converge")
+            kappa2 = float((y.T * y)[0]) * self.P_norm / float(qy)
+            return s, float(g), kappa2
+
+
+def _tolerance(slope: float, kappa2: float) -> float:
+    return 1e-12 / abs(slope) + C_KAPPA * U * kappa2
+
+
+@functools.cache
+def _exact(name):
+    ctrl = oscillator_controller() if name == "oscillator" else load_controller(os.path.join(_RECORDS, f"{name}.json"))
+    return ctrl, ExactNorm(ctrl)
+
+
+def _states(n, seed):
+    """Two random directions at each magnitude 1e-3 .. 1e3, one per row."""
+    rng = np.random.default_rng(seed)
+    V = rng.standard_normal((14, n))
+    return V / np.linalg.norm(V, axis=1)[:, None] * np.repeat(10.0 ** np.arange(-3, 4), 2)[:, None]
+
+
+def _gap(s_exact, v):
+    """``|s - ln v|`` in the reference's precision."""
+    with mpmath.workdps(DPS):
+        return abs(float(s_exact - mpmath.log(v)))
+
+
+@pytest.mark.parametrize("name", ["oscillator", "chain3", "rand3x2", "rand5x2"])
+def test_solve_and_solve_rows_agree_with_the_exact_root(name):
+    ctrl, exact = _exact(name)
+    D = ctrl.dilation
+    Y = _states(ctrl.n, 7)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = _solve_rows(D, Y)
+        for y, v_rows in zip(Y, rows):
+            s, slope, kappa2 = exact.root(y)
+            tol = _tolerance(slope, kappa2)
+            v = _solve(D, y)[0]
+            assert _gap(s, v) <= tol, (y, _gap(s, v), tol)
+            assert _gap(s, v_rows) <= tol, (y, _gap(s, v_rows), tol)
+            # warm starts, as the sampled loop takes them: from either side
+            for guess in (v * (1.0 + 1e-6), v * (1.0 - 1e-3), v * 1.5):
+                w = _solve(D, y, guess)[0]
+                assert _gap(s, w) <= tol, (y, guess, _gap(s, w), tol)
+
+
+@pytest.mark.parametrize("name", ["rand3x2", "rand5x2"])
+def test_exact_orbit_agrees_with_the_matrix_exponential(name):
+    # the eigenbasis against mpmath's expm at the root, on a near-double
+    # eigenvalue (rand3x2) and a complex eigenbasis (rand5x2)
+    ctrl, exact = _exact(name)
+    y = _states(ctrl.n, 3)[5]
+    s, _, _ = exact.root(y)
+    with mpmath.workdps(DPS):
+        Gd = mpmath.matrix(ctrl.Gd.tolist())
+        z = mpmath.expm(-s * Gd) * mpmath.matrix(y.tolist())
+        assert abs((z.T * exact.P * z)[0] - 1) < mpmath.mpf(10) ** (8 - DPS)
+
+
+@pytest.mark.xfail(raises=RuntimeError, strict=True,
+                   reason="ROADMAP item 1: the residual x'Px cancels, 'root refinement did not converge'")
+def test_rand6x1_first_sample_agrees_with_the_exact_root():
+    ctrl, exact = _exact("rand6x1")
+    D = ctrl.dilation
+    x0 = np.ones(6)
+    trace = simulate(ScenarioConfig(plant=LinearPlant(ctrl.A, ctrl.B), controller=ctrl, x0=x0, h=0.01,
+                                    t_end=0.01))
+    # the state the sampled loop solves after one sample: x / r, r = |x0|_P
+    y = trace.x[1] / D.norm(x0)
+    s, slope, kappa2 = exact.root(y)
+    tol = _tolerance(slope, kappa2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = _solve(D, y)[0]
+        assert _gap(s, v) <= tol
+        assert _gap(s, _solve_rows(D, y[None])[0]) <= tol
+        for guess in (v * (1.0 + 1e-6), v * (1.0 - 1e-3), v * 1.5):
+            assert _gap(s, _solve(D, y, guess)[0]) <= tol

@@ -41,6 +41,7 @@ from homctl import (
 from homctl.predictor import build_tables
 
 H = 0.01
+_RECORDS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "records")
 
 
 def _nominal(x0, kind=ControllerKind.PRESCRIBED_TIME_ROBUST, t_end=2.0, **kw):
@@ -751,6 +752,39 @@ def test_csv_is_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _csv_reference_traces():
+    delayed = ScenarioConfig(plant=oscillator_plant(delay=0.5), controller=oscillator_controller(),
+                             x0=np.array([0.7, 0.0]), h=H, t_end=2.5)
+    dense = _nominal([0.7, 0.0], t_end=2.0, integrator="dense")
+    # h = 0.5 destabilizes the sampled linear law on rand5x2 (|x| up to
+    # 1e296), and the zero reference makes every s inf
+    ctrl = load_controller(os.path.join(_RECORDS, "rand5x2.json"))
+    diverging = ScenarioConfig(plant=LinearPlant(ctrl.A, ctrl.B), controller=ctrl, x0=np.ones(5), h=0.5,
+                               t_end=190.0, kind=ControllerKind.LINEAR, x0_noise=-np.ones(5))
+    return [("delayed", delayed), ("dense", dense), ("diverging", diverging)]
+
+
+@pytest.mark.parametrize("name,config", _csv_reference_traces(), ids=[c[0] for c in _csv_reference_traces()])
+def test_csv_matches_savetxt(name, config):
+    trace = simulate(config)
+    if name == "diverging":
+        assert np.isinf(trace.s).all() and np.abs(trace.x).max() > 1e290
+        trace.u[7, 0], trace.x[8, 1] = np.nan, -np.inf
+    buf = io.StringIO()
+    trace_to_csv(trace, buf)
+    n, m, st = trace.n, trace.m, trace.settling_time
+    cols = ["t"] + [f"x{i+1}" for i in range(n)] + [f"u{j+1}" for j in range(m)] + ["s", "settled"]
+    blocks = [trace.t[:, None], trace.x, trace.u, trace.s[:, None], (trace.t >= (st or math.inf))[:, None]]
+    fmt = ["%.17g"] * (n + m + 2) + ["%d"]
+    if trace.y is not None:
+        cols += [f"y{i+1}" for i in range(n)]
+        blocks.append(trace.y)
+        fmt += ["%.17g"] * n
+    ref = io.StringIO()
+    np.savetxt(ref, np.hstack(blocks), fmt=fmt, delimiter=",", header=",".join(cols), comments="")
+    assert buf.getvalue() == ref.getvalue()
+
+
 def test_csv_failed_write_leaves_no_file(tmp_path, monkeypatch):
     trace = simulate(_nominal([0.2, 0.0], t_end=0.2))
 
@@ -1062,8 +1096,6 @@ def test_divergent_run_fails_on_its_non_finite_state():
     with pytest.raises(ValueError, match="x has non-finite entries"):
         simulate(config)
 
-
-_RECORDS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "records")
 
 
 def _norm_cases():
