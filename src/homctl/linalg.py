@@ -97,9 +97,11 @@ def as_square(a, name: str = "matrix") -> np.ndarray:
 
 
 def as_vector(a, name: str = "vector", size: int | None = None) -> np.ndarray:
-    """Coerce ``a`` to a 1-D float array with finite entries (and ``size`` of them)."""
+    """Coerce a scalar, a row or a column ``a`` to a 1-D float array with finite entries (and ``size`` of them)."""
     v = np.asarray(a, dtype=float)
     if v.ndim != 1:
+        if sum(d > 1 for d in v.shape) > 1:
+            raise ValueError(f"{name} must be one row or one column, got shape {v.shape}")
         v = v.reshape(-1)
     if v.size == 0:
         raise ValueError(f"{name} must be non-empty")

@@ -2,20 +2,17 @@
 
 Matrices are written as semicolon-separated rows with whitespace-separated
 entries, e.g. ``A = 0 1; -1 0``.  A scenario file has the sections
-
-* ``[plant]``          — ``A``, ``B``, optional ``delay``
-* ``[controller]``     — ``file`` (JSON controller record, relative to the
-  scenario file) or ``builtin`` (a named preset controller), plus ``kind``
-* ``[sim]``            — ``x0``, ``h``, ``t_end`` and optional ``integrator``,
-  ``settle_epsilon``
-* ``[perturbations]``  — optional ``disturbance``, ``noise`` + ``seed``,
-  ``x0_noise``, ``phi``
+``[plant]``, ``[controller]`` (``file``, a JSON controller record relative to
+the scenario file, or ``builtin``, plus ``kind``), ``[sim]`` and the optional
+``[perturbations]``; a plant file needs only ``[plant]``.
 
 Every file is read through one table, ``_KEYS``: section → key → parser.
-``_section`` rejects a key the table does not list, reports a missing
-required key or section, and parses each given value; a value that does not
-parse raises ``ValueError`` naming the file, the section and the key.  A key
-that is absent is not passed on, so :class:`LinearPlant` or
+Values are literal, ``[DEFAULT]`` is an ordinary section, and a file that
+cannot be read, decoded as UTF-8 or split into sections raises ``ValueError``
+naming it.  ``_section`` rejects a key the table does not list, reports a
+missing required key or section, and parses each given value; a value that
+does not parse raises ``ValueError`` naming the file, the section and the
+key.  A key that is absent is not passed on, so :class:`LinearPlant` or
 :class:`ScenarioConfig` owns its default, as it owns every bound: a value out
 of range raises that class's error, which names the key, after the file.
 """
@@ -28,34 +25,33 @@ import os
 import numpy as np
 
 from .control_laws import ControllerKind
+from .presets import builtin_controller
 from .simulate import DisturbanceSpec, NoiseSpec, ScenarioConfig
 from .synthesis import ControllabilityError, LinearPlant, SynthesizedController, load_controller
 
 __all__ = ["parse_matrix", "parse_vector", "load_plant", "load_scenario"]
 
 
-def parse_matrix(text: str, name: str = "") -> np.ndarray:
-    """Parse ``"0 1; -1 0"`` into a 2-D float array; a given ``name`` starts an error message."""
-    where = f"{name}: " if name else ""
+def parse_matrix(text: str) -> np.ndarray:
+    """Parse ``"0 1; -1 0"`` into a 2-D float array."""
     rows = [r.strip() for r in text.split(";")]
     try:
         data = [[float(v) for v in r.split()] for r in rows if r]
     except ValueError as exc:
-        raise ValueError(f"{where}cannot parse {text!r} as a matrix") from exc
+        raise ValueError(f"cannot parse {text!r} as a matrix") from exc
     if not data or any(len(r) != len(data[0]) for r in data):
-        raise ValueError(f"{where}rows of {text!r} have inconsistent lengths")
+        raise ValueError(f"rows of {text!r} have inconsistent lengths")
     return np.asarray(data, dtype=float)
 
 
-def parse_vector(text: str, name: str = "") -> np.ndarray:
-    """Parse whitespace-separated numbers into a 1-D float array; a given ``name`` starts an error message."""
-    where = f"{name}: " if name else ""
+def parse_vector(text: str) -> np.ndarray:
+    """Parse whitespace-separated numbers into a 1-D float array."""
     try:
         vals = [float(v) for v in text.replace(";", " ").split()]
     except ValueError as exc:
-        raise ValueError(f"{where}cannot parse {text!r} as a vector") from exc
+        raise ValueError(f"cannot parse {text!r} as a vector") from exc
     if not vals:
-        raise ValueError(f"{where}empty vector")
+        raise ValueError("empty vector")
     return np.asarray(vals, dtype=float)
 
 
@@ -98,7 +94,7 @@ def _phi(text: str) -> np.ndarray | None:
 #: section -> key -> parser of its value: every key a scenario or plant file accepts
 _KEYS = {
     "plant": {"A": parse_matrix, "B": parse_matrix, "delay": _float},
-    "controller": {"file": str, "builtin": str, "kind": _kind},
+    "controller": {"file": str, "builtin": builtin_controller, "kind": _kind},
     "sim": {"x0": parse_vector, "h": _float, "t_end": _float, "integrator": str, "settle_epsilon": _float},
     "perturbations": {"disturbance": _disturbance, "noise": _float, "seed": _number(int),
                       "x0_noise": parse_vector, "phi": _phi},
@@ -108,12 +104,17 @@ _REQUIRED = {"plant": ("A", "B"), "sim": ("x0", "h", "t_end")}
 
 
 def _read(path) -> configparser.ConfigParser:
-    # ';' separates matrix rows, so only '#' starts an inline comment
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # ';' separates matrix rows, so only '#' starts an inline comment; values
+    # are literal, and [DEFAULT] is an ordinary section, unknown to _KEYS
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None, default_section="")
     cp.optionxform = str  # keep key case: A and B are matrix names
-    read = cp.read(path)
-    if not read:
-        raise ValueError(f"cannot read config file {path!r}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cp.read_file(fh)
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read: {exc.strerror}") from None
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: {' '.join(str(exc).split())}") from None
     return cp
 
 
@@ -161,16 +162,14 @@ def _controller_from(cp, path, ctrl: dict) -> SynthesizedController:
     if "file" in ctrl and "builtin" in ctrl:
         raise ValueError(f"{path}: [controller] takes either 'file' or 'builtin', not both")
     if "file" in ctrl:
-        ref = ctrl["file"]
-        full = ref if os.path.isabs(ref) else os.path.join(os.path.dirname(os.path.abspath(path)), ref)
+        # an absolute path replaces the scenario file's directory
+        full = os.path.join(os.path.dirname(os.path.abspath(path)), ctrl["file"])
         try:
             return load_controller(full)
         except FileNotFoundError as exc:
             raise ValueError(f"{path}: controller file {full!r} not found") from exc
     if "builtin" in ctrl:
-        from . import presets
-
-        return presets.builtin_controller(ctrl["builtin"])
+        return ctrl["builtin"]
     if not cp.has_section("controller"):
         raise ValueError(f"{path}: missing [controller] section")
     raise ValueError(f"{path}: [controller] needs either 'file' or 'builtin'")

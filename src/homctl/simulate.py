@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -70,6 +70,10 @@ _SETTLE_EPS_PERTURBED = 1e-6
 _DENSE_CLAMP_TOL = 1e-9
 
 
+#: the fields each disturbance kind reads; a field it does not read must keep its default
+_READS = {"none": (), "matched_sin": ("amplitude", "omega"), "constant": ("vector",)}
+
+
 @dataclass(frozen=True)
 class DisturbanceSpec:
     """Additive state disturbance ``q2(t)``, the output of an exosystem.
@@ -85,8 +89,13 @@ class DisturbanceSpec:
     vector: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("none", "matched_sin", "constant"):
+        if self.kind not in _READS:
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
+        for f in fields(self)[1:]:  # the fields after kind
+            value = getattr(self, f.name)
+            given = value is not None if f.default is None else value != f.default
+            if given and f.name not in _READS[self.kind]:
+                raise ValueError(f"disturbance {self.kind!r} takes no {f.name}, got {value!r}")
         if self.kind == "matched_sin":
             for key in ("amplitude", "omega"):
                 object.__setattr__(self, key, linalg.as_scalar(getattr(self, key), f"matched_sin {key}"))

@@ -268,6 +268,37 @@ def test_exit_code_malformed_plant_delay_names_the_key(tmp_path, capsys):
     assert str(plant) in err and "key 'delay' in [plant]: cannot parse 'abc' as float" in err
 
 
+@pytest.mark.parametrize("content, message", [
+    (SCENARIO.replace("[plant]\n", ""), "File contains no section headers"),
+    (SCENARIO + "[sim]\nsettle_epsilon = 1e-6\n", "section 'sim' already exists"),
+    (SCENARIO + "h = 0.02\n", "option 'h' in section 'sim' already exists"),
+    (SCENARIO + "settle_epsilon\n", "Source contains parsing errors"),
+    # values are literal: a '%' is an ordinary character, not interpolation syntax
+    (SCENARIO.replace("x0 = 0.2 0", "x0 = 0.7% 0"), "key 'x0' in [sim]: cannot parse '0.7% 0' as a vector"),
+    # [DEFAULT] is an ordinary section, not keys copied into every other one
+    ("[DEFAULT]\ndelay = 0.5\n" + SCENARIO, "unknown section [DEFAULT] (expected one of: "),
+    (SCENARIO.replace("oscillator", "oscilator"),
+     "key 'builtin' in [controller]: unknown builtin controller 'oscilator' (known: oscillator)"),
+    (SCENARIO.encode() + b"# \xff\n", "'utf-8' codec can't decode byte 0xff"),
+    (None, "cannot read: "),
+], ids=["no-section-header", "repeated-section", "repeated-key", "no-delimiter", "percent", "default-section",
+        "unknown-builtin", "not-utf8", "missing-file"])
+def test_exit_code_malformed_scenario_file_names_it(tmp_path, capsys, content, message):
+    scenario = tmp_path / "scenario.ini"
+    if content is not None:
+        scenario.write_bytes(content if isinstance(content, bytes) else content.encode())
+    assert main(["simulate", "--scenario", str(scenario)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {scenario}: ") and message in err, err
+
+
+def test_exit_code_plant_file_without_section_header_names_it(tmp_path, capsys):
+    plant = tmp_path / "plant.ini"
+    plant.write_text(PLANT.replace("[plant]\n", ""))
+    assert main(["synth", "--plant", str(plant), "--T", "1", "--out", str(tmp_path / "c.json")]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"error: {plant}: File contains no section headers")
+
+
 def test_exit_code_missing_file(tmp_path, capsys):
     assert main(["simulate", "--scenario", str(tmp_path / "none.ini")]) == EXIT_INPUT
     capsys.readouterr()

@@ -16,6 +16,16 @@ tolerance is the first plus :data:`C_KAPPA` times the second.  On the
 oscillator, ``chain3``, ``rand3x2`` and ``rand5x2`` the first term alone
 holds every gap; on ``rand6x1``'s state after one sample the gap is
 ``1.2 u kappa(y)^2``.
+
+The feedback ``u = K0 y + r KT z``, with ``z = d(-ln s)(y / r)`` and the
+exact ``KT = K d(-ln T)``, moves by ``|r KT Gd z|`` times the root's error,
+to first order; its tolerance is the root's times that, plus
+:data:`C_ROUND` ``u max(|K0||y| + r|KT||z|)`` for the rounding of the two
+products and of the program's ``KT``.  The worst gap on the four records
+is 0.81 of that tolerance (``rand5x2``).  The ``fixed_time`` floor, the
+clamp and the zero state are checked exactly.  The Jordan dilations of
+``tests/test_dilation.py`` are not covered: the eigenbasis needs a
+diagonalizable ``Gd``.
 """
 
 import functools
@@ -25,7 +35,16 @@ import mpmath
 import numpy as np
 import pytest
 
-from homctl import LinearPlant, ScenarioConfig, load_controller, oscillator_controller, simulate
+from homctl import (
+    ControllerKind,
+    LinearPlant,
+    ScenarioConfig,
+    eval_control,
+    load_controller,
+    make_context,
+    oscillator_controller,
+    simulate,
+)
 from homctl.dilation import _solve, _solve_rows
 
 _RECORDS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "records")
@@ -33,6 +52,10 @@ DPS = 40
 U = 2.0**-53
 #: the multiple of u kappa(y)^2 that the rounded P may move the root by
 C_KAPPA = 4.0
+#: the multiple of u max(|K0||y| + r|KT||z|) that the rounding of the feedback's products, and of KT, may add
+C_ROUND = 4.0
+#: the feedbacks scheduled on the norm; the linear kind never solves it
+HOMOGENEOUS = (ControllerKind.PRESCRIBED_TIME, ControllerKind.PRESCRIBED_TIME_ROBUST, ControllerKind.FIXED_TIME)
 
 
 class ExactNorm:
@@ -49,6 +72,8 @@ class ExactNorm:
             DT = self._orbit(mpmath.log(mpmath.mpf(ctrl.T)), Vinv)
             self.P = DT.T * mpmath.inverse(mpmath.matrix(ctrl.X.tolist())) * DT
             self.PG = self.P * Gd
+            self.K0, self.KT = mpmath.matrix(ctrl.K0.tolist()), mpmath.matrix(ctrl.K.tolist()) * DT
+            self.KTG = self.KT * Gd
             self.P_norm = float(max(mpmath.eigsy(self.P, eigvals_only=True)))
 
     def _orbit(self, s, c):
@@ -74,6 +99,18 @@ class ExactNorm:
                 raise AssertionError("the exact root-find did not converge")
             kappa2 = float((y.T * y)[0]) * self.P_norm / float(qy)
             return s, float(g), kappa2
+
+    def feedback(self, y, r, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(u, r KT Gd z, z)`` at the root ``s = ln ||y / r||_d``: ``u = K0 y + r KT z``, ``z = d(-s)(y / r)``.
+
+        ``-r KT Gd z`` is ``du/ds``, so a root that is off by ``ds`` moves
+        ``u`` by ``|r KT Gd z| ds`` to first order.
+        """
+        with mpmath.workdps(DPS):
+            y = mpmath.matrix([float(v) for v in y])
+            z = self._orbit(s, self.Vinv * y / r)
+            u = self.K0 * y + r * self.KT * z
+            return tuple(np.array([float(v) for v in m]) for m in (u, r * self.KTG * z, z))
 
 
 def _tolerance(slope: float, kappa2: float) -> float:
@@ -116,6 +153,92 @@ def test_solve_and_solve_rows_agree_with_the_exact_root(name):
             for guess in (v * (1.0 + 1e-6), v * (1.0 - 1e-3), v * 1.5):
                 w = _solve(D, y, guess)[0]
                 assert _gap(s, w) <= tol, (y, guess, _gap(s, w), tol)
+
+
+def _references(n):
+    """Two references, one per side of the fixed_time floor: ``|x0|_P`` far below 1 and far above."""
+    Y = _states(n, 7)
+    return Y[0], Y[-1]
+
+
+@pytest.mark.parametrize("name", ["oscillator", "chain3", "rand3x2", "rand5x2"])
+def test_feedback_agrees_with_the_exact_feedback(name):
+    # u = K0 y + r KT z with z = d(-ln s)(y / r), against the exact root's
+    # point; the root's own tolerance moves u by that times |r KT Gd z|
+    ctrl, exact = _exact(name)
+    Y = _states(ctrl.n, 7)
+    checked = 0
+    for x0 in _references(ctrl.n):
+        contexts = [make_context(ctrl, kind, x0) for kind in HOMOGENEOUS]
+        for y in Y:
+            exact_at = {}  # radius -> the exact root and feedback there; two kinds share r0
+            for ctx in contexts:
+                r = ctx.ref_norm
+                if r not in exact_at:
+                    s, slope, kappa2 = exact.root(y / r)
+                    exact_at[r] = s, _tolerance(slope, kappa2), exact.feedback(y, r, s)
+                s, tol_s, (u_exact, du, z) = exact_at[r]
+                if s >= 0 and ctx.kind is not ControllerKind.PRESCRIBED_TIME:
+                    continue  # the clamp runs the linear law: test_clamp_runs_the_linear_law
+                u = eval_control(ctx, y)
+                rounding = C_ROUND * U * np.max(np.abs(ctrl.K0) @ np.abs(y) + r * np.abs(ctrl.KT) @ np.abs(z))
+                tol = tol_s * np.max(np.abs(du)) + rounding
+                assert np.max(np.abs(u - u_exact)) <= tol, (ctx.kind, x0, y, u - u_exact, tol)
+                checked += 1
+    # every state under prescribed_time, and the clamped kinds below the clamp
+    assert checked > 2 * len(Y)
+
+
+@pytest.mark.parametrize("name", ["oscillator", "chain3", "rand3x2", "rand5x2"])
+def test_fixed_time_radius_is_the_norm_floored_at_one(name):
+    ctrl, exact = _exact(name)
+    with mpmath.workdps(DPS):
+        # the program's P is formed in floats: up to 114 u of |P| off here (rand5x2, cond(X) = 2.3e3)
+        dP = float(mpmath.mnorm(mpmath.matrix(ctrl.dilation.weight.tolist()) - exact.P, "f")) / exact.P_norm
+    for x0 in _references(ctrl.n):
+        r0 = make_context(ctrl, ControllerKind.PRESCRIBED_TIME, x0).r0
+        with mpmath.workdps(DPS):
+            x = mpmath.matrix(x0.tolist())
+            q = (x.T * exact.P * x)[0]
+            # |x0|_P from that P, to first order, plus the rounding of x'Px
+            kappa2 = float((x.T * x)[0]) * exact.P_norm / float(q)
+            assert abs(float(mpmath.sqrt(q) / r0 - 1)) <= (dP / 2 + C_KAPPA * U) * kappa2
+        assert make_context(ctrl, ControllerKind.FIXED_TIME, x0).ref_norm == max(r0, 1.0)
+        assert make_context(ctrl, ControllerKind.PRESCRIBED_TIME_ROBUST, x0).ref_norm == r0
+    # one reference on each side of the floor
+    assert [make_context(ctrl, ControllerKind.FIXED_TIME, x0).ref_norm == 1.0
+            for x0 in _references(ctrl.n)] == [True, False]
+
+
+@pytest.mark.parametrize("name", ["oscillator", "chain3", "rand3x2", "rand5x2"])
+def test_clamp_runs_the_linear_law(name):
+    # s >= 1 under a clamped kind gives K0 y + KT y bit for bit, the linear kind's input
+    ctrl, _ = _exact(name)
+    Y = _states(ctrl.n, 7)
+    clamped = 0
+    for kind in HOMOGENEOUS[1:]:
+        for x0 in _references(ctrl.n):
+            ctx, linear = make_context(ctrl, kind, x0), make_context(ctrl, ControllerKind.LINEAR, x0)
+            for y in Y:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    s, _ = ctx.solve(y)
+                if s >= 1.0:
+                    u = eval_control(ctx, y)
+                    assert u.tobytes() == (ctrl.K0 @ y + ctrl.KT @ y).tobytes()
+                    assert u.tobytes() == eval_control(linear, y).tobytes()
+                    clamped += 1
+    assert clamped > 0
+
+
+@pytest.mark.parametrize("name", ["oscillator", "chain3", "rand3x2", "rand5x2"])
+@pytest.mark.parametrize("kind", list(ControllerKind), ids=lambda k: k.value)
+def test_zero_state_gets_zero_input(name, kind):
+    ctrl, _ = _exact(name)
+    zero = np.zeros(ctrl.n)
+    for x0 in _references(ctrl.n):
+        ctx = make_context(ctrl, kind, x0)
+        assert eval_control(ctx, zero).tobytes() == np.zeros(ctrl.m).tobytes()
+        assert ctx.feedback(zero, 0.0, None).tobytes() == np.zeros(ctrl.m).tobytes()
 
 
 @pytest.mark.parametrize("name", ["rand3x2", "rand5x2"])

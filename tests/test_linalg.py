@@ -82,6 +82,21 @@ def test_as_vector_flattens_and_validates():
         linalg.as_vector([np.inf])
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (1, 2, 2)], ids=["2x2", "2x3", "1x2x2"])
+def test_as_vector_refuses_a_matrix(shape):
+    # flattened, a 2 x 2 matrix would read as a 4-vector
+    with pytest.raises(ValueError) as info:
+        linalg.as_vector(np.ones(shape), "x0", 4)
+    assert str(info.value) == f"x0 must be one row or one column, got shape {shape}"
+
+
+@pytest.mark.parametrize("a", [[[1.0, 2.0]], [[1.0], [2.0]], [[[1.0, 2.0]]], [[[1.0], [2.0]]]],
+                         ids=["row", "column", "row-3d", "column-3d"])
+def test_as_vector_reads_a_row_or_a_column(a):
+    np.testing.assert_array_equal(linalg.as_vector(a, "x0", 2), [1.0, 2.0])
+    np.testing.assert_array_equal(linalg.as_vector(3.0), [3.0])
+
+
 # ---------------------------------------------------------------------------
 # scalar validator
 

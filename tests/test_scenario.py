@@ -1,6 +1,7 @@
 """Scenario/plant file parsing and the bundled experiment presets."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -99,6 +100,8 @@ def test_load_plant_missing_key(tmp_path):
 def test_load_plant_missing_file(tmp_path):
     with pytest.raises(ValueError, match="cannot read"):
         load_plant(tmp_path / "absent.ini")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path))}: cannot read: "):
+        load_plant(tmp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +216,47 @@ def test_scenario_controller_override_rejects_unknown_kind(tmp_path):
     text = PLANT + "[controller]\nkind = bogus\n" + SIM
     with pytest.raises(ValueError, match=r"unknown controller kind 'bogus' \(expected one of: "):
         load_scenario(_write(tmp_path, text), controller_override=override)
+
+
+def test_scenario_unknown_builtin_names_the_file_and_key(tmp_path):
+    # 'builtin' is parsed by the key table, as every other key is, with or without an override
+    override = tmp_path / "override.json"
+    save_controller(oscillator_controller(), override)
+    path = _write(tmp_path, PLANT + "[controller]\nbuiltin = oscilator\n" + SIM)
+    for controller_override in (None, override):
+        with pytest.raises(ValueError) as info:
+            load_scenario(path, controller_override=controller_override)
+        assert str(info.value) == (f"{path}: key 'builtin' in [controller]: "
+                                   "unknown builtin controller 'oscilator' (known: oscillator)")
+
+
+def test_scenario_values_are_literal(tmp_path):
+    # no interpolation: a '%' in a file name is an ordinary character
+    save_controller(oscillator_controller(), tmp_path / "ctrl%1.json")
+    config = load_scenario(_write(tmp_path, PLANT + "[controller]\nfile = ctrl%1.json\n" + SIM))
+    np.testing.assert_array_equal(config.controller.K, oscillator_controller().K)
+
+
+def test_default_section_is_an_ordinary_section(tmp_path):
+    # its keys are not copied into [plant]: a plant file ignores it as any other section
+    text = "[DEFAULT]\ndelay = 0.5\n" + PLANT
+    assert load_plant(_write(tmp_path, text, "plant.ini")).delay == 0.0
+    with pytest.raises(ValueError, match=r"unknown section \[DEFAULT\]"):
+        load_scenario(_write(tmp_path, text + _CONTROLLER + SIM))
+
+
+@pytest.mark.parametrize("content, message", [
+    (PLANT.replace("[plant]\n", ""), "File contains no section headers"),
+    (PLANT + PLANT, "section 'plant' already exists"),
+    (PLANT + "A = 0 1; -1 0\n", "option 'A' in section 'plant' already exists"),
+    (PLANT.encode() + b"delay = 0.5 # \xe9\n", "'utf-8' codec can't decode byte 0xe9"),
+], ids=["no-section-header", "repeated-section", "repeated-key", "not-utf8"])
+def test_plant_file_that_does_not_parse_names_it(tmp_path, content, message):
+    path = tmp_path / "plant.ini"
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    with pytest.raises(ValueError) as info:
+        load_plant(path)
+    assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
 
 
 def test_scenario_unknown_disturbance(tmp_path):

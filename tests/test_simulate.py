@@ -475,6 +475,34 @@ def test_disturbance_spec_validation():
         DisturbanceSpec(kind="matched_sin", amplitude=math.inf, omega=1.0)
 
 
+_READ = {"none": {}, "matched_sin": {"amplitude": 1.0, "omega": 5.0}, "constant": {"vector": [0.0, 0.05]}}
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("none", "amplitude", 0.5), ("none", "omega", 5.0), ("none", "vector", [0.0, 0.05]),
+    ("matched_sin", "vector", [0.0, 0.05]), ("constant", "amplitude", 0.5), ("constant", "omega", 5.0),
+])
+def test_disturbance_spec_refuses_a_field_its_kind_does_not_read(kind, field, value):
+    # such a field would be dropped silently: DisturbanceSpec("none", amplitude=0.5) ran undisturbed
+    with pytest.raises(ValueError) as info:
+        DisturbanceSpec(kind, **_READ[kind], **{field: value})
+    assert str(info.value) == f"disturbance {kind!r} takes no {field}, got {value!r}"
+    # the field's default stays accepted
+    default = DisturbanceSpec.__dataclass_fields__[field].default
+    assert getattr(DisturbanceSpec(kind, **_READ[kind], **{field: default}), field) is default
+
+
+def test_scenario_config_refuses_a_matrix_initial_state():
+    # a 2 x 2 x0 on a 4-state plant would run from the flattened matrix
+    n = 4
+    plant = LinearPlant(np.eye(n, k=1), np.eye(n)[:, -1:])
+    ctrl = synthesize(plant, SynthesisConfig(T=1.0))
+    with pytest.raises(ValueError, match=r"^x0 must be one row or one column, got shape \(2, 2\)$"):
+        ScenarioConfig(plant=plant, controller=ctrl, x0=0.1 * np.eye(2), h=H, t_end=1.0)
+    config = ScenarioConfig(plant=plant, controller=ctrl, x0=np.full((n, 1), 0.1), h=H, t_end=1.0)
+    np.testing.assert_array_equal(config.x0, np.full(n, 0.1))
+
+
 def test_constant_disturbance_length_must_match_the_plant():
     with pytest.raises(ValueError, match="disturbance vector has size 1, expected 2"):
         _nominal([0.2, 0.0], disturbance=DisturbanceSpec(kind="constant", vector=[0.05]))
