@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--suite", choices=sorted(SUITES), help="run a whole suite")
     p.add_argument("--out", help="output directory for per-run CSVs and report.json")
     p.add_argument("--seed", type=int, help="noise seed override for noisy presets")
-    p.add_argument("--workers", type=int, default=1, help="parallel preset runs")
+    p.add_argument("--workers", type=int, default=1, help="accepted if >= 1; presets run one after another")
     p.set_defaults(func=cmd_experiment)
     return parser
 
@@ -129,31 +129,13 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _experiment_names(args) -> list[str]:
-    if args.suite:
-        return list(SUITES[args.suite])
-    if args.preset:
-        return list(args.preset)
-    return list(SUITES["paper"])
-
-
 def cmd_experiment(args) -> int:
-    names = _experiment_names(args)
+    names = list(args.preset or SUITES[args.suite or "paper"])  # --preset and --suite exclude each other
     if args.workers < 1:
         raise ValueError("--workers must be >= 1")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-
-    def run_one(name):
-        return run_preset(PRESETS[name], seed=args.seed)
-
-    if args.workers == 1 or len(names) == 1:
-        results = [run_one(name) for name in names]
-    else:
-        import concurrent.futures  # only a parallel run pays for the import
-
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(run_one, names))
+    results = [run_preset(PRESETS[name], seed=args.seed) for name in names]
 
     reports = []
     for name, (trace, report) in zip(names, results):

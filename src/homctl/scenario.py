@@ -168,6 +168,8 @@ def _controller_from(cp, path, ctrl: dict) -> SynthesizedController:
             return load_controller(full)
         except FileNotFoundError as exc:
             raise ValueError(f"{path}: controller file {full!r} not found") from exc
+        except OSError as exc:
+            raise ValueError(f"{path}: cannot read controller file {full!r}: {exc.strerror}") from None
     if "builtin" in ctrl:
         return ctrl["builtin"]
     if not cp.has_section("controller"):

@@ -597,6 +597,11 @@ def _record_checks(c: SynthesizedController, generator=None, feasibility=None) -
     )
 
 
+def _distance(M: np.ndarray, N: np.ndarray) -> float:
+    """``‖M − N‖``, or ``inf`` when the shapes differ: no broadcast may match them."""
+    return np.linalg.norm(M - N) if M.shape == N.shape else np.inf
+
+
 def verify_controller(controller: SynthesizedController, plant: LinearPlant | None = None) -> VerificationReport:
     """Re-check every algebraic invariant of a controller record.
 
@@ -612,8 +617,8 @@ def verify_controller(controller: SynthesizedController, plant: LinearPlant | No
     c = controller
     checks = c.checks
     if plant is not None:
-        checks += (_residual("plant_A_match", np.linalg.norm(c.A - plant.A), 1e-12 * (1.0 + np.linalg.norm(c.A))),
-                   _residual("plant_B_match", np.linalg.norm(c.B - plant.B), 1e-12 * (1.0 + np.linalg.norm(plant.B))))
+        checks += (_residual("plant_A_match", _distance(c.A, plant.A), 1e-12 * (1.0 + np.linalg.norm(c.A))),
+                   _residual("plant_B_match", _distance(c.B, plant.B), 1e-12 * (1.0 + np.linalg.norm(plant.B))))
     report = VerificationReport(checks)
     if not report.all_passed:
         log.info("verification failed: %s", ", ".join(c.name for c in report.failed))

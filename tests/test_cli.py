@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,14 @@ def test_simulate_failed_write_leaves_no_file(tmp_path, scenario_file, monkeypat
     assert main(["simulate", "--scenario", str(scenario_file), "--out", str(out / "t.csv")]) == EXIT_INPUT
     assert "replace refused" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "synth"])
+def test_write_into_missing_directory_names_the_requested_path(tmp_path, plant_file, scenario_file, command, capsys):
+    out = tmp_path / "nodir" / "trace.csv"
+    inputs = ["--scenario", str(scenario_file)] if command == "simulate" else ["--plant", str(plant_file), "--T", "1"]
+    assert main([command, *inputs, "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
 
 
 def test_simulate_with_builtin_controller(scenario_file, capsys):
@@ -353,6 +362,22 @@ def test_exit_code_verification_failure(tmp_path, plant_file, capsys):
     assert "FAILED" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("plant, failed", [
+    ("A = 0 1; -1 0\nB = 0 0; 1 1\n", "plant_B_match"),
+    ("A = 0 1 0; 0 0 1; 0 0 0\nB = 0; 0; 1\n", "plant_A_match, plant_B_match"),
+], ids=["two_inputs", "three_states"])
+def test_verify_against_plant_of_other_shape_fails_its_match_check(tmp_path, plant, failed, capsys):
+    # no broadcast: a plant with two inputs, or with three states, matches no oscillator record
+    ctrl_path, plant_path = tmp_path / "ctrl.json", tmp_path / "plant.ini"
+    ctrl_path.write_text(json.dumps(controller_to_dict(oscillator_controller())))
+    plant_path.write_text("[plant]\n" + plant)
+    assert main(["verify", "--controller", str(ctrl_path), "--plant", str(plant_path)]) == EXIT_VERIFICATION
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "[FAIL] plant_B_match: inf" in captured.out
+    assert captured.out.splitlines()[-1] == f"verification FAILED: {failed}"
+
+
 def test_verify_singular_x_reports_failed_checks(tmp_path, capsys):
     # the norm weight P inverts X, so a singular X must fail the checks, not the command
     ctrl_path = tmp_path / "ctrl.json"
@@ -516,6 +541,15 @@ def test_experiment_scaling_suite_parallel(tmp_path, capsys):
     assert [r["preset"] for r in report["runs"]] == list(report["presets"])
     assert all(r["passed"] for r in report["runs"])
     capsys.readouterr()
+
+
+def test_experiment_workers_start_no_thread(tmp_path, monkeypatch, capsys):
+    def refuse(self):
+        raise RuntimeError("thread started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert main(["experiment", "--suite", "scaling", "--workers", "4", "--out", str(tmp_path)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 def test_experiment_default_runs_whole_paper_suite(capsys):

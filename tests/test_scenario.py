@@ -184,6 +184,7 @@ def test_scenario_phi_zero_keyword(tmp_path):
         ("[controller]\nbuiltin = nonexistent\n", "unknown builtin"),
         ("[controller]\nkind = linear\n", "either 'file' or 'builtin'"),
         ("[controller]\nfile = not_there.json\n", "not found"),
+        ("[controller]\nfile =\n", r"scenario\.ini: cannot read controller file '.*/': Is a directory"),
         ("[controller]\nbuiltin = oscillator\nfile = chain3.json\n",
          r"\[controller\] takes either 'file' or 'builtin', not both"),
     ],
