@@ -14,17 +14,18 @@ def write_text(path, text: str) -> None:
     """Write ``text`` to ``path`` via a unique temporary file in its directory.
 
     A failed write leaves ``path`` as it was and removes the temporary file.
+    An ``OSError`` names ``path``, not the temporary file.
     """
+    tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
-    except OSError as exc:  # it names the temporary file, which was never made
-        raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
-    try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.chmod(tmp, 0o666 & ~_UMASK)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
         raise

@@ -58,6 +58,10 @@ class ControllerKind(enum.Enum):
     FIXED_TIME = "fixed_time"
     LINEAR = "linear"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise ValueError(f"unknown controller kind {value!r} (expected one of: {', '.join(k.value for k in cls)})")
+
     def radius(self, r0: float) -> float:
         """The normalization radius for a reference of weighted norm ``r0``: floored at 1 for fixed_time."""
         return max(r0, 1.0) if self is ControllerKind.FIXED_TIME else r0

@@ -1,10 +1,11 @@
 """Plant and scenario description files (INI-style ``key = value`` sections).
 
 Matrices are written as semicolon-separated rows with whitespace-separated
-entries, e.g. ``A = 0 1; -1 0``.  A scenario file has the sections
-``[plant]``, ``[controller]`` (``file``, a JSON controller record relative to
-the scenario file, or ``builtin``, plus ``kind``), ``[sim]`` and the optional
-``[perturbations]``; a plant file needs only ``[plant]``.
+entries, e.g. ``A = 0 1; -1 0``, and a vector as one row or one column.  A
+scenario file has the sections ``[plant]``, ``[controller]`` (``file``, a
+JSON controller record relative to the scenario file, or ``builtin``, plus
+``kind``), ``[sim]`` and the optional ``[perturbations]``; a plant file
+needs only ``[plant]``.
 
 Every file is read through one table, ``_KEYS``: section → key → parser.
 Values are literal, ``[DEFAULT]`` is an ordinary section, and a file that
@@ -24,6 +25,7 @@ import os
 
 import numpy as np
 
+from . import linalg
 from .control_laws import ControllerKind
 from .presets import builtin_controller
 from .simulate import DisturbanceSpec, NoiseSpec, ScenarioConfig
@@ -39,20 +41,16 @@ def parse_matrix(text: str) -> np.ndarray:
         data = [[float(v) for v in r.split()] for r in rows if r]
     except ValueError as exc:
         raise ValueError(f"cannot parse {text!r} as a matrix") from exc
-    if not data or any(len(r) != len(data[0]) for r in data):
+    if not data:
+        raise ValueError("empty value")
+    if any(len(r) != len(data[0]) for r in data):
         raise ValueError(f"rows of {text!r} have inconsistent lengths")
     return np.asarray(data, dtype=float)
 
 
 def parse_vector(text: str) -> np.ndarray:
-    """Parse whitespace-separated numbers into a 1-D float array."""
-    try:
-        vals = [float(v) for v in text.replace(";", " ").split()]
-    except ValueError as exc:
-        raise ValueError(f"cannot parse {text!r} as a vector") from exc
-    if not vals:
-        raise ValueError("empty vector")
-    return np.asarray(vals, dtype=float)
+    """Parse one row (``"1 2"``) or one column (``"1; 2"``) into a 1-D float array."""
+    return linalg.as_vector(parse_matrix(text), "vector")
 
 
 def _number(kind):
@@ -67,14 +65,6 @@ def _number(kind):
 _float = _number(float)
 
 
-def _kind(text: str) -> ControllerKind:
-    try:
-        return ControllerKind(text)
-    except ValueError:
-        valid = ", ".join(k.value for k in ControllerKind)
-        raise ValueError(f"unknown controller kind {text!r} (expected one of: {valid})") from None
-
-
 def _disturbance(text: str) -> DisturbanceSpec:
     kind, *values = text.split() or ["none"]
     if kind == "none" and not values:
@@ -87,17 +77,13 @@ def _disturbance(text: str) -> DisturbanceSpec:
     raise ValueError(f"disturbance {kind!r} {needs[kind]}" if kind in needs else f"unknown disturbance {kind!r}")
 
 
-def _phi(text: str) -> np.ndarray | None:
-    return None if text == "zero" else parse_matrix(text)
-
-
 #: section -> key -> parser of its value: every key a scenario or plant file accepts
 _KEYS = {
     "plant": {"A": parse_matrix, "B": parse_matrix, "delay": _float},
-    "controller": {"file": str, "builtin": builtin_controller, "kind": _kind},
+    "controller": {"file": str, "builtin": builtin_controller, "kind": ControllerKind},
     "sim": {"x0": parse_vector, "h": _float, "t_end": _float, "integrator": str, "settle_epsilon": _float},
     "perturbations": {"disturbance": _disturbance, "noise": _float, "seed": _number(int),
-                      "x0_noise": parse_vector, "phi": _phi},
+                      "x0_noise": parse_vector, "phi": parse_matrix},
 }
 #: the keys a section must give; a section with none of them may be left out
 _REQUIRED = {"plant": ("A", "B"), "sim": ("x0", "h", "t_end")}

@@ -96,6 +96,17 @@ def test_write_into_missing_directory_names_the_requested_path(tmp_path, plant_f
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
 
 
+@pytest.mark.parametrize("command", ["simulate", "synth"])
+def test_write_over_a_directory_names_the_requested_path(tmp_path, plant_file, scenario_file, command, capsys):
+    # the final replace fails: the error names the path given, and the temporary file goes
+    out = tmp_path / "isdir.csv"
+    out.mkdir()
+    inputs = ["--scenario", str(scenario_file)] if command == "simulate" else ["--plant", str(plant_file), "--T", "1"]
+    assert main([command, *inputs, "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(out)!r}\n"
+    assert list(out.iterdir()) == [] and list(tmp_path.glob("*.tmp")) == []
+
+
 def test_simulate_with_builtin_controller(scenario_file, capsys):
     assert main(["simulate", "--scenario", str(scenario_file)]) == EXIT_OK
     summary = json.loads(capsys.readouterr().out)
@@ -180,7 +191,10 @@ def test_exit_code_unknown_scenario_key(tmp_path, capsys, typo):
 
 
 @pytest.mark.parametrize("text, message", [
-    (SCENARIO.replace("x0 = 0.2 0", "x0 = 0.2 zero"), "key 'x0' in [sim]: cannot parse '0.2 zero' as a vector"),
+    (SCENARIO.replace("x0 = 0.2 0", "x0 = 0.2 zero"), "key 'x0' in [sim]: cannot parse '0.2 zero' as a matrix"),
+    (SCENARIO.replace("x0 = 0.2 0", "x0 = nan 0"), "key 'x0' in [sim]: vector has non-finite entries"),
+    (SCENARIO.replace("x0 = 0.2 0", "x0 ="), "key 'x0' in [sim]: empty value"),
+    (SCENARIO.replace("A = 0 1; -1 0", "A ="), "key 'A' in [plant]: empty value"),
     (SCENARIO.replace("[controller]\nbuiltin = oscillator\n", ""), "missing [controller] section"),
     (SCENARIO + "[perturbations]\ndisturbance = matched_sin 0.1\n", "disturbance 'matched_sin' needs amplitude and omega"),
     (SCENARIO + "[perturbations]\ndisturbance = constant\n", "disturbance 'constant' needs vector entries"),
@@ -195,8 +209,8 @@ def test_exit_code_unknown_scenario_key(tmp_path, capsys, typo):
      "key 'seed' in [perturbations]: cannot parse '1.5' as int"),
     (SCENARIO + "[perturbations]\ndisturbance = matched_sin abc 5\n",
      "key 'disturbance' in [perturbations]: cannot parse 'abc' as float"),
-], ids=["unparseable-vector", "missing-controller", "matched-sin-arity", "empty-constant", "h", "t_end", "delay",
-        "settle_epsilon", "noise", "seed", "matched-sin-amplitude"])
+], ids=["unparseable-vector", "nan-vector", "empty-vector", "empty-matrix", "missing-controller", "matched-sin-arity",
+        "empty-constant", "h", "t_end", "delay", "settle_epsilon", "noise", "seed", "matched-sin-amplitude"])
 def test_exit_code_malformed_scenario_names_the_key(tmp_path, capsys, text, message):
     scenario = tmp_path / "scenario.ini"
     scenario.write_text(text)
@@ -238,6 +252,46 @@ def test_exit_code_malformed_value_names_file_section_and_key(tmp_path, capsys, 
     assert main(["simulate", "--scenario", str(scenario)]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert f"error: {scenario}: key {key!r} in [{section}]: " in err
+
+
+CHAIN4 = "[plant]\nA = 0 1 0 0; 0 0 1 0; 0 0 0 1; 0 0 0 0\nB = 0; 0; 0; 1\n"
+
+
+@pytest.fixture(scope="module")
+def chain4_scenario(tmp_path_factory):
+    """A chain-4 scenario on a record from ``synth``: a 2 x 2 matrix has as many entries as its state."""
+    folder = tmp_path_factory.mktemp("chain4")
+    (folder / "plant.ini").write_text(CHAIN4)
+    record = folder / "chain4.json"
+    assert main(["synth", "--plant", str(folder / "plant.ini"), "--T", "1", "--out", str(record)]) == EXIT_OK
+    return CHAIN4 + f"[controller]\nfile = {record}\n[sim]\nx0 = 1 0 0 1\nh = 0.01\nt_end = 0.05\n"
+
+
+#: the chain-4 scenario's last line, followed by a [perturbations] section
+_THEN_PERTURBED = "t_end = 0.05\n[perturbations]\n"
+
+
+@pytest.mark.parametrize("old, new, section, key", [
+    ("x0 = 1 0 0 1", "x0 = 1 0; 0 1", "sim", "x0"),
+    ("t_end = 0.05", _THEN_PERTURBED + "x0_noise = 1 0; 0 1", "perturbations", "x0_noise"),
+    ("t_end = 0.05", _THEN_PERTURBED + "disturbance = constant 1 0; 0 1", "perturbations", "disturbance"),
+], ids=["x0", "x0_noise", "disturbance"])
+def test_exit_code_matrix_for_a_vector_names_the_key(tmp_path, capsys, chain4_scenario, old, new, section, key):
+    # a vector is one row or one column, as in the Python API; a matrix is not flattened
+    scenario = tmp_path / "scenario.ini"
+    scenario.write_text(chain4_scenario.replace(old, new))
+    assert main(["simulate", "--scenario", str(scenario)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"error: {scenario}: key {key!r} in [{section}]: " in err and "one row or one column" in err, err
+
+
+def test_chain4_vector_reads_as_a_row_or_a_column(tmp_path, capsys, chain4_scenario):
+    for text in (chain4_scenario, chain4_scenario.replace("x0 = 1 0 0 1", "x0 = 1; 0; 0; 1")):
+        scenario = tmp_path / "scenario.ini"
+        perturbed = _THEN_PERTURBED + "x0_noise = 0; 0; 0; 0\ndisturbance = constant 0 0 0 0"
+        scenario.write_text(text.replace("t_end = 0.05", perturbed))
+        assert main(["simulate", "--scenario", str(scenario)]) == EXIT_OK
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("text, key", [
@@ -283,7 +337,7 @@ def test_exit_code_malformed_plant_delay_names_the_key(tmp_path, capsys):
     (SCENARIO + "h = 0.02\n", "option 'h' in section 'sim' already exists"),
     (SCENARIO + "settle_epsilon\n", "Source contains parsing errors"),
     # values are literal: a '%' is an ordinary character, not interpolation syntax
-    (SCENARIO.replace("x0 = 0.2 0", "x0 = 0.7% 0"), "key 'x0' in [sim]: cannot parse '0.7% 0' as a vector"),
+    (SCENARIO.replace("x0 = 0.2 0", "x0 = 0.7% 0"), "key 'x0' in [sim]: cannot parse '0.7% 0' as a matrix"),
     # [DEFAULT] is an ordinary section, not keys copied into every other one
     ("[DEFAULT]\ndelay = 0.5\n" + SCENARIO, "unknown section [DEFAULT] (expected one of: "),
     (SCENARIO.replace("oscillator", "oscilator"),

@@ -257,6 +257,14 @@ def test_context_rejects_a_kind_spelt_as_a_string(ctrl):
         make_context(ctrl, "linear", [0.2, 0.0])
 
 
+def test_unknown_kind_names_the_known_ones():
+    # the scenario file's 'kind' is read by ControllerKind itself, with this message
+    with pytest.raises(ValueError) as info:
+        ControllerKind("bogus")
+    assert str(info.value) == ("unknown controller kind 'bogus' "
+                               "(expected one of: prescribed_time, prescribed_time_robust, fixed_time, linear)")
+
+
 def test_context_requires_matching_reference_dimension(ctrl):
     with pytest.raises(ValueError):
         make_context(ctrl, ControllerKind.LINEAR, [1.0, 2.0, 3.0])

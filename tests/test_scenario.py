@@ -169,12 +169,15 @@ def test_scenario_delay_with_prehistory(tmp_path):
     np.testing.assert_array_equal(config.phi, [[0.1], [0.2], [0.3]])
 
 
-def test_scenario_phi_zero_keyword(tmp_path):
-    text = ("[plant]\nA = 0 1; -1 0\nB = 0; 1\ndelay = 0.03\n"
-            + "[controller]\nbuiltin = oscillator\n" + SIM
-            + "[perturbations]\nphi = zero\n")
-    config = load_scenario(_write(tmp_path, text))
-    assert config.phi is None
+@pytest.mark.parametrize("delay", ["", "delay = 0.03\n"], ids=["delay-free", "delayed"])
+def test_scenario_phi_has_no_zero_keyword(tmp_path, delay):
+    # 'phi' is a matrix like any other; a delayed plant given none starts from a zero pre-history
+    text = PLANT + delay + "[controller]\nbuiltin = oscillator\n" + SIM
+    assert load_scenario(_write(tmp_path, text)).phi is None
+    path = _write(tmp_path, text + "[perturbations]\nphi = zero\n")
+    with pytest.raises(ValueError) as info:
+        load_scenario(path)
+    assert str(info.value) == f"{path}: key 'phi' in [perturbations]: cannot parse 'zero' as a matrix"
 
 
 @pytest.mark.parametrize(
