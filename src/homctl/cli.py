@@ -135,10 +135,9 @@ def cmd_experiment(args) -> int:
         raise ValueError("--workers must be >= 1")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-    results = [run_preset(PRESETS[name], seed=args.seed) for name in names]
-
     reports = []
-    for name, (trace, report) in zip(names, results):
+    for name in names:
+        trace, report = run_preset(PRESETS[name], seed=args.seed)
         reports.append(report)
         if args.out:
             trace_to_csv(trace, os.path.join(args.out, f"{name}.csv"))

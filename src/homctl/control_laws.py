@@ -30,8 +30,8 @@ and :meth:`ControlContext.feedback`, whose homogeneous term ``r KT z`` needs
 no dilation; the context binds its dilation and ``r KT`` once.
 :func:`eval_control` and the sampled loop of
 :mod:`homctl.simulate` solve where :attr:`ControlContext.reads_s` holds; the
-dense mode feeds its closed-form ``(s, z)``.  A run that does not solve its
-states takes their ``s`` from :meth:`ControlContext.solve_rows`, in one batch.
+dense mode forms ``K0 x + r KT z`` from its flow's ``z``.  A run that does not
+solve its states takes their ``s`` from :meth:`ControlContext.solve_rows`.
 """
 
 from __future__ import annotations

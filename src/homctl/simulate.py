@@ -29,8 +29,8 @@ context reads ``s``, evaluates the feedback and takes the one plant step.
 From the capture on, the plant runs out the ``N`` inputs in flight behind a
 delay of ``N`` samples, and the loop ends; later rows stay the zeros the
 trace arrays are allocated as.  Runs that solve no norm in the loop, every
-noisy run and the dense mode fill the trace's ``s`` column in one batched
-root-find.  The trace's norm column is
+noisy run and a dense run of a fixed law fill the trace's ``s`` column in
+one batched root-find.  The trace's norm column is
 :meth:`~homctl.dilation.Dilation.norm` of all its states at once, and
 :func:`simulate` measures settling on it for either mode.
 """
@@ -395,10 +395,10 @@ def _simulate_dense(config: ScenarioConfig) -> SimulationTrace:
     ``x = 0``, ``u = 0``, ``s = 0``.  Where the context's fixed law ``u = K0 x
     + c KT x`` runs, the run is ``e^{(A0 + c B KT) t} x0`` up to ``t_end``.
     Each flow is one orbit map over the grid from one eigenbasis (``expm``
-    per point only where that basis is ill-conditioned).  The feedback reads
-    the flow's own ``s`` and root point ``z = e^{H sigma} z0``; the recorded
-    ``s`` is one batched root-find over the states, an independent check on
-    ``s0 - t/T``.  :func:`simulate`, the only caller, measures settling.
+    per point only where that basis is ill-conditioned); ``z`` turns as ``L'z``
+    under the skew part of ``L'HL^{-T}``, ``P = LL'``, on a unitary basis.  The
+    trace records the flow's own ``s``, and each law's input is one product over
+    the grid.  :func:`simulate`, the only caller, measures settling.
 
     Raises ``ValueError`` where the formula does not hold: a delay, noise or
     a disturbance, a record that fails :func:`verify_controller`, or a
@@ -422,7 +422,9 @@ def _simulate_dense(config: ScenarioConfig) -> SimulationTrace:
     if not ctx.reads_s:
         X = _orbit(Dilation(-(ctrl.A0 + ctx.fixed_c * (ctrl.B @ ctrl.KT)), ctrl.P), x0)(grid[1:, None])
         xs = np.vstack([x0, X.T])
-        us = np.array([ctx.feedback(x, 0.0, None) for x in xs])
+        us = xs @ ctrl.K0.T + xs @ (ctx.fixed_c * ctrl.KT).T
+        with np.errstate(over="ignore", invalid="ignore"):
+            ss = ctx.solve_rows(xs)
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             s0, z0 = ctx.solve(x0)
@@ -431,17 +433,19 @@ def _simulate_dense(config: ScenarioConfig) -> SimulationTrace:
         if T * s0 < config.t_end:
             grid = np.union1d(grid, T * s0)
         k = int(np.searchsorted(grid, T * s0))
-        xs, us = np.zeros((len(grid), len(x0))), np.zeros((len(grid), ctrl.m))
+        xs, us, ss = np.zeros((len(grid), len(x0))), np.zeros((len(grid), ctrl.m)), np.zeros(len(grid))
+        ss[:k] = s0 - grid[:k] / T
         xs[0], us[0] = x0, ctx.feedback(x0, s0, z0)
         if k > 1:
-            # the flows map the rows strictly inside (0, T s0) at once, each
-            # point under its own parameter
-            s_flow = s0 - grid[1:k, None] / T
-            Z = _orbit(Dilation(-(ctrl.A0 + ctrl.B @ ctrl.KT + ctrl.Gd / T), ctrl.P), z0)(-T * np.log(s_flow / s0))
-            xs[1:k] = ctx.ref_norm * _orbit(ctx.dilation, Z)(-np.log(s_flow)).T
-            us[1:k] = [ctx.feedback(x, s, z) for x, s, z in zip(xs[1:k], s_flow[:, 0], Z.T)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        ss = ctx.solve_rows(xs)
+            # with P = LL', w = L'z turns under the skew S = L'HL^{-T}, whose
+            # eigenbasis is unitary; each row strictly inside (0, T s0), where
+            # no clamp acts (s < s0 <= 1 for a clamped kind), has its own point
+            L = np.linalg.cholesky(ctrl.P)
+            S = np.linalg.solve(L, (L.T @ (ctrl.A0 + ctrl.B @ ctrl.KT + ctrl.Gd / T)).T).T
+            W = _orbit(Dilation(0.5 * (S.T - S), np.eye(len(x0))), L.T @ z0)(-T * np.log(ss[1:k, None] / s0))
+            Z = np.linalg.solve(L.T, W)
+            xs[1:k] = ctx.ref_norm * _orbit(ctx.dilation, Z)(-np.log(ss[1:k, None])).T
+            us[1:k] = xs[1:k] @ ctrl.K0.T + Z.T @ ctx._rKT.T
     return SimulationTrace(t=grid, x=xs, u=us, s=ss, x_norm=ctx.dilation.norm(xs))
 
 

@@ -23,7 +23,9 @@ to first order; its tolerance is the root's times that, plus
 :data:`C_ROUND` ``u max(|K0||y| + r|KT||z|)`` for the rounding of the two
 products and of the program's ``KT``.  The worst gap on the four records
 is 0.81 of that tolerance (``rand5x2``).  The ``fixed_time`` floor, the
-clamp and the zero state are checked exactly.  The Jordan dilations of
+clamp and the zero state are checked exactly.  The dense mode records the
+flow's own ``s = s0 - t/T``; the exact root of each recorded state, where
+``s >= 0.1``, must agree with it to the root's tolerance.  The Jordan dilations of
 ``tests/test_dilation.py`` are not covered: the eigenbasis needs a
 diagonalizable ``Gd``.
 """
@@ -187,6 +189,25 @@ def test_feedback_agrees_with_the_exact_feedback(name):
                 checked += 1
     # every state under prescribed_time, and the clamped kinds below the clamp
     assert checked > 2 * len(Y)
+
+
+@pytest.mark.parametrize("kind", [ControllerKind.PRESCRIBED_TIME_ROBUST, ControllerKind.FIXED_TIME],
+                         ids=lambda k: k.value)
+@pytest.mark.parametrize("name", ["oscillator", "chain3", "rand3x2", "rand5x2"])
+def test_dense_s_column_agrees_with_the_exact_root(name, kind):
+    # the recorded s is not solved from the recorded x: the exact root of
+    # x / r checks the pair, at every 8th row where s >= 0.1 (nearer the
+    # origin the root is ill-conditioned, ROADMAP item 17)
+    ctrl, exact = _exact(name)
+    x0 = 0.7 * np.eye(ctrl.n)[0]
+    trace = simulate(ScenarioConfig(plant=LinearPlant(ctrl.A, ctrl.B), controller=ctrl, x0=x0, h=0.01,
+                                    t_end=2 * ctrl.T, kind=kind, integrator="dense"))
+    r = make_context(ctrl, kind, x0).ref_norm
+    rows = np.nonzero(trace.s >= 0.1)[0][::8]
+    assert len(rows) >= 9
+    for x, v in zip(trace.x[rows], trace.s[rows]):
+        s, slope, kappa2 = exact.root(x / r)
+        assert _gap(s, v) <= _tolerance(slope, kappa2), (x, _gap(s, v), _tolerance(slope, kappa2))
 
 
 @pytest.mark.parametrize("name", ["oscillator", "chain3", "rand3x2", "rand5x2"])
