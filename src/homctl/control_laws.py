@@ -183,9 +183,9 @@ def make_context(controller: SynthesizedController, kind: ControllerKind, x0, x0
     ``x0_noise`` models an imprecisely known initial condition: it is added
     to ``x0`` in the controller's reference only, never in the plant.
     """
-    x0 = linalg.as_vector(x0, "x0")
+    x0 = linalg.as_vector(x0, "x0", controller.n)
     if x0_noise is not None:
-        x0 = x0 + linalg.as_vector(x0_noise, "x0_noise")
+        x0 = x0 + linalg.as_vector(x0_noise, "x0_noise", controller.n)
     return ControlContext(controller, kind, x0)
 
 

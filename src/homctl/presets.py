@@ -61,7 +61,6 @@ def oscillator_controller() -> SynthesizedController:
         A=[[0.0, 1.0], [-1.0, 0.0]],
         B=[[0.0], [1.0]],
         T=1.0,
-        mu=-1.0,
         G0=[[-1.0, 0.0], [0.0, 0.0]],
         Y0=[[-2.0, 0.0]],
         Gd=[[2.0, 0.0], [0.0, 1.0]],

@@ -8,6 +8,7 @@ output ``q2 = C v`` of a small exosystem ``v' = S v``, so its per-sample
 term is one block of a single augmented matrix exponential.  The dense mode
 is the closed-form solution of the continuous closed loop over a whole grid
 at once, the exact reference of its settle at ``T s0``; nothing is integrated.
+A dense run that the closed form does not describe fails when it is built.
 
 Because the homogeneous feedback contracts the scheduling scalar ``s`` at
 the exact rate ``-1/T`` in continuous time, an unperturbed sampled run snaps
@@ -66,8 +67,6 @@ log = logging.getLogger(__name__)
 #: default settling thresholds (weighted norm)
 _SETTLE_EPS_NOMINAL = 1e-9
 _SETTLE_EPS_PERTURBED = 1e-6
-#: rounding slack on s0 <= 1 before a clamped kind leaves the closed form
-_DENSE_CLAMP_TOL = 1e-9
 
 
 #: the fields each disturbance kind reads; a field it does not read must keep its default
@@ -145,7 +144,12 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything one closed-loop run needs."""
+    """Everything one closed-loop run needs, each input checked as the run is built.
+
+    A dense run must be delay-free and unperturbed, its record must pass
+    :func:`verify_controller`, and a clamped kind must start inside its
+    reference sphere, ``|x0|_P <= r``, which is ``s0 = ||x0 / r||_d <= 1``.
+    """
 
     plant: LinearPlant
     controller: SynthesizedController
@@ -181,6 +185,18 @@ class ScenarioConfig:
             object.__setattr__(self, "settle_epsilon", linalg.as_scalar(self.settle_epsilon, "settle_epsilon", gt=0))
         if not isinstance(self.kind, ControllerKind):
             raise ValueError(f"kind must be a ControllerKind, got {self.kind!r}")
+        if self.integrator == "dense":
+            # the closed form of the dense mode holds for these runs only
+            if self.plant.delay > 0 or self.perturbed:
+                raise ValueError(f"the dense mode needs a delay-free, unperturbed run, got delay {self.plant.delay:g}, "
+                                 f"noise {self.noise.amplitude:g} and disturbance {self.disturbance.kind}")
+            if failed := [c.name for c in verify_controller(self.controller, self.plant).failed]:
+                raise ValueError(f"the dense mode needs a record that passes verification, failed: {', '.join(failed)}")
+            ctx = make_context(self.controller, self.kind, self.x0, self.x0_noise)
+            clamped = ctx.reads_s and self.kind is not ControllerKind.PRESCRIBED_TIME
+            if clamped and (x0_norm := ctx.dilation.norm(self.x0)) > ctx.ref_norm:
+                raise ValueError(f"the dense mode: {self.kind.value} starts clamped "
+                                 f"(|x0| = {x0_norm:.6g} > r = {ctx.ref_norm:.6g})")
 
     @property
     def perturbed(self) -> bool:
@@ -398,24 +414,10 @@ def _simulate_dense(config: ScenarioConfig) -> SimulationTrace:
     per point only where that basis is ill-conditioned); ``z`` turns as ``L'z``
     under the skew part of ``L'HL^{-T}``, ``P = LL'``, on a unitary basis.  The
     trace records the flow's own ``s``, and each law's input is one product over
-    the grid.  :func:`simulate`, the only caller, measures settling.
-
-    Raises ``ValueError`` where the formula does not hold: a delay, noise or
-    a disturbance, a record that fails :func:`verify_controller`, or a
-    clamped kind started outside its reference sphere (``s0 > 1``, which
-    only ``x0_noise`` can cause).
+    the grid.  :func:`simulate`, the only caller, measures settling, and
+    :class:`ScenarioConfig` refuses a run the formula does not describe.
     """
-    plant, ctrl = config.plant, config.controller
-    if plant.delay > 0:
-        raise ValueError("the dense mode supports delay-free plants only")
-    if config.noise.active:
-        raise ValueError("the dense mode does not support measurement noise")
-    if config.disturbance.active:
-        raise ValueError("the dense mode has no closed form under a disturbance")
-    failed = [c.name for c in verify_controller(ctrl, plant).failed]
-    if failed:
-        raise ValueError(f"the dense mode needs a controller that passes verification (failed: {', '.join(failed)})")
-    x0 = config.x0
+    ctrl, x0 = config.controller, config.x0
     ctx = make_context(ctrl, config.kind, x0, config.x0_noise)
     T = ctrl.T
     grid = np.linspace(0.0, config.t_end, max(int(round(config.t_end / config.h)) * 4, 200))
@@ -428,8 +430,6 @@ def _simulate_dense(config: ScenarioConfig) -> SimulationTrace:
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             s0, z0 = ctx.solve(x0)
-        if s0 > 1.0 + _DENSE_CLAMP_TOL and config.kind is not ControllerKind.PRESCRIBED_TIME:
-            raise ValueError(f"the dense mode: {config.kind.value} starts clamped (s0 = {s0:.6g} > 1)")
         if T * s0 < config.t_end:
             grid = np.union1d(grid, T * s0)
         k = int(np.searchsorted(grid, T * s0))

@@ -46,6 +46,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -162,16 +163,17 @@ class SynthesizedController:
     """Full parameter set of a synthesized stabilizer.
 
     Carries the plant matrices it was synthesized for, the settling time and
-    homogeneity degree, and every matrix of the construction so the record is
-    self-contained for verification, simulation and serialization.  A degree
-    other than :data:`MU` is rejected: such a record can pass every algebraic
-    check of :func:`verify_controller` and still not settle at ``T``.
+    every matrix of the construction so the record is self-contained for
+    verification, simulation and serialization.  The homogeneity degree is
+    the class constant ``mu = MU``, not a field: a record of another degree
+    can pass every algebraic check of :func:`verify_controller` and still not
+    settle at ``T``, so :func:`controller_from_dict` refuses a file that gives one.
     """
 
     A: np.ndarray
     B: np.ndarray
     T: float
-    mu: float
+    mu: ClassVar[float] = MU
     G0: np.ndarray
     Y0: np.ndarray
     Gd: np.ndarray
@@ -187,9 +189,6 @@ class SynthesizedController:
         for name, shape in _MATRIX_FIELDS.items():
             object.__setattr__(self, name, linalg.as_matrix(getattr(self, name), name, tuple(dims[d] for d in shape)))
         object.__setattr__(self, "T", linalg.as_scalar(self.T, "settling time T", gt=0))
-        if self.mu != MU:
-            raise ValueError(f"homogeneity degree mu must be {MU}, got {self.mu}")
-        object.__setattr__(self, "mu", MU)
 
     @property
     def n(self) -> int:
@@ -416,7 +415,7 @@ def _feasibility_step(A0, B, Gd, weight: float) -> tuple[np.ndarray, np.ndarray,
     A0 = linalg.as_square(A0, "A0")
     n = A0.shape[0]
     B = linalg.as_matrix(B, "B", (n, None))
-    Gd = linalg.as_square(Gd, "Gd")
+    Gd = linalg.as_matrix(Gd, "Gd", (n, n))
     W = A0 + Gd
     BBt = B @ B.T
     try:
@@ -471,7 +470,7 @@ def synthesize(plant: LinearPlant, config: SynthesisConfig) -> SynthesizedContro
             continue
         K = np.linalg.solve(X.T, Y.T).T
         controller = SynthesizedController(
-            A=A, B=B, T=config.T, mu=MU,
+            A=A, B=B, T=config.T,
             G0=G0, Y0=Y0, Gd=Gd, A0=A0, X=X, Y=Y, K0=K0, K=K,
         )
         # the steps evaluated these checks on the record's own matrices: they become its cached checks
@@ -629,23 +628,21 @@ def verify_controller(controller: SynthesizedController, plant: LinearPlant | No
 # serialization
 
 
-_FIELDS_SCALAR = ("T", "mu")
-
-
 def controller_to_dict(controller: SynthesizedController) -> dict:
-    """Plain-dict form of a controller (row-major nested lists)."""
-    return {**{name: getattr(controller, name) for name in _FIELDS_SCALAR},
-            **{name: getattr(controller, name).tolist() for name in _MATRIX_FIELDS}}
+    """Plain-dict form of a controller (row-major nested lists), with its constant ``mu``."""
+    return {"T": controller.T, "mu": controller.mu, **{k: getattr(controller, k).tolist() for k in _MATRIX_FIELDS}}
 
 
 def controller_from_dict(data: dict) -> SynthesizedController:
     """Rebuild a controller from its plain-dict form; a malformed field is a ``ValueError`` naming it."""
     if not isinstance(data, dict):
         raise ValueError(f"controller record must be a JSON object, got {type(data).__name__}")
-    missing = [k for k in (*_FIELDS_SCALAR, *_MATRIX_FIELDS) if k not in data]
+    missing = [k for k in ("T", "mu", *_MATRIX_FIELDS) if k not in data]
     if missing:
         raise ValueError(f"controller record is missing fields: {', '.join(missing)}")
-    kwargs = {name: linalg.as_scalar(data[name], f"controller record field {name}") for name in _FIELDS_SCALAR}
+    kwargs = {"T": linalg.as_scalar(data["T"], "controller record field T")}
+    if (mu := linalg.as_scalar(data["mu"], "controller record field mu")) != MU:
+        raise ValueError(f"homogeneity degree mu must be {MU}, got {mu}")
     for name in _MATRIX_FIELDS:
         entries = np.asarray(data[name], dtype=object)
         # only finite Python floats skip the scalar contract: a bool or a numeric string would convert silently

@@ -577,6 +577,35 @@ def test_simulate_dense_with_disturbance_is_input_error(tmp_path, capsys):
     assert "disturbance" in capsys.readouterr().err
 
 
+#: name -> (scenario text, a part of its message): each dense run the closed form does not describe
+_DENSE_REFUSALS = {
+    "delay": (SCENARIO.replace("B = 0; 1\n", "B = 0; 1\ndelay = 0.5\n"), "needs a delay-free, unperturbed run"),
+    "noise": (SCENARIO + "integrator = dense\n[perturbations]\nnoise = 0.01\nseed = 1\n", "noise 0.01"),
+    "disturbance": (SCENARIO + "integrator = dense\n[perturbations]\ndisturbance = constant 0 0.05\n",
+                    "disturbance constant"),
+    "unverified": (SCENARIO.replace("builtin = oscillator", "file = bad.json"),
+                   "passes verification, failed: gain_K_definition"),
+    "clamped": (SCENARIO + "integrator = dense\n[perturbations]\nx0_noise = -0.04 0\n",
+                "prescribed_time_robust starts clamped (|x0| = "),
+}
+
+
+@pytest.mark.parametrize("name", _DENSE_REFUSALS)
+def test_simulate_unrunnable_dense_scenario_names_its_file(tmp_path, capsys, name):
+    # the config refuses a dense run the closed form does not describe, as
+    # the scenario is loaded, so the message names the file like any bad value
+    text, message = _DENSE_REFUSALS[name]
+    data = controller_to_dict(oscillator_controller())
+    data["K"] = [[1.01 * k for k in data["K"][0]]]
+    (tmp_path / "bad.json").write_text(json.dumps(data))
+    path = tmp_path / f"dense_{name}.ini"
+    path.write_text(text if "integrator = dense" in text else text + "integrator = dense\n")
+    assert main(["simulate", "--scenario", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: the dense mode") and message in captured.err
+    assert captured.out == ""
+
+
 def test_experiment_single_preset(tmp_path, capsys):
     out = tmp_path / "runs"
     assert main(["experiment", "--preset", "fig1", "--out", str(out)]) == EXIT_OK

@@ -4,6 +4,7 @@ branches, and the calibrated gain ``KT`` on the controller record."""
 import dataclasses
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -268,6 +269,17 @@ def test_unknown_kind_names_the_known_ones():
 def test_context_requires_matching_reference_dimension(ctrl):
     with pytest.raises(ValueError):
         make_context(ctrl, ControllerKind.LINEAR, [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("x0, x0_noise, message", [
+    ([0.2, 0.0], [0.1], "x0_noise has size 1, expected 2"),
+    ([0.2], [0.0, 0.0], "x0 has size 1, expected 2"),
+])
+def test_context_refuses_a_reference_part_it_would_broadcast(ctrl, x0, x0_noise, message):
+    # a one-entry part would broadcast, and the run would take [0.3, 0.1] or [0.2, 0.2] as its reference
+    for kind in KINDS:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make_context(ctrl, kind, x0, x0_noise=x0_noise)
 
 
 def test_context_kt_gain_uses_settling_time(plant):

@@ -158,6 +158,24 @@ def test_chain6_dense_run_settles_at_T():
     assert trace.settled and trace.settling_time == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("nu", range(2, 7))
+def test_sampled_law_tracks_the_theorem_at_every_nu(nu):
+    # ROADMAP item 21: on chain nu (controllability index nu) the sampled s
+    # follows the theorem's s0 - t/T to first order in h.  e(h) is the largest
+    # deviation over t <= 0.8 T s0; the worst e(h) T/h is 7.12 (nu = 6 at
+    # h = 1e-2), and e(1e-2)/e(1e-3) runs from 10.5 (nu = 2) to 70.4 (nu = 6)
+    plant = LinearPlant(np.eye(nu, k=1), np.eye(nu)[:, -1:])
+    ctrl = synthesize(plant, SynthesisConfig(T=1.0))
+    e = {}
+    for h in (1e-2, 1e-3):
+        trace = simulate(ScenarioConfig(plant=plant, controller=ctrl, x0=0.7 * np.eye(nu)[0], h=h, t_end=ctrl.T))
+        s0 = trace.s[0]
+        span = trace.t <= 0.8 * ctrl.T * s0
+        e[h] = np.max(np.abs(trace.s[span] - (s0 - trace.t[span] / ctrl.T)))
+        assert e[h] * ctrl.T / h <= 10.0, (h, e[h])
+    assert e[1e-2] / e[1e-3] >= 5.0
+
+
 # ---------------------------------------------------------------------------
 # input delay
 
@@ -350,13 +368,13 @@ def test_zero_reference_s_column_reads_inf_at_nonzero_states(kind, integrator):
 
 
 def test_dense_mode_rejects_a_delay_and_noise():
+    # the config refuses a run the closed form does not describe, before it starts
     x0 = np.array([0.2, 0.0])
-    delayed = ScenarioConfig(plant=oscillator_plant(delay=0.5), controller=oscillator_controller(), x0=x0,
-                             h=H, t_end=2.0, integrator="dense")
-    with pytest.raises(ValueError, match="delay-free plants only"):
-        simulate(delayed)
-    with pytest.raises(ValueError, match="measurement noise"):
-        simulate(_nominal(x0, integrator="dense", noise=NoiseSpec(amplitude=0.01, seed=1)))
+    with pytest.raises(ValueError, match="needs a delay-free, unperturbed run, got delay 0.5, noise 0 "):
+        ScenarioConfig(plant=oscillator_plant(delay=0.5), controller=oscillator_controller(), x0=x0,
+                       h=H, t_end=2.0, integrator="dense")
+    with pytest.raises(ValueError, match="got delay 0, noise 0.01 and disturbance none"):
+        _nominal(x0, integrator="dense", noise=NoiseSpec(amplitude=0.01, seed=1))
 
 
 @pytest.mark.parametrize("T", [0.5, 2.0])
@@ -444,19 +462,16 @@ def test_dense_mode_from_a_small_start_settles_at_T_s0():
 
 
 def test_dense_mode_rejects_a_disturbance():
-    config = _nominal([0.2, 0.0], integrator="dense",
-                      disturbance=DisturbanceSpec(kind="constant", vector=[0.0, 0.01]))
-    with pytest.raises(ValueError, match="disturbance"):
-        simulate(config)
+    with pytest.raises(ValueError, match="got delay 0, noise 0 and disturbance constant"):
+        _nominal([0.2, 0.0], integrator="dense", disturbance=DisturbanceSpec(kind="constant", vector=[0.0, 0.01]))
 
 
 def test_dense_mode_rejects_a_record_that_fails_verification():
     ctrl = oscillator_controller()
     bad = dataclasses.replace(ctrl, K=1.01 * ctrl.K)
-    config = ScenarioConfig(plant=oscillator_plant(), controller=bad, x0=np.array([0.2, 0.0]), h=H,
-                            t_end=2.0, integrator="dense")
     with pytest.raises(ValueError, match="gain_K_definition"):
-        simulate(config)
+        ScenarioConfig(plant=oscillator_plant(), controller=bad, x0=np.array([0.2, 0.0]), h=H, t_end=2.0,
+                       integrator="dense")
 
 
 @pytest.mark.parametrize("kind", [ControllerKind.PRESCRIBED_TIME_ROBUST, ControllerKind.FIXED_TIME])
@@ -464,11 +479,24 @@ def test_dense_mode_rejects_a_clamped_start(kind):
     # a reference shrunk by x0_noise puts x0 outside the reference sphere,
     # where the clamped kinds run their linear phase first
     x0 = np.array([5.0, 0.0])
-    config = _nominal(x0, kind=kind, integrator="dense", x0_noise=-0.2 * x0)
-    with pytest.raises(ValueError, match="clamped"):
-        simulate(config)
+    with pytest.raises(ValueError, match=rf"{kind.value} starts clamped \(\|x0\| = [\d.]+ > r = [\d.]+\)"):
+        _nominal(x0, kind=kind, integrator="dense", x0_noise=-0.2 * x0)
     # the unclamped law starts there as well
-    assert simulate(dataclasses.replace(config, kind=ControllerKind.PRESCRIBED_TIME)).s[0] > 1.0
+    unclamped = _nominal(x0, kind=ControllerKind.PRESCRIBED_TIME, integrator="dense", x0_noise=-0.2 * x0)
+    assert simulate(unclamped).s[0] > 1.0
+
+
+@pytest.mark.parametrize("kind", [ControllerKind.PRESCRIBED_TIME_ROBUST, ControllerKind.FIXED_TIME])
+def test_dense_clamp_rule_is_exact(kind, rng):
+    # the rule is |x0|_P <= r: with no x0_noise it compares |x0|_P with
+    # itself, or with the radius floored at 1, so no start is refused
+    for x0 in rng.normal(size=(20, 2)) * 10.0 ** rng.integers(-3, 4, size=(20, 1)):
+        _nominal(x0, kind=kind, integrator="dense")
+    # a reference one part in 1e12 short of a start outside the unit sphere
+    # is refused: the rule has no rounding slack
+    x0 = np.array([5.0, 0.0])
+    with pytest.raises(ValueError, match="starts clamped"):
+        _nominal(x0, kind=kind, integrator="dense", x0_noise=-1e-12 * x0)
 
 
 def test_import_leaves_the_dense_integrator_unloaded():

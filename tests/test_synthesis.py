@@ -242,6 +242,13 @@ def test_lmi_feasibility_riccati_failure_is_infeasible(plant, monkeypatch):
         solve_lmi_feasibility(np.array([[0.0, 1.0], [0.0, 0.0]]), plant.B, np.diag([2.0, 1.0]), _RICCATI_STATE_WEIGHT)
 
 
+@pytest.mark.parametrize("size", [1, 3])
+def test_lmi_feasibility_refuses_a_generator_of_another_size(plant, size):
+    # a 1 x 1 Gd would broadcast into A0 + Gd and fail as infeasible, a 3 x 3 one with numpy's message
+    with pytest.raises(ValueError, match=rf"^Gd has shape \({size}, {size}\), expected \(2, 2\)$"):
+        solve_lmi_feasibility(np.array([[0.0, 1.0], [0.0, 0.0]]), plant.B, 2.0 * np.eye(size))
+
+
 def test_lmi_feasibility_rejects_non_anti_hurwitz_generator(plant):
     # Gd = -I makes A0 + Gd Hurwitz, so the Lyapunov solution is negative definite
     A0 = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -411,7 +418,7 @@ def _record(plant, G0, Y0, Gd=None, X=None):
     n = plant.n
     K0, A0 = homctl.synthesis._closed_loop(plant.A, plant.B, G0, Y0)
     X = np.eye(n) if X is None else X
-    return SynthesizedController(A=plant.A, B=plant.B, T=1.0, mu=-1.0, G0=G0, Y0=Y0,
+    return SynthesizedController(A=plant.A, B=plant.B, T=1.0, G0=G0, Y0=Y0,
                                  Gd=np.eye(n) - G0 if Gd is None else Gd, A0=A0, X=X, Y=-plant.B.T,
                                  K0=K0, K=np.linalg.solve(X.T, -plant.B).T)
 
@@ -582,7 +589,7 @@ def test_reference_controller_weight_matrix(ctrl):
 
 def test_verification_catches_wrong_gain(ctrl):
     broken = SynthesizedController(
-        A=ctrl.A, B=ctrl.B, T=ctrl.T, mu=ctrl.mu, G0=ctrl.G0, Y0=ctrl.Y0,
+        A=ctrl.A, B=ctrl.B, T=ctrl.T, G0=ctrl.G0, Y0=ctrl.Y0,
         Gd=ctrl.Gd, A0=ctrl.A0, X=ctrl.X, Y=ctrl.Y, K0=ctrl.K0, K=[[0.0, 0.0]],
     )
     report = verify_controller(broken)
@@ -720,6 +727,16 @@ def test_save_controller_file_mode_matches_plain_open(tmp_path, ctrl):
     plain.write_text("")
     save_controller(ctrl, tmp_path / "c.json")
     assert stat.S_IMODE((tmp_path / "c.json").stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+
+
+def test_record_degree_is_a_class_constant(ctrl):
+    # mu is no field: the constructor takes none, and every record reads the constant
+    assert "mu" not in [f.name for f in dataclasses.fields(SynthesizedController)]
+    assert ctrl.mu == SynthesizedController.mu == homctl.MU == -1.0
+    with pytest.raises(TypeError, match="mu"):
+        dataclasses.replace(ctrl, mu=-1.0)
+    # the record file still writes it, second after T
+    assert list(controller_to_dict(ctrl))[:3] == ["T", "mu", "A"] and controller_to_dict(ctrl)["mu"] == -1.0
 
 
 def test_controller_rejects_degree_other_than_minus_one(ctrl):
