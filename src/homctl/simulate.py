@@ -410,20 +410,23 @@ def _simulate_dense(config: ScenarioConfig) -> SimulationTrace:
     the grid up to ``t_end`` gets that point, and the rows from it on are
     ``x = 0``, ``u = 0``, ``s = 0``.  Where the context's fixed law ``u = K0 x
     + c KT x`` runs, the run is ``e^{(A0 + c B KT) t} x0`` up to ``t_end``.
-    Each flow is one orbit map over the grid from one eigenbasis (``expm``
-    per point only where that basis is ill-conditioned); ``z`` turns as ``L'z``
-    under the skew part of ``L'HL^{-T}``, ``P = LL'``, on a unitary basis.  The
-    trace records the flow's own ``s``, and each law's input is one product over
-    the grid.  :func:`simulate`, the only caller, measures settling, and
+    Each flow turns ``w = L'v`` (``P = LL'``) under ``L'GL^{-T}``, ``G = A0 +
+    c B KT`` or ``H``'s skew part, whose basis is unitary: one orbit map over
+    the grid (``expm`` per point only for a zero reference's nilpotent ``A0``).
+    The trace records the flow's own ``s``, and each law's input is one product
+    over the grid.  :func:`simulate`, the only caller, measures settling, and
     :class:`ScenarioConfig` refuses a run the formula does not describe.
     """
     ctrl, x0 = config.controller, config.x0
     ctx = make_context(ctrl, config.kind, x0, config.x0_noise)
     T = ctrl.T
     grid = np.linspace(0.0, config.t_end, max(int(round(config.t_end / config.h)) * 4, 200))
+    # v(p) = L^{-T} e^{p G_w} L'v0 over a column p, with G_w = L'GL^{-T}
+    L = np.linalg.cholesky(ctrl.P)
+    to_w = lambda G: np.linalg.solve(L, (L.T @ G).T).T
+    flow = lambda Gw, v0, p: np.linalg.solve(L.T, _orbit(Dilation(-Gw, np.eye(len(x0))), L.T @ v0)(p))
     if not ctx.reads_s:
-        X = _orbit(Dilation(-(ctrl.A0 + ctx.fixed_c * (ctrl.B @ ctrl.KT)), ctrl.P), x0)(grid[1:, None])
-        xs = np.vstack([x0, X.T])
+        xs = np.vstack([x0, flow(to_w(ctrl.A0 + ctx.fixed_c * (ctrl.B @ ctrl.KT)), x0, grid[1:, None]).T])
         us = xs @ ctrl.K0.T + xs @ (ctx.fixed_c * ctrl.KT).T
         with np.errstate(over="ignore", invalid="ignore"):
             ss = ctx.solve_rows(xs)
@@ -437,13 +440,10 @@ def _simulate_dense(config: ScenarioConfig) -> SimulationTrace:
         ss[:k] = s0 - grid[:k] / T
         xs[0], us[0] = x0, ctx.feedback(x0, s0, z0)
         if k > 1:
-            # with P = LL', w = L'z turns under the skew S = L'HL^{-T}, whose
-            # eigenbasis is unitary; each row strictly inside (0, T s0), where
-            # no clamp acts (s < s0 <= 1 for a clamped kind), has its own point
-            L = np.linalg.cholesky(ctrl.P)
-            S = np.linalg.solve(L, (L.T @ (ctrl.A0 + ctrl.B @ ctrl.KT + ctrl.Gd / T)).T).T
-            W = _orbit(Dilation(0.5 * (S.T - S), np.eye(len(x0))), L.T @ z0)(-T * np.log(ss[1:k, None] / s0))
-            Z = np.linalg.solve(L.T, W)
+            # each row strictly inside (0, T s0), where no clamp acts (s < s0 <= 1
+            # for a clamped kind), has its own point
+            S = to_w(ctrl.A0 + ctrl.B @ ctrl.KT + ctrl.Gd / T)
+            Z = flow(0.5 * (S - S.T), z0, -T * np.log(ss[1:k, None] / s0))
             xs[1:k] = ctx.ref_norm * _orbit(ctx.dilation, Z)(-np.log(ss[1:k, None])).T
             us[1:k] = xs[1:k] @ ctrl.K0.T + Z.T @ ctx._rKT.T
     return SimulationTrace(t=grid, x=xs, u=us, s=ss, x_norm=ctx.dilation.norm(xs))

@@ -25,7 +25,8 @@ products and of the program's ``KT``.  The worst gap on the four records
 is 0.81 of that tolerance (``rand5x2``).  The ``fixed_time`` floor, the
 clamp and the zero state are checked exactly.  The dense mode records the
 flow's own ``s = s0 - t/T``; the exact root of each recorded state, where
-``s >= 0.1``, must agree with it to the root's tolerance.  The Jordan dilations of
+``s >= 0.1``, must agree with it to the root's tolerance, and a fixed law's
+dense flow with ``mpmath.expm``.  The Jordan dilations of
 ``tests/test_dilation.py`` are not covered: the eigenbasis needs a
 diagonalizable ``Gd``.
 """
@@ -41,11 +42,13 @@ from homctl import (
     ControllerKind,
     LinearPlant,
     ScenarioConfig,
+    SynthesisConfig,
     eval_control,
     load_controller,
     make_context,
     oscillator_controller,
     simulate,
+    synthesize,
 )
 from homctl.dilation import _solve, _solve_rows
 
@@ -208,6 +211,26 @@ def test_dense_s_column_agrees_with_the_exact_root(name, kind):
     for x, v in zip(trace.x[rows], trace.s[rows]):
         s, slope, kappa2 = exact.root(x / r)
         assert _gap(s, v) <= _tolerance(slope, kappa2), (x, _gap(s, v), _tolerance(slope, kappa2))
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_dense_fixed_law_flow_agrees_with_the_exact_exponential(n):
+    # the linear kind's dense x against e^{tM} x0, M = A0 + B KT, in mpmath
+    # at 6 grid points: |x - x_ref|_P is at most 3.5e-16 and 4.5e-16 of |x0|_P
+    # on chains 5 and 6, where a flow on M's own ill-conditioned eigenbasis is
+    # off by 4.3e-11 and 9.8e-9
+    plant = LinearPlant(np.eye(n, k=1), np.eye(n)[:, -1:])
+    ctrl = synthesize(plant, SynthesisConfig(T=1.0))
+    x0 = 0.7 * np.eye(n)[0]
+    trace = simulate(ScenarioConfig(plant=plant, controller=ctrl, x0=x0, h=0.01, t_end=3.0,
+                                    kind=ControllerKind.LINEAR, integrator="dense"))
+    rows = np.linspace(0, len(trace.t) - 1, 7).astype(int)[1:]
+    with mpmath.workdps(DPS):
+        M, x0m = mpmath.matrix((ctrl.A0 + ctrl.B @ ctrl.KT).tolist()), mpmath.matrix(x0.tolist())
+        err = [[float(v) for v in mpmath.matrix(trace.x[i].tolist()) - mpmath.expm(float(trace.t[i]) * M) * x0m]
+               for i in rows]
+    rel = ctrl.dilation.norm(np.array(err)) / ctrl.dilation.norm(x0)
+    assert np.all(rel <= 1e-13), rel
 
 
 @pytest.mark.parametrize("name", ["oscillator", "chain3", "rand3x2", "rand5x2"])

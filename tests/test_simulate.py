@@ -333,18 +333,24 @@ def test_dense_mode_zero_reference_runs_the_fixed_law(kind):
 
 
 @pytest.mark.parametrize("kind", [ControllerKind.PRESCRIBED_TIME_ROBUST, ControllerKind.LINEAR])
-@pytest.mark.parametrize("name", ["oscillator", "chain3"])
+@pytest.mark.parametrize("name", ["oscillator", "chain3", "chain5", "chain6"])
 def test_dense_run_does_no_expm_per_point(name, kind, monkeypatch):
-    # each flow is one orbit map over the whole grid, from one eigenbasis:
-    # the run's only matrix exponential is the record's d(-ln T), formed on
-    # first use.  The per-point expm of an ill-conditioned eigenbasis runs in
+    # both flows turn w = L'v (P = LL') as one orbit map over the whole grid,
+    # from one eigenbasis: the run's only matrix exponential is the record's
+    # d(-ln T), formed on first use.  On chains 5 and 6 the linear law's
+    # A0 + B KT has no usable eigenbasis in plant coordinates.  The per-point
+    # expm that remains runs in
     # test_dense_mode_zero_reference_runs_the_fixed_law[PRESCRIBED_TIME],
-    # whose flow A0 is nilpotent
+    # whose flow A0 is nilpotent, so defective in any coordinates
     if name == "oscillator":
         ctrl, x0 = oscillator_controller(), np.array([0.7, 0.0])
         assert homctl.dilation.Dilation(-ctrl.A0, ctrl.P)._eig is None
-    else:
+    elif name == "chain3":
         ctrl, x0 = load_controller(os.path.join(_RECORDS, "chain3.json")), np.array([0.6, -0.8, 0.0])
+    else:
+        n = int(name[5:])
+        ctrl = synthesize(LinearPlant(np.eye(n, k=1), np.eye(n)[:, -1:]), SynthesisConfig(T=1.0))
+        x0 = 0.7 * np.eye(n)[0]
     expm, calls = homctl.linalg.expm, []
     monkeypatch.setattr(homctl.linalg, "expm", lambda M: calls.append(M) or expm(M))
     trace = simulate(ScenarioConfig(plant=LinearPlant(ctrl.A, ctrl.B), controller=ctrl, x0=x0, h=H,
