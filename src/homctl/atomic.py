@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import os
-import tempfile
 
-# mkstemp creates its file 0600; the written file gets the mode open() gives
-_UMASK = os.umask(0)
-os.umask(_UMASK)
+# a new file, whose mode 0o666 goes through the current umask as open()'s does
+_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
 
 
 def write_text(path, text: str) -> None:
@@ -18,10 +16,11 @@ def write_text(path, text: str) -> None:
     """
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+        name = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
+        fd = os.open(name, _FLAGS, 0o666)
+        tmp = name
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        os.chmod(tmp, 0o666 & ~_UMASK)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):

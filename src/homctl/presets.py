@@ -2,11 +2,11 @@
 
 `oscillator_controller` is the reference stabilizer for the harmonic
 oscillator (settling time T = 1), written out in closed form so the presets
-run without a synthesis step.  Each preset names a closed-loop run and a list
-of expectations on its trace (settling window, boundedness, residual level);
-``run_preset`` executes one and reports which expectations held.  Presets are
-grouped into suites: ``paper`` (the eight figure-style runs fig1..fig8) and
-``scaling`` (one nominal run per initial-state magnitude).
+run without a synthesis step.  Each preset names a closed-loop run and the
+checks on its trace (settling window and residual horizon at the run's own
+``T + tau``, boundedness); ``run_preset`` collects each check's report entry.
+Presets are grouped into suites: ``paper`` (the eight figure-style runs
+fig1..fig8) and ``scaling`` (one nominal run per initial-state magnitude).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "oscillator_plant",
     "oscillator_controller",
     "builtin_controller",
-    "Expectation",
     "ExperimentPreset",
     "PRESETS",
     "SUITES",
@@ -79,74 +78,74 @@ def builtin_controller(name: str) -> SynthesizedController:
     return oscillator_controller()
 
 
-@dataclass(frozen=True)
-class Expectation:
-    """A named pass/fail check on a finished trace."""
-
-    name: str
-    check: Callable[[SimulationTrace, ScenarioConfig], tuple[bool, str]]
-
-    def evaluate(self, trace: SimulationTrace, config: ScenarioConfig) -> dict:
-        passed, detail = self.check(trace, config)
-        return {"name": self.name, "passed": bool(passed), "detail": detail}
+#: a check on a finished run: its report entry ``{"name", "passed", "detail"}``
+_Check = Callable[[SimulationTrace, ScenarioConfig], dict]
 
 
-def settles_within(lo: float, hi: float) -> Expectation:
-    """Settling time (weighted norm below the scenario threshold) in [lo, hi]."""
+def _entry(name: str, passed, detail: str) -> dict:
+    return {"name": name, "passed": bool(passed), "detail": detail}
+
+
+def settles_on_time() -> _Check:
+    """Settling time (weighted norm below the scenario threshold) within two
+    samples of the run's ``T + tau``, the controller's ``T`` plus the input delay."""
 
     def check(trace, config):
+        horizon = config.controller.T + config.plant.delay
+        lo, hi = horizon - 2 * config.h, horizon + 2 * config.h
+        name = f"settles_within_{lo:g}_{hi:g}"
         st = trace.settling_time
         if st is None:
-            return False, f"never settled below {trace.settle_epsilon:g}"
-        return lo <= st <= hi, f"settling_time={st:.6g} (window [{lo:g}, {hi:g}])"
+            return _entry(name, False, f"never settled below {trace.settle_epsilon:g}")
+        return _entry(name, lo <= st <= hi, f"settling_time={st:.6g} (window [{lo:g}, {hi:g}])")
 
-    return Expectation(f"settles_within_{lo:g}_{hi:g}", check)
+    return check
 
 
-def never_settles() -> Expectation:
+def never_settles() -> _Check:
     """The trace must not settle (persistent excitation keeps it away from zero)."""
 
     def check(trace, config):
         st = trace.settling_time
         if st is None:
-            return True, f"no settling below {trace.settle_epsilon:g}, as expected"
-        return False, f"unexpectedly settled at t={st:.6g}"
+            return _entry("never_settles", True, f"no settling below {trace.settle_epsilon:g}, as expected")
+        return _entry("never_settles", False, f"unexpectedly settled at t={st:.6g}")
 
-    return Expectation("never_settles", check)
+    return check
 
 
-def stays_bounded(factor: float) -> Expectation:
+def stays_bounded(factor: float) -> _Check:
     """Weighted norm never exceeds ``factor`` times its initial value."""
 
     def check(trace, config):
         peak = float(np.max(trace.x_norm))
         limit = factor * float(trace.x_norm[0])
-        return peak <= limit, f"max_norm={peak:.6g} (limit {limit:.6g})"
+        return _entry(f"stays_bounded_{factor:g}x", peak <= limit, f"max_norm={peak:.6g} (limit {limit:.6g})")
 
-    return Expectation(f"stays_bounded_{factor:g}x", check)
+    return check
 
 
-def enters_band(level: float) -> Expectation:
+def enters_band(level: float) -> _Check:
     """Weighted norm dips below ``level`` at least once."""
 
     def check(trace, config):
         low = float(np.min(trace.x_norm))
-        return low <= level, f"min_norm={low:.6g} (band {level:g})"
+        return _entry(f"enters_band_{level:g}", low <= level, f"min_norm={low:.6g} (band {level:g})")
 
-    return Expectation(f"enters_band_{level:g}", check)
+    return check
 
 
-def ends_at_zero() -> Expectation:
+def ends_at_zero() -> _Check:
     """Final state is exactly zero (terminal capture happened)."""
 
     def check(trace, config):
         final = float(trace.x_norm[-1])
-        return final == 0.0, f"final_norm={final:.6g}"
+        return _entry("ends_at_zero", final == 0.0, f"final_norm={final:.6g}")
 
-    return Expectation("ends_at_zero", check)
+    return check
 
 
-def residual_rms_below(limit: float) -> Expectation:
+def residual_rms_below(limit: float) -> _Check:
     """RMS of the weighted norm after the nominal settling horizon stays small.
 
     The horizon is the controller's settling time plus the plant's input
@@ -155,24 +154,25 @@ def residual_rms_below(limit: float) -> Expectation:
     """
 
     def check(trace, config):
+        name = f"residual_rms_below_{limit:g}"
         horizon = config.controller.T + config.plant.delay
         tail = trace.x_norm[trace.t > horizon]
         if tail.size == 0:
-            return False, f"no samples after t={horizon:g}"
+            return _entry(name, False, f"no samples after t={horizon:g}")
         rms = float(math.sqrt(float(np.mean(tail**2))))
-        return rms <= limit, f"post-horizon rms={rms:.6g} (limit {limit:g})"
+        return _entry(name, rms <= limit, f"post-horizon rms={rms:.6g} (limit {limit:g})")
 
-    return Expectation(f"residual_rms_below_{limit:g}", check)
+    return check
 
 
 @dataclass(frozen=True)
 class ExperimentPreset:
-    """A named scenario factory plus the expectations its trace must meet."""
+    """A named scenario factory plus the checks its run must pass."""
 
     name: str
     description: str
     build: Callable[[int | None], ScenarioConfig]
-    expectations: tuple[Expectation, ...]
+    expectations: tuple[_Check, ...]
 
 
 def _oscillator(x0, t_end: float = 2.0, tau: float = 0.0,
@@ -191,9 +191,6 @@ def _oscillator(x0, t_end: float = 2.0, tau: float = 0.0,
     return build
 
 
-#: settling windows: T (plus delay where applicable) to within two samples
-_WINDOW = (1.0 - 2 * _H, 1.0 + 2 * _H)
-_WINDOW_DELAYED = (1.5 - 2 * _H, 1.5 + 2 * _H)
 #: the matched disturbance sin(5t) of fig3 and fig4
 _SIN5 = DisturbanceSpec(kind="matched_sin", amplitude=1.0, omega=5.0)
 
@@ -201,12 +198,12 @@ _FIGURES = (
     ExperimentPreset(
         "fig1", "nominal run, small initial state x0 = (0.2, 0)",
         _oscillator([0.2, 0.0]),
-        (settles_within(*_WINDOW), stays_bounded(1.001), ends_at_zero()),
+        (settles_on_time(), stays_bounded(1.001), ends_at_zero()),
     ),
     ExperimentPreset(
         "fig2", "nominal run, large initial state x0 = (0.7, 0)",
         _oscillator([0.7, 0.0]),
-        (settles_within(*_WINDOW), stays_bounded(1.001), ends_at_zero()),
+        (settles_on_time(), stays_bounded(1.001), ends_at_zero()),
     ),
     ExperimentPreset(
         "fig3", "matched sinusoidal disturbance sin(5t), small initial state",
@@ -231,12 +228,12 @@ _FIGURES = (
     ExperimentPreset(
         "fig7", "input delay 0.5 with predictor feedback, small initial state",
         _oscillator([0.2, 0.0], t_end=2.5, tau=0.5),
-        (settles_within(*_WINDOW_DELAYED), ends_at_zero()),
+        (settles_on_time(), ends_at_zero()),
     ),
     ExperimentPreset(
         "fig8", "input delay 0.5 with predictor feedback, large initial state",
         _oscillator([0.7, 0.0], t_end=2.5, tau=0.5),
-        (settles_within(*_WINDOW_DELAYED), ends_at_zero()),
+        (settles_on_time(), ends_at_zero()),
     ),
 )
 
@@ -246,7 +243,7 @@ _SCALING = tuple(
     ExperimentPreset(
         f"scale-{lam:g}", f"nominal run scaled by {lam:g}: x0 = {lam:g} * (0.2, 0)",
         _oscillator([0.2 * lam, 0.0]),
-        (settles_within(*_WINDOW), stays_bounded(1.001)),
+        (settles_on_time(), stays_bounded(1.001)),
     )
     for lam in _SCALES
 )
@@ -260,14 +257,14 @@ SUITES: dict[str, tuple[str, ...]] = {
 
 
 def run_preset(preset: ExperimentPreset, seed: int | None = None) -> tuple[SimulationTrace, dict]:
-    """Simulate one preset and evaluate its expectations.
+    """Simulate one preset and run its checks.
 
-    Returns the trace and a JSON-ready report: run summary, one entry per
-    expectation, and an overall ``passed`` flag.
+    Returns the trace and a JSON-ready report: run summary, each check's
+    entry, and an overall ``passed`` flag.
     """
     config = preset.build(seed)
     trace = simulate(config)
-    results = [e.evaluate(trace, config) for e in preset.expectations]
+    results = [check(trace, config) for check in preset.expectations]
     report = {
         "preset": preset.name,
         "description": preset.description,

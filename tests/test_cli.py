@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
 import textwrap
@@ -168,6 +169,35 @@ def test_diverging_run_writes_strict_json_summary(tmp_path, capsys):
     assert printed == written
     assert written["max_norm"] is None and written["final_norm"] is None
     assert written["settled"] is False
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="ROADMAP item 20: the linear law never reads s, yet its s column raises "
+                          "'root refinement did not converge' (exit 5)")
+@pytest.mark.parametrize("integrator", ["zoh_exact", "dense"])
+def test_simulate_linear_kind_runs_where_the_norm_does_not_resolve(tmp_path, integrator, capsys):
+    record = tmp_path / "rand6x1.json"
+    record.write_bytes((Path(__file__).resolve().parents[1] / "bench" / "records" / "rand6x1.json").read_bytes())
+    data = json.loads(record.read_text())
+    A, B = (_matrix_entry(data[k]) for k in "AB")
+    scenario = tmp_path / "linear.ini"
+    scenario.write_text(f"[plant]\nA = {A}\nB = {B}\n[controller]\nfile = rand6x1.json\nkind = linear\n"
+                        f"[sim]\nx0 = 0.7 0 0 0 0 0\nh = 0.01\nt_end = 2\nintegrator = {integrator}\n")
+    assert main(["simulate", "--scenario", str(scenario)]) == EXIT_OK, capsys.readouterr().err
+
+
+def test_written_files_get_the_mode_open_gives(tmp_path, plant_file, capsys):
+    # the writer reads the umask when it writes, not when homctl was imported
+    old = os.umask(0o077)
+    try:
+        assert main(["synth", "--plant", str(plant_file), "--T", "1", "--out", str(tmp_path / "c.json")]) == EXIT_OK
+        assert main(["experiment", "--preset", "fig1", "--out", str(tmp_path / "runs")]) == EXIT_OK
+        (tmp_path / "open.txt").open("w").close()
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+    written = ["open.txt", "c.json", "runs/fig1.csv", "runs/report.json"]
+    assert {name: stat.S_IMODE((tmp_path / name).stat().st_mode) for name in written} == dict.fromkeys(written, 0o600)
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,14 @@ from homctl import (
     load_plant,
     load_scenario,
     oscillator_controller,
+    oscillator_plant,
     parse_matrix,
     parse_vector,
     run_preset,
     save_controller,
     simulate,
 )
-from homctl.presets import never_settles, residual_rms_below, settles_within
+from homctl.presets import never_settles, residual_rms_below, settles_on_time
 
 PLANT = """
 [plant]
@@ -371,11 +372,28 @@ def test_expectations_name_their_failures():
     config = PRESETS["fig1"].build(None)
     short = simulate(dataclasses.replace(config, t_end=0.5))
     full = simulate(config)
-    cases = [(settles_within(0.98, 1.02), short, "never settled below 1e-09"),
-             (never_settles(), full, f"unexpectedly settled at t={full.settling_time:.6g}"),
-             (residual_rms_below(1e-6), short, "no samples after t=1")]
-    for expectation, trace, detail in cases:
-        assert expectation.evaluate(trace, config) == {"name": expectation.name, "passed": False, "detail": detail}
+    cases = [(settles_on_time(), short, "settles_within_0.98_1.02", "never settled below 1e-09"),
+             (never_settles(), full, "never_settles", f"unexpectedly settled at t={full.settling_time:.6g}"),
+             (residual_rms_below(1e-6), short, "residual_rms_below_1e-06", "no samples after t=1")]
+    for check, trace, name, detail in cases:
+        assert check(trace, config) == {"name": name, "passed": False, "detail": detail}
+
+
+@pytest.mark.parametrize("figure, tau, window", [("fig2", 0.0, "settles_within_1.98_2.02"),
+                                                  ("fig8", 0.5, "settles_within_2.48_2.52")])
+def test_settle_window_is_read_from_the_run(figure, tau, window):
+    # the oscillator record re-timed to T = 2: the presets' own checks put
+    # the window at T + tau +- 2h of this run, not of the bundled record
+    ctrl = dataclasses.replace(oscillator_controller(), T=2.0)
+
+    def build(seed):
+        return ScenarioConfig(plant=oscillator_plant(delay=tau), controller=ctrl, x0=np.array([0.7, 0.0]),
+                              h=0.01, t_end=3.0)
+
+    trace, report = run_preset(dataclasses.replace(PRESETS[figure], build=build))
+    assert report["expectations"][0]["name"] == window
+    assert report["passed"], report["expectations"]
+    assert trace.settling_time == pytest.approx(2.0 + tau)
 
 
 def test_all_presets_pass_their_expectations():

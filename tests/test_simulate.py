@@ -16,6 +16,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
+import census
 import homctl
 from homctl import (
     ControlContext,
@@ -148,6 +149,22 @@ def test_chain3_settles_within_two_samples_of_T():
 def test_coarse_sampling_never_reports_settled_before_T():
     trace = simulate(dataclasses.replace(_nominal([0.2, 0.0]), h=0.5))
     assert trace.settling_time is None or trace.settling_time >= 1.0
+
+
+def _early(name, settled):
+    return pytest.param(name, marks=pytest.mark.xfail(
+        raises=AssertionError, strict=True,
+        reason=f"ROADMAP item 2: 'settled at {settled}', before T - 2h; the dense run settles at 1"))
+
+
+@pytest.mark.parametrize("name", [_early("rand6x3-s6", 0.95), _early("rand5x3-s20", 0.97)])
+def test_census_record_never_reports_settled_before_T(name):
+    # the two census records whose sampled run reports a settle too early
+    A, B = next((A, B) for case, A, B in census.plants() if case == name)
+    plant = LinearPlant(A, B)
+    ctrl = synthesize(plant, SynthesisConfig(T=1.0))
+    trace = simulate(ScenarioConfig(plant=plant, controller=ctrl, x0=0.7 * np.eye(len(A))[0], h=H, t_end=3.0))
+    assert trace.settling_time is None or trace.settling_time >= ctrl.T - 2 * H
 
 
 def test_chain6_dense_run_settles_at_T():
